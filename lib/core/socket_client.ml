@@ -52,14 +52,15 @@ module Make (S : Platform.Sync_intf.S) = struct
     | Ascii -> Mc_protocol.Ascii.encode_command cmd
     | Binary -> Mc_protocol.Binary.encode_command cmd
 
-  (* Parse one positioned reply out of the accumulation buffer,
-     receiving more bytes whenever only a prefix has arrived. *)
+  (* Parse the reply that starts at [at] in the accumulation buffer,
+     receiving more bytes whenever only a prefix has arrived. Only the
+     unconsumed suffix is copied out for the parser. *)
   let rec parse_at t buf cmd at =
-    let data = Buffer.contents buf in
+    let data = Buffer.sub buf at (Buffer.length buf - at) in
     match
       match t.protocol with
-      | Ascii -> Mc_protocol.Ascii.parse_response_at data ~at
-      | Binary -> Mc_protocol.Binary.parse_response_at ~for_cmd:cmd data ~at
+      | Ascii -> Mc_protocol.Ascii.parse_response_at data ~at:0
+      | Binary -> Mc_protocol.Binary.parse_response_at ~for_cmd:cmd data ~at:0
     with
     | r -> r
     | exception P.Need_more_data ->
@@ -169,9 +170,9 @@ module Make (S : Platform.Sync_intf.S) = struct
      frames back to back — exactly what the completion ring delivers —
      and the positional parse walks them one [await] at a time. *)
 
-  type stream = { cl : t; sbuf : Buffer.t; mutable s_at : int }
+  type stream = { cl : t; sbuf : Buffer.t }
 
-  let stream t = { cl = t; sbuf = Buffer.create 256; s_at = 0 }
+  let stream t = { cl = t; sbuf = Buffer.create 256 }
 
   let submit st cmd =
     if P.is_noreply cmd then invalid_arg "submit: command with a suppressed reply";
@@ -180,15 +181,12 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let await st cmd =
     S.advance CM.current.client_unpack;
-    if st.s_at > 65536 then begin
-      (* drop the consumed prefix so a long run stays bounded *)
-      let rest = Buffer.sub st.sbuf st.s_at (Buffer.length st.sbuf - st.s_at) in
-      Buffer.clear st.sbuf;
-      Buffer.add_string st.sbuf rest;
-      st.s_at <- 0
-    end;
-    let resp, used = parse_at st.cl st.sbuf cmd st.s_at in
-    st.s_at <- st.s_at + used;
+    let resp, used = parse_at st.cl st.sbuf cmd 0 in
+    (* drop the parsed reply: the buffer holds only replies not yet
+       awaited, so each parse copies just those *)
+    let rest = Buffer.sub st.sbuf used (Buffer.length st.sbuf - used) in
+    Buffer.clear st.sbuf;
+    Buffer.add_string st.sbuf rest;
     resp
 
   let store_result_of_response : P.response -> Mc_core.Store.store_result =

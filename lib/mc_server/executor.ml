@@ -237,7 +237,7 @@ struct
         (Telemetry.Contention.kvs () @ Telemetry.Counters.optimistic_kvs ())
     | P.Stats (Some "rings") ->
       (* extension: shared-ring transport counters, plus the live
-         adaptive-window state the ring server appends *)
+         per-connection drain state the ring server appends *)
       P.Stats_reply
         (Telemetry.Counters.ring_kvs () @ !rings_stats_hook ())
     | P.Stats (Some "tenants") ->

@@ -25,39 +25,26 @@ let default_config =
       { Mc_core.Store.default_config with
         lru_by_size_class = true (* original memcached: LRU per slab class *) } }
 
-(** Shared-ring mode: geometry of the per-connection ring pair plus
-    the adaptive batch window's knobs. The window starts at 1
-    (immediate dispatch), doubles toward the rate-matched target — as
-    many arrivals as fit in [r_t_max_ns] at the EWMA arrival gap,
-    capped at [r_b_max] — halves when a nagle deadline fires under the
-    window or the arrival rate falls, and snaps back to 1 whenever the
-    worker goes fully idle — so an unloaded server keeps the B=1
-    latency point and a loaded one converges to the hand-batched
-    B=32 crossing amortization with no caller cooperation. *)
+(** Shared-ring mode: geometry of the per-connection ring pair. The
+    drain policy has no knobs: the worker drains whatever a ring holds
+    as soon as it sees it, so batches form only from requests that
+    piled up while the worker was busy. *)
 type ring_config = {
   r_slots : int;  (** slots per ring *)
   r_slot_bytes : int;  (** bytes per slot (24 of them header) *)
-  r_b_max : int;  (** window ceiling *)
-  r_t_max_ns : int;  (** nagle deadline cap: max added latency *)
 }
 
-let default_ring_config =
-  { r_slots = 64; r_slot_bytes = 256; r_b_max = 32; r_t_max_ns = 30_000 }
+let default_ring_config = { r_slots = 64; r_slot_bytes = 256 }
 
-(* Per-connection adaptive-window state, owned by the connection's
-   worker; the scalar fields feed `stats rings` without locking. *)
+(* Per-connection drain counters, owned by the connection's worker;
+   the scalar fields feed `stats rings` without locking. *)
 type wstate = {
-  mutable w_window : int;
-  mutable w_ewma_gap : int;  (** EWMA of request arrival gaps, ns *)
-  mutable w_last_stamp : int;  (** newest slot stamp folded into the EWMA *)
   mutable w_occ : int;  (** occupancy at the last peek, messages *)
   mutable w_drains : int;
   mutable w_ops : int;
 }
 
-let fresh_wstate () =
-  { w_window = 1; w_ewma_gap = 0; w_last_stamp = 0; w_occ = 0; w_drains = 0;
-    w_ops = 0 }
+let fresh_wstate () = { w_occ = 0; w_drains = 0; w_ops = 0 }
 
 type wrapper = { wrap : 'a. ops:int -> (unit -> 'a) -> 'a }
 (** Runs each batch execution; [ops] is the number of operations the
@@ -68,7 +55,7 @@ type wrapper = { wrap : 'a. ops:int -> (unit -> 'a) -> 'a }
 
 let default_wrapper = { wrap = (fun ~ops:_ f -> f ()) }
 
-(* Whether this thread is inside a ring-window drain — the ground
+(* Whether this thread is inside a ring drain — the ground
    truth the crash sweep compares against the flight recorder's
    Ring_drain_begin/end breadcrumbs. Module-level for the same reason
    as the store's held-stripe list: the drain spans functor
@@ -121,7 +108,7 @@ struct
     ring_conns : (int, T.conn) Hashtbl.t array;
     (** per-worker ring connections (guarded by [conns_lock]) *)
     ring_states : (int, wstate) Hashtbl.t;
-    (** cid -> adaptive-window state (created/removed under
+    (** cid -> drain counters (created/removed under
         [conns_lock]; the scalar fields are the owning worker's) *)
     mutable threads : S.thread list;
   }
@@ -347,12 +334,11 @@ struct
     T.ring_bounce conn;
     release_ring_conn t wi conn
 
-  (* One adaptive-window drain = one wrapped execution = one protection
-     crossing. The ring consume (copy-in) runs *inside* the crossing,
-     like the paper's copy_in idiom — the bytes leave the
-     client-writable pages before the parser trusts them — and the
-     whole window's parse + grouped execution rides the same crossing,
-     so crossings/op is 1/window with no caller-side batching. *)
+  (* One drain = one wrapped execution = one protection crossing. The
+     ring consume (copy-in) runs *inside* the crossing, like the
+     paper's copy_in idiom — the bytes leave the client-writable pages
+     before the parser trusts them — and the parse + grouped execution
+     of everything the ring held rides the same crossing. *)
   let ring_drain t conn cid buf ~msgs ~first_stamp =
     let st = ring_state t cid in
     let root = Telemetry.Span.ingress ~t_start:first_stamp ~op:"srv.ring" () in
@@ -469,16 +455,14 @@ struct
 
   (* The ring worker's event loop. Instead of blocking on the socket
      queue it polls its connections' submission rings (shared-memory
-     header reads, no syscall), fires a drain when a window is due —
-     occupancy reached the adaptive window, or the nagle deadline
-     expired — and only parks (arming every ring for a doorbell) when
-     every ring is empty. Parking resets the windows to 1: the first
-     op after an idle period is dispatched immediately, which is what
-     keeps the unloaded latency at the B=1 point. *)
+     header reads, no syscall) and drains every ring that holds
+     anything, at once: the loop is work-conserving, so a batch is
+     exactly what piled up while the worker was busy and a lone
+     request never waits for company. When every ring is empty the
+     worker naps one context-switch interval — the wake-up latency a
+     park would add anyway — and looks again; only a second empty pass
+     arms every ring for a doorbell, re-checks, and parks. *)
   let ring_worker_loop t wi inbox =
-    let rcfg =
-      match t.ring_ctx with Some rc -> rc.rc_cfg | None -> assert false
-    in
     let buffers : (int, Buffer.t) Hashtbl.t = Hashtbl.create 16 in
     let buffer_of cid =
       match Hashtbl.find_opt buffers cid with
@@ -494,66 +478,8 @@ struct
       Mutex.unlock t.conns_lock;
       List.sort (fun a b -> compare a.T.cid b.T.cid) l
     in
-    (* When the window is due by time rather than occupancy: the
-       expected arrival of the Wth message — [w-1] gaps after the
-       first, plus half a gap of jitter slack so a window that fills
-       exactly on schedule counts as full rather than short — capped
-       at [r_t_max_ns] of added latency. Anchoring at the *first*
-       pending stamp keeps the bound per-op: however the window
-       grows, no request waits past the cap. *)
-    let deadline st (p : Transport.Ring.pending) =
-      if st.w_ewma_gap <= 0 then p.Transport.Ring.p_first_stamp
-      else
-        p.Transport.Ring.p_first_stamp
-        + min rcfg.r_t_max_ns
-            ((st.w_ewma_gap * (2 * (st.w_window - 1) + 1)) / 2)
-    in
-    let update_ewma st (p : Transport.Ring.pending) =
-      let open Transport.Ring in
-      if p.p_last_stamp > st.w_last_stamp then begin
-        let gap =
-          if p.p_msgs >= 2 then
-            (p.p_last_stamp - p.p_first_stamp) / (p.p_msgs - 1)
-          else if st.w_last_stamp > 0 then p.p_last_stamp - st.w_last_stamp
-          else 0
-        in
-        if gap > 0 then
-          st.w_ewma_gap <-
-            (if st.w_ewma_gap = 0 then gap
-             else ((7 * st.w_ewma_gap) + gap) / 8);
-        st.w_last_stamp <- p.p_last_stamp
-      end
-    in
-    (* Adapt toward the rate-matched target: the largest window that
-       fills within [r_t_max_ns] at the EWMA arrival rate. A fast
-       stream (small gap) earns a big window — up to B_max — because
-       each op's share of the nagle residue is tiny next to the
-       crossings it saves; a slow stream's target degenerates to 1, so
-       sporadic requests keep immediate dispatch. The drained count
-       alone can't drive growth: at W=1 a drain fires on the first
-       message, so every drain collects exactly one. Growth doubles
-       toward the target; a drain that came in under the window halves
-       it — which is also how a falling rate deflates the window,
-       since the capped deadline then fires before the window fills. *)
-    let adapt st ~drained =
-      let target =
-        if st.w_ewma_gap <= 0 then 1
-        else max 1 (min rcfg.r_b_max (rcfg.r_t_max_ns / st.w_ewma_gap))
-      in
-      (* Overload raises the target past the rate-matched one: a drain
-         that collected more than the window means the worker is
-         behind, and then a bigger batch is free latency-wise — the
-         queue is already longer than the window. *)
-      let target = max target (min rcfg.r_b_max drained) in
-      if drained >= st.w_window && st.w_window < target then
-        st.w_window <- min (st.w_window * 2) target
-      else if drained < st.w_window then
-        st.w_window <- max (st.w_window / 2) 1
-    in
-    let rec loop () =
-      let now = S.now_ns () in
+    let rec loop ~napped =
       let acted = ref false in
-      let next_deadline = ref max_int in
       List.iter
         (fun conn ->
           let cid = conn.T.cid in
@@ -562,37 +488,29 @@ struct
             bounce_ring_conn t wi conn;
             Hashtbl.remove buffers cid;
             acted := true
-          | Ok None ->
-            (ring_state t cid).w_occ <- 0
-          | Ok (Some p) ->
-            let st = ring_state t cid in
-            st.w_occ <- p.Transport.Ring.p_msgs;
-            update_ewma st p;
-            let dl = deadline st p in
-            if p.Transport.Ring.p_msgs >= st.w_window || now >= dl then begin
-              acted := true;
-              T.ring_arm conn false;
-              match
-                ring_drain t conn cid (buffer_of cid)
-                  ~msgs:p.Transport.Ring.p_msgs
-                  ~first_stamp:p.Transport.Ring.p_first_stamp
-              with
-              | `Ok -> adapt st ~drained:p.Transport.Ring.p_msgs
-              | `Quit ->
-                T.close_conn conn;
-                release_ring_conn t wi conn;
-                Hashtbl.remove buffers cid
-              | `Bounce ->
-                bounce_ring_conn t wi conn;
-                Hashtbl.remove buffers cid
-            end
-            else next_deadline := min !next_deadline dl)
+          | Ok None -> (ring_state t cid).w_occ <- 0
+          | Ok (Some p) -> (
+            (ring_state t cid).w_occ <- p.Transport.Ring.p_msgs;
+            acted := true;
+            T.ring_arm conn false;
+            match
+              ring_drain t conn cid (buffer_of cid)
+                ~msgs:p.Transport.Ring.p_msgs
+                ~first_stamp:p.Transport.Ring.p_first_stamp
+            with
+            | `Ok -> ()
+            | `Quit ->
+              T.close_conn conn;
+              release_ring_conn t wi conn;
+              Hashtbl.remove buffers cid
+            | `Bounce ->
+              bounce_ring_conn t wi conn;
+              Hashtbl.remove buffers cid))
         (my_conns ());
-      if !acted then loop ()
-      else if !next_deadline < max_int then begin
-        (* a window is filling: sleep out the nagle residue *)
-        S.sleep_ns (max 200 (!next_deadline - now));
-        loop ()
+      if !acted then loop ~napped:false
+      else if not napped then begin
+        S.sleep_ns CM.current.ctx_switch;
+        loop ~napped:true
       end
       else begin
         (* idle: arm every ring, re-check (the produce-then-check-armed
@@ -609,7 +527,7 @@ struct
         in
         if ready then begin
           List.iter (fun c -> T.ring_arm c false) conns;
-          loop ()
+          loop ~napped:false
         end
         else begin
           S.advance CM.current.syscall_select;
@@ -625,13 +543,11 @@ struct
             in
             clear ();
             List.iter (fun c -> T.ring_arm c false) conns;
-            (* waking from true idle: snap back to immediate dispatch *)
-            List.iter (fun c -> (ring_state t c.T.cid).w_window <- 1) conns;
-            loop ()
+            loop ~napped:false
         end
       end
     in
-    loop ()
+    loop ~napped:false
 
   let acceptor_loop t =
     let next = ref 0 in
@@ -687,16 +603,14 @@ struct
     (match ring_ctx with
      | None -> ()
      | Some rc ->
-       (* ring geometry and window knobs appended to `stats settings` *)
+       (* ring geometry appended to `stats settings` *)
        let prev_settings = !Executor.settings_stats_hook in
        Executor.settings_stats_hook :=
          (fun () ->
            prev_settings ()
            @ [ ("ring_slots", string_of_int rc.rc_cfg.r_slots);
-               ("ring_slot_bytes", string_of_int rc.rc_cfg.r_slot_bytes);
-               ("ring_b_max", string_of_int rc.rc_cfg.r_b_max);
-               ("ring_t_max_ns", string_of_int rc.rc_cfg.r_t_max_ns) ]);
-       (* live window/occupancy figures appended to `stats rings` *)
+               ("ring_slot_bytes", string_of_int rc.rc_cfg.r_slot_bytes) ]);
+       (* live occupancy and drain figures appended to `stats rings` *)
        Executor.rings_stats_hook :=
          (fun () ->
            Mutex.lock t.conns_lock;
@@ -707,8 +621,7 @@ struct
            List.concat_map
              (fun (cid, st) ->
                let tag k = Printf.sprintf "rings:conn%d:%s" cid k in
-               [ (tag "window", string_of_int st.w_window);
-                 (tag "occupancy", string_of_int st.w_occ);
+               [ (tag "occupancy", string_of_int st.w_occ);
                  (tag "drains", string_of_int st.w_drains);
                  (tag "ops", string_of_int st.w_ops) ])
              (List.sort compare sts)));

@@ -88,9 +88,9 @@ module Id = struct
 
   (* Shared-ring transport: submissions enqueued by clients, doorbell
      syscalls actually paid (the amortization win is submits far above
-     doorbells), drains fired by the adaptive window, the ops those
-     drains carried (ops/drain = ring_drain_ops / ring_drains),
-     completions published, producer stalls on a full ring, and
+     doorbells), ring drains (each takes everything a ring held when
+     the worker looked), the ops those drains carried (ops/drain =
+     ring_drain_ops / ring_drains), completions published, producer stalls on a full ring, and
      connections bounced for forged slot headers. *)
   let ring_submits = 38
   let ring_doorbells = 39

@@ -1,10 +1,18 @@
-type table = (int, Obj.t) Hashtbl.t
+(* Key ids are dense (handed out by one counter), so a table is an
+   array indexed by key id, grown on demand. A slot no thread has
+   written holds [unset]: a private block no stored value can be
+   physically equal to. *)
+type table = { mutable slots : Obj.t array }
 
 type 'a key = { id : int; init : unit -> 'a }
 
 let next_key_id = Atomic.make 0
 
 let new_key init = { id = Atomic.fetch_and_add next_key_id 1; init }
+
+let unset : Obj.t = Obj.repr (ref ())
+
+let fresh_table () = { slots = Array.make 8 unset }
 
 (* Default provider: one table per OS thread. Thread ids can be reused
    after a thread exits; a recycled id simply inherits a stale table,
@@ -21,7 +29,7 @@ let default_provider () =
     match Hashtbl.find_opt default_tables tid with
     | Some t -> t
     | None ->
-      let t = Hashtbl.create 8 in
+      let t = fresh_table () in
       Hashtbl.add default_tables tid t;
       t
   in
@@ -33,24 +41,36 @@ let provider : (unit -> table) option ref = ref None
 let current_table () =
   match !provider with Some p -> p () | None -> default_provider ()
 
-let fresh_table () : table = Hashtbl.create 8
-
 let install_provider p = provider := Some p
 
 let remove_provider () = provider := None
 
 let provider_installed () = Option.is_some !provider
 
+let store tbl id v =
+  let n = Array.length tbl.slots in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) unset in
+    Array.blit tbl.slots 0 grown 0 n;
+    tbl.slots <- grown
+  end;
+  tbl.slots.(id) <- v
+
 let get (k : 'a key) : 'a =
   let tbl = current_table () in
-  match Hashtbl.find_opt tbl k.id with
-  | Some v -> (Obj.obj v : 'a)
-  | None ->
+  let slots = tbl.slots in
+  if k.id < Array.length slots && slots.(k.id) != unset then
+    (Obj.obj slots.(k.id) : 'a)
+  else begin
+    (* [init] may itself read other keys and grow the table: store
+       into whatever array the table holds afterwards *)
     let v = k.init () in
-    Hashtbl.replace tbl k.id (Obj.repr v);
+    store tbl k.id (Obj.repr v);
     v
+  end
 
-let set (k : 'a key) (v : 'a) =
-  Hashtbl.replace (current_table ()) k.id (Obj.repr v)
+let set (k : 'a key) (v : 'a) = store (current_table ()) k.id (Obj.repr v)
 
-let clear (k : 'a key) = Hashtbl.remove (current_table ()) k.id
+let clear (k : 'a key) =
+  let tbl = current_table () in
+  if k.id < Array.length tbl.slots then tbl.slots.(k.id) <- unset

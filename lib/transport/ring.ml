@@ -50,8 +50,9 @@ let o_dead = 56 (* connection bounced; producer must stop *)
    when published (0 = never written at this wrap). [len] holds the
    message's total length in the first slot and the fragment length in
    continuations. [stamp] is the producer's enqueue time (first slot;
-   0 in continuations) — the arrival signal the adaptive batch window
-   feeds on. *)
+   0 in continuations) — the oldest pending stamp backdates the
+   server's trace, so time spent waiting in the ring shows as its
+   queue phase. *)
 let slot_hdr = 24
 
 let bytes_for ~slots ~slot_bytes = hdr_bytes + (slots * slot_bytes)
@@ -138,7 +139,6 @@ type pending = {
   p_msgs : int;
   p_slots : int;
   p_first_stamp : int;
-  p_last_stamp : int;
 }
 
 (* Walk the published window, validating every slot header before
@@ -159,7 +159,6 @@ let walk t =
     let msgs = ref 0 in
     let nslots = ref 0 in
     let first_stamp = ref 0 in
-    let last_stamp = ref 0 in
     let pos = ref h in
     (* Bound the walk even when validation is off and the headers lie. *)
     let limit = min tl (h + t.slots) in
@@ -194,7 +193,6 @@ let walk t =
             done;
           if !bad = None then begin
             if !msgs = 0 then first_stamp := stamp;
-            last_stamp := stamp;
             incr msgs;
             nslots := !nslots + nfrag;
             pos := !pos + nfrag
@@ -207,8 +205,7 @@ let walk t =
     | None ->
       Ok
         (Some
-           { p_msgs = !msgs; p_slots = !nslots; p_first_stamp = !first_stamp;
-             p_last_stamp = !last_stamp })
+           { p_msgs = !msgs; p_slots = !nslots; p_first_stamp = !first_stamp })
   end
 
 let pending t = walk t

@@ -77,7 +77,6 @@ type pending = {
   p_msgs : int;  (** whole messages published and validated *)
   p_slots : int;  (** slots they occupy *)
   p_first_stamp : int;  (** enqueue time of the oldest *)
-  p_last_stamp : int;  (** enqueue time of the newest *)
 }
 
 val pending : t -> (pending option, string) result

@@ -366,7 +366,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     | None -> legacy_server_send conn payload
     | Some ra -> ring_server_send conn ra payload
 
-  (* Worker-side ring primitives, used by the server's adaptive drain
+  (* Worker-side ring primitives, used by the server's ring drain
      loop (lib/mc_server/server.ml). *)
 
   (* Validated peek at the published submission window — slot headers

@@ -156,6 +156,65 @@ let test_socket_disconnect_raises () =
      | exception Vm.Sync.Closed -> ())));
   Vm.run vm
 
+(* The open-loop stream parses replies off whatever the receives
+   deliver: three replies in one receive, then the fourth split across
+   two receives (the second also carrying the fifth). Each await must
+   return its own reply, whole and in submission order. *)
+let test_stream_reply_boundaries () =
+  let module T = Cl.Sock.T in
+  let module P = Mc_protocol.Types in
+  List.iter
+    (fun protocol ->
+      incr fresh_id;
+      let name = Printf.sprintf "client-stream-%d" !fresh_id in
+      let cmds = List.init 5 (fun i -> P.Gets [ Printf.sprintf "k%d" i ]) in
+      let value i = Printf.sprintf "value-%d" i in
+      let reply i cmd =
+        let resp =
+          P.Values
+            { with_cas = true;
+              vals =
+                [ { P.v_key = Printf.sprintf "k%d" i; v_flags = 0;
+                    v_cas = Int64.of_int (i + 1); v_data = value i } ] }
+        in
+        match protocol with
+        | Cl.Sock.Ascii -> Mc_protocol.Ascii.encode_response resp
+        | Cl.Sock.Binary -> Mc_protocol.Binary.encode_reply ~for_cmd:cmd resp
+      in
+      let vm = Vm.create () in
+      ignore
+        (Vm.spawn vm ~name:"main" (fun () ->
+           let l = T.listen ~name in
+           let inbox = Vm.Sync.chan () in
+           let server =
+             Vm.Sync.spawn (fun () ->
+               let conn = T.accept l ~inbox in
+               List.iter (fun _ -> ignore (T.worker_recv inbox)) cmds;
+               let rs = List.mapi reply cmds in
+               let cat l = String.concat "" l in
+               let head = cat (List.filteri (fun i _ -> i < 3) rs) in
+               let tail = cat (List.filteri (fun i _ -> i >= 3) rs) in
+               let cut = String.length (List.nth rs 3) / 2 in
+               T.server_send conn head;
+               T.server_send conn (String.sub tail 0 cut);
+               T.server_send conn
+                 (String.sub tail cut (String.length tail - cut)))
+           in
+           let st = Cl.Sock.stream (Cl.Sock.connect ~protocol ~name ()) in
+           List.iter (Cl.Sock.submit st) cmds;
+           List.iteri
+             (fun i cmd ->
+               match Cl.Sock.await st cmd with
+               | P.Values { vals = [ v ]; _ } ->
+                 Alcotest.(check string) (Printf.sprintf "reply %d" i)
+                   (value i) v.P.v_data
+               | _ -> Alcotest.fail (Printf.sprintf "reply %d: not a hit" i))
+             cmds;
+           Vm.Sync.join server;
+           T.close_listener l));
+      Vm.run vm)
+    [ Cl.Sock.Binary; Cl.Sock.Ascii ]
+
 let test_direct_api () =
   incr fresh_id;
   let module RCl = Core.Client.Make (Platform.Real_sync) in
@@ -193,6 +252,9 @@ let () =
             test_behaviors_nop_vs_strict;
           Alcotest.test_case "mget immediate callback" `Quick
             test_mget_callback_immediate ] );
+      ( "open-loop stream",
+        [ Alcotest.test_case "replies across receive boundaries" `Quick
+            test_stream_reply_boundaries ] );
       ( "direct api",
         [ Alcotest.test_case "slim interface" `Quick test_direct_api ] );
       ( "failure paths",

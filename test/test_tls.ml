@@ -55,6 +55,54 @@ let test_distinct_keys_independent () =
   Tls.set k1 10;
   Alcotest.(check int) "k2 untouched" 2 (Tls.get k2)
 
+let test_keys_past_capacity () =
+  (* more keys than a fresh table has room for, one of them read for
+     the first time from inside another key's init *)
+  let keys = List.init 40 (fun i -> (i, Tls.new_key (fun () -> -1))) in
+  let last = Tls.new_key (fun () -> 7) in
+  let outer = Tls.new_key (fun () -> Tls.get last + 1) in
+  List.iter (fun (i, k) -> Tls.set k i) keys;
+  Alcotest.(check int) "init that reads a later key" 8 (Tls.get outer);
+  Alcotest.(check int) "the later key kept its init" 7 (Tls.get last);
+  List.iter
+    (fun (i, k) -> Alcotest.(check int) (Printf.sprintf "key %d" i) i (Tls.get k))
+    keys
+
+let test_clear_then_fresh_init () =
+  let calls = ref 0 in
+  let key =
+    Tls.new_key (fun () ->
+      incr calls;
+      ref !calls)
+  in
+  let first = Tls.get key in
+  first := 100;
+  Tls.clear key;
+  let second = Tls.get key in
+  Alcotest.(check int) "init ran again" 2 !calls;
+  Alcotest.(check int) "fresh value" 2 !second;
+  Alcotest.(check bool) "not the cleared value" false (first == second)
+
+let test_tables_isolated () =
+  let key = Tls.new_key (fun () -> "init") in
+  (* a key id past a fresh table's capacity: growing one table must
+     not show through the other *)
+  let far = List.hd (List.rev (List.init 20 (fun _ -> Tls.new_key (fun () -> 0)))) in
+  let t1 = Tls.fresh_table () and t2 = Tls.fresh_table () in
+  let current = ref t1 in
+  Tls.install_provider (fun () -> !current);
+  Fun.protect ~finally:Tls.remove_provider (fun () ->
+    Tls.set key "one";
+    Tls.set far 1;
+    current := t2;
+    Alcotest.(check string) "t2 starts fresh" "init" (Tls.get key);
+    Alcotest.(check int) "t2 far key fresh" 0 (Tls.get far);
+    Tls.set far 2;
+    Tls.clear key;
+    current := t1;
+    Alcotest.(check string) "t1 kept its value" "one" (Tls.get key);
+    Alcotest.(check int) "t1 far key kept" 1 (Tls.get far))
+
 let () =
   Alcotest.run "tls"
     [ ( "tls",
@@ -64,4 +112,9 @@ let () =
           Alcotest.test_case "set/get/clear" `Quick test_set_get_clear;
           Alcotest.test_case "provider routing" `Quick test_provider_routing;
           Alcotest.test_case "distinct keys" `Quick
-            test_distinct_keys_independent ] ) ]
+            test_distinct_keys_independent;
+          Alcotest.test_case "keys past capacity" `Quick
+            test_keys_past_capacity;
+          Alcotest.test_case "clear then fresh init" `Quick
+            test_clear_then_fresh_init;
+          Alcotest.test_case "tables isolated" `Quick test_tables_isolated ] ) ]

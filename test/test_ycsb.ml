@@ -464,15 +464,16 @@ let test_determinism_plib_optimistic_same_seed () =
 
 (* Open-loop determinism end-to-end through the shared-ring transport:
    paced submitters stream requests into per-connection submission
-   rings, the server's adaptive window batches drains, and completions
-   come back through the completion ring. The window ceiling [r_b_max]
-   must change only *where* execution batches — two same-seed runs are
-   identical at every setting, and the per-thread submission streams
-   (keys, order, sizes) are byte-identical across settings. *)
+   rings, the server drains whatever each ring holds, and completions
+   come back through the completion ring. The offered rate decides how
+   much piles up between drains, and it must change only *where*
+   execution batches — two same-seed runs are identical at every rate,
+   and the per-thread submission streams (keys, order, sizes) are
+   byte-identical across rates. *)
 
 let rings_det_names = Atomic.make 0
 
-let run_seeded_open_rings ~sched_seed ~workload_seed ~b_max =
+let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
   let module Cl = Core.Client.Make (Vm.Sync) in
   let module Plib = Cl.Plib in
   let module Sock = Cl.Sock in
@@ -494,7 +495,7 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~b_max =
       ~owner:(Simos.Process.make ~uid:1000 "mc-rings-det")
       ()
   in
-  let rings = { Mc_server.Server.default_ring_config with r_b_max = b_max } in
+  let rings = Mc_server.Server.default_ring_config in
   let d0 = TC.read TC.Id.ring_drains in
   let o0 = TC.read TC.Id.ring_drain_ops in
   let threads = 2 in
@@ -537,7 +538,7 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~b_max =
                  | P.Stored -> true
                  | _ -> false) }
          in
-         res := Some (Run.run_open ~threads ~rate_kops:400 w ~db_for:open_db);
+         res := Some (Run.run_open ~threads ~rate_kops w ~db_for:open_db);
          Plib.stop_remote srv));
   Vm.run vm;
   let r = Option.get !res in
@@ -547,58 +548,61 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~b_max =
       TC.read TC.Id.ring_drain_ops - o0 ),
     Vm.events_processed vm ))
 
+(* 50 kops leaves each worker idle between requests; 4000 kops offers
+   each connection several times what its worker can serve. *)
+let open_ring_rates = [ 50; 400; 4000 ]
+
 let test_determinism_open_rings_same_seed () =
   List.iter
-    (fun b_max ->
+    (fun rate_kops ->
       let t1, c1, r1, e1 =
-        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~b_max
+        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops
       in
       let t2, c2, r2, e2 =
-        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~b_max
+        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops
       in
-      let tag fmt = Printf.sprintf fmt b_max in
+      let tag fmt = Printf.sprintf fmt rate_kops in
       Alcotest.(check (list string))
-        (tag "B_max=%d submission streams byte-identical") t1 t2;
+        (tag "%d kops submission streams byte-identical") t1 t2;
       let ops1, hits1, miss1 = c1 and ops2, hits2, miss2 = c2 in
-      Alcotest.(check int) (tag "B_max=%d ops") ops1 ops2;
-      Alcotest.(check int) (tag "B_max=%d hits") hits1 hits2;
-      Alcotest.(check int) (tag "B_max=%d misses") miss1 miss2;
+      Alcotest.(check int) (tag "%d kops ops") ops1 ops2;
+      Alcotest.(check int) (tag "%d kops hits") hits1 hits2;
+      Alcotest.(check int) (tag "%d kops misses") miss1 miss2;
       let d1, o1 = r1 and d2, o2 = r2 in
-      Alcotest.(check int) (tag "B_max=%d ring drains") d1 d2;
-      Alcotest.(check int) (tag "B_max=%d drained ops") o1 o2;
-      Alcotest.(check bool) (tag "B_max=%d rings exercised") true (d1 > 0);
-      Alcotest.(check int) (tag "B_max=%d scheduler events") e1 e2)
-    [ 1; 8; 32 ]
+      Alcotest.(check int) (tag "%d kops ring drains") d1 d2;
+      Alcotest.(check int) (tag "%d kops drained ops") o1 o2;
+      Alcotest.(check bool) (tag "%d kops rings exercised") true (d1 > 0);
+      Alcotest.(check int) (tag "%d kops scheduler events") e1 e2)
+    open_ring_rates
 
-let test_window_preserves_op_streams () =
-  (* The adaptive window moves execution grouping only: every client
-     submits the same keys in the same order whether the server drains
-     one at a time or thirty-two. And the ceiling is real: B_max=1
-     pins one op per crossing while B_max=32 batches them. *)
+let test_backlog_batching_preserves_op_streams () =
+  (* Drains batch only what piled up while the worker was busy, and
+     that moves execution grouping only: every client submits the same
+     keys in the same order whatever the offered rate. A slow stream
+     drains one request at a time, with nothing held back to wait for
+     company; a stream past saturation batches its backlog. *)
   let t1, (ops1, hits1, miss1), (d1, o1), _ =
-    run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~b_max:1
+    run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops:50
   in
-  (* B_max=1 never *waits* to batch; a drain may still scoop up the
-     couple of requests that arrived during the previous one. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "B_max=1 stays near one op per drain (%d/%d)" o1 d1)
-    true
-    (o1 >= d1 && 2 * o1 < 3 * d1);
-  let batched = ref false in
+  Alcotest.(check int)
+    (Printf.sprintf "50 kops drains one op at a time (%d/%d)" o1 d1)
+    d1 o1;
   List.iter
-    (fun b_max ->
+    (fun rate_kops ->
       let tb, (opsb, hitsb, missb), (db, ob), _ =
-        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~b_max
+        run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops
       in
-      let tag fmt = Printf.sprintf fmt b_max in
-      Alcotest.(check int) (tag "B_max=%d same op count") ops1 opsb;
-      Alcotest.(check int) (tag "B_max=%d same hits") hits1 hitsb;
-      Alcotest.(check int) (tag "B_max=%d same misses") miss1 missb;
+      let tag fmt = Printf.sprintf fmt rate_kops in
+      Alcotest.(check int) (tag "%d kops same op count") ops1 opsb;
+      Alcotest.(check int) (tag "%d kops same hits") hits1 hitsb;
+      Alcotest.(check int) (tag "%d kops same misses") miss1 missb;
       Alcotest.(check (list string))
-        (tag "B_max=%d identical submission streams") t1 tb;
-      if ob > db then batched := true)
-    [ 8; 32 ];
-  Alcotest.(check bool) "a wider window actually batches" true !batched
+        (tag "%d kops identical submission streams") t1 tb;
+      if rate_kops = 4000 then
+        Alcotest.(check bool)
+          (Printf.sprintf "backlog batches (%d ops in %d drains)" ob db)
+          true (ob >= 2 * db))
+    [ 400; 4000 ]
 
 let qcheck_histogram_value_in_bucket_bounds =
   QCheck.Test.make ~name:"percentile(100) bounds any recorded value" ~count:200
@@ -641,5 +645,5 @@ let () =
             test_determinism_plib_optimistic_same_seed;
           Alcotest.test_case "open-loop rings, same seed" `Quick
             test_determinism_open_rings_same_seed;
-          Alcotest.test_case "window preserves op streams" `Quick
-            test_window_preserves_op_streams ] ) ]
+          Alcotest.test_case "backlog batching preserves op streams" `Quick
+            test_backlog_batching_preserves_op_streams ] ) ]
