@@ -184,15 +184,13 @@ module Make (S : Platform.Sync_intf.S) = struct
                 Region.write_i64 region (block + (8 * w)) v)) };
       Telemetry.Flight.ensure_formatted ())
 
-  (* Tenant plumbing installed on every handle:
+  (* Tenant plumbing installed on every handle's store:
      - the LRU selector routes each tenant's items onto the LRU list
        matching its registry slot, so per-tenant eviction scans only
        the tenant's own cold end (and recovery rebuilds per-tenant
        LRUs for free — [Store.recover] relinks through the selector);
      - the evict hook credits the owning tenant's usage and bumps its
-       eviction stat whenever the store reclaims one of its items;
-     - the registry serves `stats tenants` / joins `stats reset`
-       through the executor hooks. *)
+       eviction stat whenever the store reclaims one of its items. *)
   let install_tenant_hooks ~store ~tenants =
     Store.set_lru_selector store
       (Some (fun key -> Tenant.owner_slot_of_key tenants key));
@@ -203,66 +201,7 @@ module Make (S : Platform.Sync_intf.S) = struct
            | Some slot ->
              Tenant.charge tenants slot ~bytes:(-bytes) ~items:(-1);
              Tenant.bump tenants slot Tenant.Evictions
-           | None -> ()));
-    Tenant.stats_hook := (fun () -> Tenant.stats_kvs tenants);
-    Tenant.reset_hook := (fun () -> Tenant.reset_stats tenants);
-    Tenant.bump_hook :=
-      (fun name s ->
-        match Tenant.find tenants name with
-        | Some slot -> Tenant.bump tenants slot s
-        | None -> ());
-    (* Online quota enforcement for the socket path: the executor
-       routes every mutating store arm through this gate, inside the
-       crossing. Same discipline as [t_set_in] — a full tenant evicts
-       only its own items — and usage is recharged from the post-state
-       so the account stays exact whatever the op returned. *)
-    Mc_server.Executor.quota_gate :=
-      Some
-        { Mc_server.Executor.g_store = Obj.repr store;
-          g_apply =
-            (fun ~key ~op f ->
-              match Tenant.owner_slot_of_key tenants key with
-              | None -> f ()
-              | Some slot ->
-                let probe () =
-                  match Store.probe store key with
-                  | Some b -> (b, 1)
-                  | None -> (0, 0)
-                in
-                let old_bytes, old_items = probe () in
-                let add_bytes, add_items =
-                  match op with
-                  | Mc_server.Executor.Q_set n ->
-                    ( String.length key + n - old_bytes,
-                      if old_items = 0 then 1 else 0 )
-                  | Mc_server.Executor.Q_grow n -> (n, 0)
-                  | Mc_server.Executor.Q_touch -> (0, 0)
-                in
-                let pred =
-                  let p = Tenant.prefix tenants slot in
-                  fun k -> String.starts_with ~prefix:p k
-                in
-                let rec room tries =
-                  if
-                    not
-                      (Tenant.would_exceed tenants slot
-                         ~add_bytes:(max 0 add_bytes) ~add_items)
-                  then true
-                  else if tries = 0 then false
-                  else if Store.evict_some_matching store ~lru:slot ~pred > 0
-                  then room (tries - 1)
-                  else false
-                in
-                if (add_bytes > 0 || add_items > 0) && not (room 64) then
-                  Mc_protocol.Types.Server_error "out of memory storing object"
-                else begin
-                  let resp = f () in
-                  let new_bytes, new_items = probe () in
-                  Tenant.charge tenants slot ~bytes:(new_bytes - old_bytes)
-                    ~items:(new_items - old_items);
-                  resp
-                end)
-        }
+           | None -> ()))
 
   let build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner =
     let t =
@@ -879,14 +818,11 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let find_tenant t name = enter t (fun () -> Tenant.find t.tenants name)
 
-  (* In-library bodies (callers hold the crossing and have bound the
-     capability); shared by the scalar wrappers and the batch plane. *)
+  (* In-library bodies: callers hold the crossing and have bound the
+     capability. [t_key] is the scoped key, copied into the library. *)
 
-  let t_scope t slot key = Tenant.scope t.tenants slot key
-
-  let t_prefix_pred t slot =
-    let p = Tenant.prefix t.tenants slot in
-    fun key -> String.starts_with ~prefix:p key
+  let t_key t slot key =
+    copy_in t (Bytes.unsafe_of_string (Tenant.scope t.tenants slot key))
 
   (* Breadcrumb bracket for tenant-scoped bodies: a kill inside the op
      leaves [Tenant_scope slot] as the lane's last tenant record, so
@@ -902,8 +838,7 @@ module Make (S : Platform.Sync_intf.S) = struct
       f
 
   let t_get_in t slot key =
-    t_crumb slot @@ fun () ->
-    let k = copy_in t (Bytes.unsafe_of_string (t_scope t slot key)) in
+    let k = t_key t slot key in
     Tenant.bump t.tenants slot Tenant.Cmd_get;
     match Store.get t.store k with
     | Some r ->
@@ -911,108 +846,65 @@ module Make (S : Platform.Sync_intf.S) = struct
       Some r
     | None -> None
 
+  (* The tenant's quota rule ({!Tenant.admit}) over this store — the
+     same admission the server's executor runs for a tenant-bound
+     connection. *)
+  let t_admit t slot k footprint ~applied op =
+    Tenant.admit t.tenants slot
+      ~probe:(fun () -> Store.probe t.store k)
+      ~evict:(Store.evict_some_matching t.store) footprint op ~applied
+
   let t_set_in t slot ?(flags = 0) ?(exptime = 0) key data =
-    t_crumb slot @@ fun () ->
-    let reg = t.tenants in
-    let k = copy_in t (Bytes.unsafe_of_string (t_scope t slot key)) in
-    let new_bytes = String.length k + String.length data in
-    (* Quota discipline: a full tenant evicts only its own items —
-       the eviction pass walks the tenant's LRU list under its prefix
-       predicate, never touching a neighbour's. *)
-    let rec room tries =
-      let old = Store.probe t.store k in
-      let add_bytes = new_bytes - Option.value old ~default:0 in
-      let add_items = if old = None then 1 else 0 in
-      if not (Tenant.would_exceed reg slot ~add_bytes ~add_items) then
-        `Fit old
-      else if tries = 0 then `Full
-      else if
-        Store.evict_some_matching t.store ~lru:slot
-          ~pred:(t_prefix_pred t slot)
-        > 0
-      then room (tries - 1)
-      else `Full
-    in
-    match room 64 with
-    | `Full -> Mc_core.Store.No_memory
-    | `Fit old ->
-      Tenant.bump reg slot Tenant.Cmd_set;
-      (match Store.set t.store ~flags ~exptime k data with
-       | Mc_core.Store.Stored as r ->
-         Tenant.charge reg slot
-           ~bytes:(new_bytes - Option.value old ~default:0)
-           ~items:(if old = None then 1 else 0);
-         r
-       | r -> r)
+    let k = t_key t slot key in
+    t_admit t slot k
+      (Tenant.Replace (String.length k + String.length data))
+      ~applied:(( = ) Mc_core.Store.Stored)
+      (fun () -> Store.set t.store ~flags ~exptime k data)
+    |> Option.value ~default:Mc_core.Store.No_memory
 
-  let t_delete_in t slot key =
-    t_crumb slot @@ fun () ->
-    let k = copy_in t (Bytes.unsafe_of_string (t_scope t slot key)) in
-    let old = Store.probe t.store k in
-    let ok = Store.delete t.store k in
-    (match old with
-     | Some b when ok ->
-       Tenant.charge t.tenants slot ~bytes:(-b) ~items:(-1)
-     | _ -> ());
-    ok
-
-  let t_touch_in t slot key exptime =
-    t_crumb slot @@ fun () ->
-    Store.touch t.store
-      (copy_in t (Bytes.unsafe_of_string (t_scope t slot key)))
-      exptime
+  (* [k] is already scoped: the flush below deletes store keys. *)
+  let t_delete_in t slot k =
+    t_admit t slot k Tenant.Release ~applied:Fun.id (fun () ->
+      Store.delete t.store k)
+    |> Option.value ~default:false
 
   (* Tenant-scoped flush: only the tenant's own namespace is swept —
      tenant A's flush storm cannot take tenant B's acked writes. *)
   let t_flush_in t slot =
-    t_crumb slot @@ fun () ->
-    let reg = t.tenants in
-    let pred = t_prefix_pred t slot in
+    let pred = String.starts_with ~prefix:(Tenant.prefix t.tenants slot) in
     let keys =
       Store.fold_keys t.store
         (fun acc key ~nbytes:_ ~exptime:_ ->
           if pred key then key :: acc else acc)
         []
     in
-    List.iter
-      (fun k ->
-        let old = Store.probe t.store k in
-        if Store.delete t.store k then
-          match old with
-          | Some b -> Tenant.charge reg slot ~bytes:(-b) ~items:(-1)
-          | None -> ())
-      keys;
+    List.iter (fun k -> ignore (t_delete_in t slot k)) keys;
     List.length keys
 
-  let tenant_get t slot key =
-    span_root "tenant_get" @@ fun () ->
+  (* A tenant-scoped call: the capability is bound at the door, then
+     the body runs inside one crossing under the tenant's breadcrumb. *)
+  let scoped name t slot body =
+    span_root name @@ fun () ->
     bind_capability t slot;
-    enter t (fun () ->
-      t_get_in t slot key)
+    enter t (fun () -> t_crumb slot body)
+
+  let tenant_get t slot key =
+    scoped "tenant_get" t slot (fun () -> t_get_in t slot key)
 
   let tenant_set t slot ?flags ?exptime key data =
-    span_root "tenant_set" @@ fun () ->
-    bind_capability t slot;
-    enter t (fun () ->
+    scoped "tenant_set" t slot (fun () ->
       t_set_in t slot ?flags ?exptime key data)
 
   let tenant_delete t slot key =
-    span_root "tenant_delete" @@ fun () ->
-    bind_capability t slot;
-    enter t (fun () ->
-      t_delete_in t slot key)
+    scoped "tenant_delete" t slot (fun () ->
+      t_delete_in t slot (t_key t slot key))
 
   let tenant_touch t slot key exptime =
-    span_root "tenant_touch" @@ fun () ->
-    bind_capability t slot;
-    enter t (fun () ->
-      t_touch_in t slot key exptime)
+    scoped "tenant_touch" t slot (fun () ->
+      Store.touch t.store (t_key t slot key) exptime)
 
   let tenant_flush t slot =
-    span_root "tenant_flush" @@ fun () ->
-    bind_capability t slot;
-    enter t (fun () ->
-      t_flush_in t slot)
+    scoped "tenant_flush" t slot (fun () -> t_flush_in t slot)
 
   let tenant_usage t slot =
     enter t (fun () ->
@@ -1032,12 +924,7 @@ module Make (S : Platform.Sync_intf.S) = struct
       bind_capability t slot;
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length keys) (fun () ->
         t_crumb slot @@ fun () ->
-        let prot =
-          List.map
-            (fun k ->
-              (k, copy_in t (Bytes.unsafe_of_string (t_scope t slot k))))
-            keys
-        in
+        let prot = List.map (fun k -> (k, t_key t slot k)) keys in
         let stripes =
           if (Store.config t.store).Mc_core.Store.optimistic_reads then []
           else
@@ -1224,7 +1111,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     in
     let ring_ctx = Option.map (ring_ctx t) rings in
     Remote.start_with ~cfg:{ cfg with store = Store.config t.store } ~wrap
-      ?assign_tenant ?ring_ctx ~store:t.store ~name ()
+      ~tenants:t.tenants ?assign_tenant ?ring_ctx ~store:t.store ~name ()
 
   let stop_remote srv = Remote.stop srv
 
@@ -1236,11 +1123,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     Ralloc.flush t.heap ~path:disk_path;
     Simos.Sim_fs.unlink t.path;
     Hodor.Library.release t.lib;
-    (* The executor hooks closed over this handle's registry. *)
-    Tenant.stats_hook := (fun () -> []);
-    Tenant.reset_hook := (fun () -> ());
-    Tenant.bump_hook := (fun _ _ -> ());
-    Mc_server.Executor.quota_gate := None;
+    (* The executor hooks closed over this handle's heap. *)
     Mc_server.Executor.heap_stats_hook := (fun () -> []);
     Mc_server.Executor.settings_stats_hook := (fun () -> []);
     Mc_server.Executor.forensics_stats_hook :=

@@ -208,10 +208,52 @@ let reset_stats t =
       wr t (e + o_cmd_set) 0;
       wr t (e + o_evictions) 0)
 
-(* ---- executor hooks --------------------------------------------------- *)
+(* ---- admission -------------------------------------------------------- *)
 
-let stats_hook : (unit -> (string * string) list) ref = ref (fun () -> [])
+type footprint = Replace of int | Grow of int | Release | Rewrite
 
-let reset_hook : (unit -> unit) ref = ref (fun () -> ())
+let evict_rounds = 64
 
-let bump_hook : (string -> stat -> unit) ref = ref (fun _ _ -> ())
+let admit t i ~probe ~evict footprint op ~applied =
+  (match footprint with
+   | Replace _ | Grow _ -> bump t i Cmd_set
+   | Release | Rewrite -> ());
+  let delta old =
+    match (footprint, old) with
+    | Replace n, None -> (n, 1)
+    | Replace n, Some b -> (n - b, 0)
+    | Grow n, Some _ -> (n, 0)
+    | Release, Some b -> (-b, -1)
+    | (Grow _ | Release | Rewrite), _ -> (0, 0)
+  in
+  (* a full tenant evicts only its own items: one pass over its LRU
+     list, under its prefix, then a fresh probe — the pass may have
+     taken the key itself *)
+  let rec room tries =
+    let old = probe () in
+    let add_bytes, add_items = delta old in
+    if (add_bytes <= 0 && add_items <= 0)
+       || not (would_exceed t i ~add_bytes ~add_items)
+    then Some old
+    else if
+      tries > 0
+      && evict ~lru:i ~pred:(String.starts_with ~prefix:(prefix t i)) > 0
+    then room (tries - 1)
+    else None
+  in
+  match room evict_rounds with
+  | None -> None
+  | Some old ->
+    let r = op () in
+    (match footprint with
+     | Rewrite ->
+       (* incr/decr: the result does not give the new size *)
+       let size = function Some b -> (b, 1) | None -> (0, 0) in
+       let b0, i0 = size old and b1, i1 = size (probe ()) in
+       charge t i ~bytes:(b1 - b0) ~items:(i1 - i0)
+     | Replace _ | Grow _ | Release ->
+       if applied r then begin
+         let bytes, items = delta old in
+         charge t i ~bytes ~items
+       end);
+    Some r

@@ -14,10 +14,12 @@
     vkey ids survive crashes; usage counters are recomputed from the
     store during recovery (they may be mid-update at the kill point).
 
-    This module is pure registry mechanics over a {!Shm.Region};
-    callers must hold access to the heap's pages (be inside a library
-    crossing, or in kernel mode). Policy — quota eviction, scoped
-    ops, recovery — lives in [Plib] (lib/core/plib_store.ml). *)
+    This module is the registry over a {!Shm.Region} plus the one
+    quota policy every front end shares ({!admit}); callers must hold
+    access to the heap's pages (be inside a library crossing, or in
+    kernel mode). The store operations themselves, and recovery, stay
+    with the callers: [Plib] (lib/core/plib_store.ml) for in-process
+    tenants, the server's executor for tenant-bound connections. *)
 
 type t
 
@@ -126,18 +128,33 @@ val reset_stats : t -> unit
     and vkeys are untouched — `stats reset` must not unregister
     anyone. *)
 
-(** {1 Executor hooks}
+(** {1 Admission} *)
 
-    The protocol executor is store-generic and cannot see the
-    registry; the library owner installs these. *)
+(** What an operation does to its key's footprint. *)
+type footprint =
+  | Replace of int
+      (** set/add/replace/cas: the item's new key+value bytes *)
+  | Grow of int  (** append/prepend: bytes added to an existing value *)
+  | Release  (** delete: frees whatever the key held *)
+  | Rewrite  (** incr/decr: the new size is known only afterwards *)
 
-val stats_hook : (unit -> (string * string) list) ref
-(** Serves `stats tenants` (default: empty). *)
+val admit :
+  t -> int ->
+  probe:(unit -> int option) ->
+  evict:(lru:int -> pred:(string -> bool) -> int) ->
+  footprint -> (unit -> 'r) -> applied:('r -> bool) -> 'r option
+(** [admit t slot ~probe ~evict fp op ~applied] runs [op] as tenant
+    [slot] under its quotas. [probe] reads the key's live key+value
+    bytes; [evict] is one tenant-local eviction pass over LRU list
+    [lru] restricted to keys satisfying [pred] (the store's
+    [evict_some_matching]).
 
-val reset_hook : (unit -> unit) ref
-(** Chained into `stats reset` (default: no-op). *)
-
-val bump_hook : (string -> stat -> unit) ref
-(** Per-tenant stat bump by tenant {e name} — the socket path's
-    rollup: a tenant-bound connection's commands are counted here by
-    the server's executor (default: no-op). *)
+    Every attempt probes afresh, so a key evicted by its own tenant's
+    pass is re-counted. When the delta would exceed a quota, one
+    eviction pass over the tenant's own items runs and the attempt
+    repeats, up to 64 passes; if there is still no room the op does
+    not run and the result is [None]. Once admitted, usage is charged
+    from the op's result: the probed delta if [applied] holds, nothing
+    otherwise. Only [Rewrite] probes again after the op. A storage
+    footprint ([Replace]/[Grow]) counts as one [Cmd_set], admitted or
+    refused. *)

@@ -3,6 +3,7 @@
     baseline server. *)
 
 module P = Mc_protocol.Types
+module Tenant = Mc_core.Tenant
 
 (* ---- Tenant scoping (connection-bound identity) ----------------------
 
@@ -60,57 +61,6 @@ let unscope_response ~prefix (resp : P.response) : P.response =
       P.Values { with_cas; vals = List.map strip vals }
     | r -> r
 
-(* Per-tenant rollup for the socket path (the in-process path counts
-   inside the library). Keyed by name through [Tenant.bump_hook]; a
-   no-op until a library owner installs the hook. *)
-let account_tenant ~name (cmd : P.command) (resp : P.response) =
-  let bump s = !Mc_core.Tenant.bump_hook name s in
-  match (cmd, resp) with
-  | (P.Get ks | P.Gets ks), P.Values { vals; _ } ->
-    List.iter (fun _ -> bump Mc_core.Tenant.Cmd_get) ks;
-    List.iter (fun _ -> bump Mc_core.Tenant.Get_hits) vals
-  | P.Getx _, P.Values { vals; _ } ->
-    bump Mc_core.Tenant.Cmd_get;
-    List.iter (fun _ -> bump Mc_core.Tenant.Get_hits) vals
-  | (P.Set _ | P.Add _ | P.Replace _ | P.Append _ | P.Prepend _ | P.Cas _), _
-    ->
-    bump Mc_core.Tenant.Cmd_set
-  | _ -> ()
-
-(* ---- Online quota enforcement (socket path) --------------------------
-
-   The in-process API enforces tenant quotas inside the library; the
-   socket path executes through this module, so without a gate a
-   remote tenant could write past its budget. A library owner installs
-   [quota_gate]; the executor then routes every mutating store arm
-   through [g_apply], passing the (already scoped) key and what the op
-   will do to that key's footprint. The gate — which owns the registry
-   and can probe the store — blocks the op (after trying tenant-local
-   eviction) or lets it run and recharges usage from the post-state.
-   A [None] gate is the zero-cost default for untenanted servers. *)
-
-type quota_op =
-  | Q_set of int  (** set/add/replace/cas: final value length *)
-  | Q_grow of int (** append/prepend: bytes added on top of the old value *)
-  | Q_touch       (** delete/incr/decr: never blocks, recharge after *)
-
-type quota_gate = {
-  g_store : Obj.t;
-  (** physical identity of the store the gate guards. The hook is
-      process-global (like the tenant hooks) but must never tax an
-      unrelated store — harnesses build private stores through this
-      same executor — so it only engages when the executing store
-      {e is} the one it was installed for. *)
-  g_apply : key:string -> op:quota_op -> (unit -> P.response) -> P.response;
-}
-
-let quota_gate : quota_gate option ref = ref None
-
-let with_quota ~store ~key ~op f =
-  match !quota_gate with
-  | Some g when g.g_store == Obj.repr store -> g.g_apply ~key ~op f
-  | _ -> f ()
-
 (* Live per-connection window/occupancy figures for `stats rings`,
    installed by a ring-mode server. *)
 let rings_stats_hook : (unit -> (string * string) list) ref =
@@ -150,7 +100,7 @@ struct
     | Mc_core.Store.Not_found -> P.Not_found
     | Mc_core.Store.No_memory -> P.Server_error "out of memory storing object"
 
-  let retrieve store keys ~with_cas =
+  let retrieve ?tenants ?slot store keys ~with_cas =
     let vals =
       List.filter_map
         (fun key ->
@@ -162,56 +112,81 @@ struct
           | None -> None)
         keys
     in
+    (match (tenants, slot) with
+     | Some reg, Some slot ->
+       List.iter (fun _ -> Tenant.bump reg slot Tenant.Cmd_get) keys;
+       List.iter (fun _ -> Tenant.bump reg slot Tenant.Get_hits) vals
+     | _ -> ());
     P.Values { with_cas; vals }
 
-  let execute store (cmd : P.command) : P.response =
+  (* A tenant-bound op runs under the registry's admission, exactly as
+     the in-process tenant API does; anything else runs as is. *)
+  let admit ?tenants ?slot store key footprint ~applied op =
+    match (tenants, slot) with
+    | Some reg, Some slot -> (
+      match
+        Tenant.admit reg slot
+          ~probe:(fun () -> Store.probe store key)
+          ~evict:(Store.evict_some_matching store) footprint op ~applied
+      with
+      | Some r -> r
+      | None -> of_store_result Mc_core.Store.No_memory)
+    | _ -> op ()
+
+  let counter_reply = function
+    | Mc_core.Store.Counter v -> P.Number v
+    | Mc_core.Store.Counter_not_found -> P.Not_found
+    | Mc_core.Store.Non_numeric ->
+      P.Client_error "cannot increment or decrement non-numeric value"
+
+  (* [tenants] is the registry of a tenanted deployment: it serves
+     `stats tenants` and joins `stats reset`. [slot] is the tenant a
+     connection is bound to: its reads roll up on the slot's stats and
+     its storage, delete and counter arms pass through admission. Keys
+     arrive already scoped. *)
+  let execute ?tenants ?slot store (cmd : P.command) : P.response =
+    let admit = admit ?tenants ?slot store in
+    let replace (p : P.store_params) op =
+      admit p.P.key
+        (Tenant.Replace (String.length p.P.key + String.length p.P.data))
+        ~applied:(( = ) P.Stored)
+        (fun () -> of_store_result (op ()))
+    in
+    let grow (p : P.store_params) op =
+      admit p.P.key (Tenant.Grow (String.length p.P.data))
+        ~applied:(( = ) P.Stored)
+        (fun () -> of_store_result (op ()))
+    in
     match cmd with
-    | P.Get keys -> retrieve store keys ~with_cas:false
-    | P.Gets keys -> retrieve store keys ~with_cas:true
-    | P.Getx { g_key; _ } -> retrieve store [ g_key ] ~with_cas:true
+    | P.Get keys -> retrieve ?tenants ?slot store keys ~with_cas:false
+    | P.Gets keys -> retrieve ?tenants ?slot store keys ~with_cas:true
+    | P.Getx { g_key; _ } ->
+      retrieve ?tenants ?slot store [ g_key ] ~with_cas:true
     | P.Set p ->
-      with_quota ~store ~key:p.P.key ~op:(Q_set (String.length p.P.data)) (fun () ->
-        of_store_result
-          (Store.set store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
-             p.P.data))
+      replace p (fun () ->
+        Store.set store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key p.P.data)
     | P.Add p ->
-      with_quota ~store ~key:p.P.key ~op:(Q_set (String.length p.P.data)) (fun () ->
-        of_store_result
-          (Store.add store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
-             p.P.data))
+      replace p (fun () ->
+        Store.add store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key p.P.data)
     | P.Replace p ->
-      with_quota ~store ~key:p.P.key ~op:(Q_set (String.length p.P.data)) (fun () ->
-        of_store_result
-          (Store.replace store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
-             p.P.data))
-    | P.Append p ->
-      with_quota ~store ~key:p.P.key ~op:(Q_grow (String.length p.P.data)) (fun () ->
-        of_store_result (Store.append store p.P.key p.P.data))
-    | P.Prepend p ->
-      with_quota ~store ~key:p.P.key ~op:(Q_grow (String.length p.P.data)) (fun () ->
-        of_store_result (Store.prepend store p.P.key p.P.data))
+      replace p (fun () ->
+        Store.replace store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
+          p.P.data)
     | P.Cas (p, unique) ->
-      with_quota ~store ~key:p.P.key ~op:(Q_set (String.length p.P.data)) (fun () ->
-        of_store_result
-          (Store.cas store ~flags:p.P.flags ~exptime:p.P.exptime ~cas:unique
-             p.P.key p.P.data))
+      replace p (fun () ->
+        Store.cas store ~flags:p.P.flags ~exptime:p.P.exptime ~cas:unique
+          p.P.key p.P.data)
+    | P.Append p -> grow p (fun () -> Store.append store p.P.key p.P.data)
+    | P.Prepend p -> grow p (fun () -> Store.prepend store p.P.key p.P.data)
     | P.Delete (key, _) ->
-      with_quota ~store ~key ~op:Q_touch (fun () ->
+      admit key Tenant.Release ~applied:(( = ) P.Deleted) (fun () ->
         if Store.delete store key then P.Deleted else P.Not_found)
     | P.Incr (key, delta, _) ->
-      with_quota ~store ~key ~op:Q_touch (fun () ->
-        match Store.incr store key delta with
-        | Mc_core.Store.Counter v -> P.Number v
-        | Mc_core.Store.Counter_not_found -> P.Not_found
-        | Mc_core.Store.Non_numeric ->
-          P.Client_error "cannot increment or decrement non-numeric value")
+      admit key Tenant.Rewrite ~applied:(fun _ -> true) (fun () ->
+        counter_reply (Store.incr store key delta))
     | P.Decr (key, delta, _) ->
-      with_quota ~store ~key ~op:Q_touch (fun () ->
-        match Store.decr store key delta with
-        | Mc_core.Store.Counter v -> P.Number v
-        | Mc_core.Store.Counter_not_found -> P.Not_found
-        | Mc_core.Store.Non_numeric ->
-          P.Client_error "cannot increment or decrement non-numeric value")
+      admit key Tenant.Rewrite ~applied:(fun _ -> true) (fun () ->
+        counter_reply (Store.decr store key delta))
     | P.Touch (key, exptime, _) ->
       if Store.touch store key exptime then P.Touched else P.Not_found
     | P.Stats None ->
@@ -241,9 +216,8 @@ struct
       P.Stats_reply
         (Telemetry.Counters.ring_kvs () @ !rings_stats_hook ())
     | P.Stats (Some "tenants") ->
-      (* per-tenant rollups; served through the hook because the
-         registry lives with the library owner, not the store *)
-      P.Stats_reply (!Mc_core.Tenant.stats_hook ())
+      P.Stats_reply
+        (match tenants with Some reg -> Tenant.stats_kvs reg | None -> [])
     | P.Stats (Some "settings") ->
       (* the standard introspection arm: which toggles this build is
          actually running with *)
@@ -280,7 +254,7 @@ struct
       Telemetry.Contention.reset ();
       (* tenant op tallies reset too; registry membership, quotas and
          vkeys are durable state, not statistics *)
-      !Mc_core.Tenant.reset_hook ();
+      Option.iter Tenant.reset_stats tenants;
       P.Reset
     | P.Stats (Some arg) -> P.Client_error ("unknown stats argument " ^ arg)
     | P.Version -> P.Version_reply version
@@ -293,9 +267,9 @@ struct
 
   (* Per-protocol-op latency, in virtual time, recorded host-side only
      (no [advance]): with telemetry off this is one ref read. *)
-  let execute store (cmd : P.command) : P.response =
+  let execute ?tenants ?slot store (cmd : P.command) : P.response =
     Telemetry.Span.around ~phase:"exec" @@ fun () ->
-    if not (Telemetry.Control.on ()) then execute store cmd
+    if not (Telemetry.Control.on ()) then execute ?tenants ?slot store cmd
     else begin
       (* Tenant and conn ride on Tenant_scope / ring-drain records;
          the dispatch crumb names the op (interned against the
@@ -305,7 +279,7 @@ struct
       Telemetry.Flight.record Telemetry.Flight.Op_dispatch
         ~a:(Telemetry.Forensics.op_code (P.command_name cmd)) ~b:(-1) ~c:(-1);
       let t0 = S.now_ns () in
-      let resp = execute store cmd in
+      let resp = execute ?tenants ?slot store cmd in
       Telemetry.Timers.record ~op:(P.command_name cmd) (S.now_ns () - t0);
       resp
     end
@@ -334,8 +308,9 @@ struct
      discipline for same-class mutexes), and ops execute in arrival
      order under the group, so two ops on one key keep their relative
      order. Responses align 1:1 with [cmds]. *)
-  let execute_batch store (cmds : P.command list) :
+  let run_batch ?tenants ?slot store (cmds : P.command list) :
       (P.command * P.response) list =
+    let execute = execute ?tenants ?slot in
     let rec split_run acc = function
       | c :: rest when groupable c -> split_run (c :: acc) rest
       | rest -> (List.rev acc, rest)
@@ -371,4 +346,21 @@ struct
       | c :: rest -> go ((c, execute store c) :: acc) rest
     in
     go [] cmds
+
+  (* The batch as a connection sends it. Bound to tenant [slot], every
+     command is rewritten into the tenant's namespace first and every
+     reply stripped of it again, so the client sees its own flat key
+     space and the store only ever sees scoped keys; the pairs carry
+     the commands as sent. *)
+  let execute_batch ?tenants ?slot store (cmds : P.command list) :
+      (P.command * P.response) list =
+    match (tenants, slot) with
+    | Some reg, Some slot ->
+      let prefix = Tenant.prefix reg slot in
+      List.map2
+        (fun cmd (_, resp) -> (cmd, unscope_response ~prefix resp))
+        cmds
+        (run_batch ~tenants:reg ~slot store
+           (List.map (scope_command ~prefix) cmds))
+    | _ -> run_batch ?tenants store cmds
 end

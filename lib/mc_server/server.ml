@@ -95,9 +95,12 @@ struct
     inboxes : T.message S.chan array;
     conns : (int, T.conn) Hashtbl.t;
     conns_lock : Mutex.t;
-    tenant_of : (int, string) Hashtbl.t;
-    (** connection-bound tenant identity (cid → tenant name), assigned
-        once at accept time; also guarded by [conns_lock] *)
+    tenants : Mc_core.Tenant.t option;
+    (** the deployment's tenant registry: tenant connections bind to
+        its slots, and it serves `stats tenants` / joins `stats reset` *)
+    slot_of : (int, int) Hashtbl.t;
+    (** connection-bound tenant identity (cid → registry slot),
+        resolved once at accept time; also guarded by [conns_lock] *)
     assign_tenant : int -> string option;
     wrap : wrapper;
     (** runs each batch execution; the hybrid server passes the Hodor
@@ -134,14 +137,84 @@ struct
   let drop_conn t cid =
     Mutex.lock t.conns_lock;
     Hashtbl.remove t.conns cid;
-    Hashtbl.remove t.tenant_of cid;
+    Hashtbl.remove t.slot_of cid;
     Mutex.unlock t.conns_lock
 
-  let tenant_of t cid =
+  let slot_of t cid =
     Mutex.lock t.conns_lock;
-    let r = Hashtbl.find_opt t.tenant_of cid in
+    let r = Hashtbl.find_opt t.slot_of cid in
     Mutex.unlock t.conns_lock;
     r
+
+  let buffer_of buffers cid =
+    match Hashtbl.find_opt buffers cid with
+    | Some b -> b
+    | None ->
+      let b = Buffer.create 256 in
+      Hashtbl.add buffers cid b;
+      b
+
+  (* ---- the drain body both transports share -------------------------- *)
+
+  (* Parse every complete request buffered for a connection and consume
+     its bytes. [`Wait]: nothing complete yet (an empty buffer or an
+     incomplete prefix) — wait for the next chunk. *)
+  let parse_buffered t buf =
+    let data = Buffer.contents buf in
+    if String.length data = 0 then `Wait
+    else begin
+      let psp = Telemetry.Span.start ~phase:"parse" () in
+      let r =
+        match parse_batch t.cfg data with
+        | [], _ -> `Wait
+        | cmds, consumed ->
+          Buffer.clear buf;
+          Buffer.add_substring buf data consumed (String.length data - consumed);
+          S.advance (List.length cmds * CM.current.proto_parse);
+          `Cmds cmds
+        | exception P.Need_more_data -> `Wait
+        | exception P.Parse_error m -> `Garbage m
+      in
+      Telemetry.Span.finish psp;
+      r
+    end
+
+  (* Quit closes the connection; everything before it still executes,
+     anything after it is discarded with the connection (what a socket
+     close does to pipelined bytes). *)
+  let split_quit cmds =
+    let rec split acc = function
+      | [] -> (List.rev acc, false)
+      | P.Quit :: _ -> (List.rev acc, true)
+      | c :: tl -> split (c :: acc) tl
+    in
+    split [] cmds
+
+  (* Runs inside the crossing. On a tenant-bound connection the
+     executor scopes every key into the slot's namespace, admits
+     storage against its quotas and rolls up its stats — the registry
+     lives in the protected heap. *)
+  let execute t slot cmds =
+    E.execute_batch ?tenants:t.tenants ?slot t.store cmds
+
+  (* One output buffer for the whole batch, one send. *)
+  let send_replies t conn pairs =
+    Telemetry.Span.around ~phase:"reply" (fun () ->
+      let out = Buffer.create 256 in
+      List.iter
+        (fun (cmd, resp) ->
+          if not (P.suppress_reply cmd resp) then begin
+            S.advance CM.current.proto_pack;
+            Buffer.add_string out (encode_reply t.cfg cmd resp)
+          end)
+        pairs;
+      if Buffer.length out > 0 then T.server_send conn (Buffer.contents out))
+
+  (* Resync by dropping the buffered garbage. *)
+  let reject_garbage t conn buf m =
+    Buffer.clear buf;
+    S.advance CM.current.proto_pack;
+    T.server_send conn (encode_reply t.cfg (P.Invalid m) (P.Client_error m))
 
   (* Each worker owns an event loop over its queue. A read from a
      socket delivers an arbitrary byte chunk — possibly a fragment of
@@ -152,23 +225,13 @@ struct
      stripe locking, one reply buffer, one send. *)
   let worker_loop t inbox =
     let buffers : (int, Buffer.t) Hashtbl.t = Hashtbl.create 16 in
-    let buffer_of cid =
-      match Hashtbl.find_opt buffers cid with
-      | Some b -> b
-      | None ->
-        let b = Buffer.create 256 in
-        Hashtbl.add buffers cid b;
-        b
-    in
     (* [enq_at] is the socket enqueue stamp of the oldest chunk this
        drain is serving: the trace is backdated to it, so the time a
        request sat in the worker's event queue appears as its own
        [queue] phase. Re-entries (leftover pipelined bytes) pass no
        stamp — those bytes were just produced, nothing queued. *)
     let rec drain ?enq_at conn cid buf =
-      let data = Buffer.contents buf in
-      if String.length data = 0 then ()
-      else begin
+      if Buffer.length buf > 0 then begin
         let root = Telemetry.Span.ingress ?t_start:enq_at ~op:"srv.batch" () in
         (match enq_at with
          | Some at ->
@@ -177,83 +240,22 @@ struct
            Telemetry.Span.finish
              (Telemetry.Span.start ~t_start:at ~phase:"queue" ())
          | None -> ());
-        let psp = Telemetry.Span.start ~phase:"parse" () in
-        match parse_batch t.cfg data with
-        | [], _ ->
-          (* an incomplete prefix: wait for the next chunk *)
-          Telemetry.Span.finish psp;
+        match parse_buffered t buf with
+        | `Wait -> Telemetry.Span.drop root
+        | `Garbage m ->
+          reject_garbage t conn buf m;
           Telemetry.Span.drop root
-        | cmds, consumed ->
-          Buffer.clear buf;
-          Buffer.add_substring buf data consumed (String.length data - consumed);
-          S.advance (List.length cmds * CM.current.proto_parse);
-          Telemetry.Span.finish psp;
-          (* Quit closes the connection; everything before it still
-             executes, anything after it is discarded with the
-             connection (what a socket close does to pipelined bytes). *)
-          let before_quit, quit =
-            let rec split acc = function
-              | [] -> (List.rev acc, false)
-              | P.Quit :: _ -> (List.rev acc, true)
-              | c :: tl -> split (c :: acc) tl
-            in
-            split [] cmds
-          in
-          (* Tenant-bound connection: rewrite every command into the
-             tenant's namespace before execution, then strip the
-             prefix back out of the replies and roll the per-tenant
-             stats. The whole scoped batch still runs under one wrap
-             (= one protection crossing in the hybrid server), so the
-             batch plane — stripe groups, optimistic reads — stays
-             tenant-scoped for free: the scoped key is the only key
-             the store ever sees. *)
-          let tenant = tenant_of t cid in
-          let before_quit =
-            match tenant with
-            | None -> before_quit
-            | Some name ->
-              List.map
-                (Executor.scope_command ~prefix:(name ^ "/"))
-                before_quit
-          in
+        | `Cmds cmds ->
+          let cmds, quit = split_quit cmds in
+          let slot = slot_of t cid in
           let pairs =
-            match before_quit with
+            match cmds with
             | [] -> []
             | cmds ->
               t.wrap.wrap ~ops:(List.length cmds) (fun () ->
-                let pairs = E.execute_batch t.store cmds in
-                (* Accounting touches the tenant registry, which lives
-                   in the protected heap — it must happen inside the
-                   crossing, while this thread still holds access. *)
-                (match tenant with
-                 | None -> ()
-                 | Some name ->
-                   List.iter
-                     (fun (c, r) -> Executor.account_tenant ~name c r)
-                     pairs);
-                pairs)
+                execute t slot cmds)
           in
-          let pairs =
-            match tenant with
-            | None -> pairs
-            | Some name ->
-              let prefix = name ^ "/" in
-              List.map
-                (fun (c, r) -> (c, Executor.unscope_response ~prefix r))
-                pairs
-          in
-          (* One output buffer for the whole batch, one send. *)
-          Telemetry.Span.around ~phase:"reply" (fun () ->
-            let out = Buffer.create 256 in
-            List.iter
-              (fun (cmd, resp) ->
-                if not (P.suppress_reply cmd resp) then begin
-                  S.advance CM.current.proto_pack;
-                  Buffer.add_string out (encode_reply t.cfg cmd resp)
-                end)
-              pairs;
-            if Buffer.length out > 0 then
-              T.server_send conn (Buffer.contents out));
+          send_replies t conn pairs;
           Telemetry.Span.finish root;
           if quit then begin
             T.close_conn conn;
@@ -264,17 +266,6 @@ struct
             (* Whatever stayed buffered is an incomplete prefix — or
                garbage, which the re-entry reports and drops. *)
             drain conn cid buf
-        | exception P.Need_more_data ->
-          (* wait for the next chunk *)
-          Telemetry.Span.finish psp;
-          Telemetry.Span.drop root
-        | exception P.Parse_error m ->
-          (* resync by dropping the buffered garbage *)
-          Telemetry.Span.finish psp;
-          Buffer.clear buf;
-          S.advance CM.current.proto_pack;
-          T.server_send conn (encode_reply t.cfg (P.Invalid m) (P.Client_error m));
-          Telemetry.Span.drop root
       end
     in
     let rec loop () =
@@ -287,7 +278,7 @@ struct
         let touched : (int * int) list ref = ref [] in
         List.iter
           (fun { T.m_cid = cid; m_payload = payload; m_at = at } ->
-            Buffer.add_string (buffer_of cid) payload;
+            Buffer.add_string (buffer_of buffers cid) payload;
             (* first chunk per cid carries the earliest enqueue stamp
                (the inbox is FIFO) — that is the trace's backdate *)
             if not (List.mem_assoc cid !touched) then
@@ -295,7 +286,7 @@ struct
           msgs;
         List.iter
           (fun (cid, at) ->
-            drain ~enq_at:at (find_conn t cid) cid (buffer_of cid))
+            drain ~enq_at:at (find_conn t cid) cid (buffer_of buffers cid))
           (List.rev !touched);
         loop ()
     in
@@ -344,7 +335,7 @@ struct
     let root = Telemetry.Span.ingress ~t_start:first_stamp ~op:"srv.ring" () in
     Telemetry.Span.finish
       (Telemetry.Span.start ~t_start:first_stamp ~phase:"queue" ());
-    let tenant = tenant_of t cid in
+    let slot = slot_of t cid in
     let outcome =
       t.wrap.wrap ~ops:(max 1 msgs) (fun () ->
         (* Flag and breadcrumb move together in one sync-free region
@@ -361,96 +352,29 @@ struct
               ~b:cid ~c:msgs)
         @@ fun () ->
         match T.ring_consume conn with
-        | Error e -> `Forged e
-        | Ok chunks ->
-            List.iter (fun (m, _stamp) -> Buffer.add_string buf m) chunks;
-          let data = Buffer.contents buf in
-          if String.length data = 0 then `Pairs ([], false)
-          else begin
-            let psp = Telemetry.Span.start ~phase:"parse" () in
-            match parse_batch t.cfg data with
-            | [], _ ->
-              (* an incomplete prefix: wait for the next chunks *)
-              Telemetry.Span.finish psp;
-              `Pairs ([], false)
-            | cmds, consumed ->
-              Buffer.clear buf;
-              Buffer.add_substring buf data consumed
-                (String.length data - consumed);
-              S.advance (List.length cmds * CM.current.proto_parse);
-              Telemetry.Span.finish psp;
-              let before_quit, quit =
-                let rec split acc = function
-                  | [] -> (List.rev acc, false)
-                  | P.Quit :: _ -> (List.rev acc, true)
-                  | c :: tl -> split (c :: acc) tl
-                in
-                split [] cmds
-              in
-              let before_quit =
-                match tenant with
-                | None -> before_quit
-                | Some name ->
-                  List.map
-                    (Executor.scope_command ~prefix:(name ^ "/"))
-                    before_quit
-              in
-              let pairs =
-                match before_quit with
-                | [] -> []
-                | cmds ->
-                  let pairs = E.execute_batch t.store cmds in
-                  (match tenant with
-                   | None -> ()
-                   | Some name ->
-                     List.iter
-                       (fun (c, r) -> Executor.account_tenant ~name c r)
-                       pairs);
-                  pairs
-              in
-              `Pairs (pairs, quit)
-            | exception P.Need_more_data ->
-              Telemetry.Span.finish psp;
-              `Pairs ([], false)
-            | exception P.Parse_error m ->
-              Telemetry.Span.finish psp;
-              `Garbage m
-          end)
+        | Error _ -> `Forged
+        | Ok chunks -> (
+          List.iter (fun (m, _stamp) -> Buffer.add_string buf m) chunks;
+          match parse_buffered t buf with
+          | `Wait -> `Pairs ([], false)
+          | `Garbage m -> `Garbage m
+          | `Cmds cmds ->
+            let cmds, quit = split_quit cmds in
+            `Pairs (execute t slot cmds, quit)))
     in
     match outcome with
-    | `Forged _reason ->
+    | `Forged ->
       Telemetry.Span.drop root;
       `Bounce
     | `Garbage m ->
-      (* resync by dropping the buffered garbage *)
-      Buffer.clear buf;
-      S.advance CM.current.proto_pack;
-      T.server_send conn (encode_reply t.cfg (P.Invalid m) (P.Client_error m));
+      reject_garbage t conn buf m;
       Telemetry.Span.drop root;
       `Ok
     | `Pairs (pairs, quit) ->
       st.w_drains <- st.w_drains + 1;
       st.w_ops <- st.w_ops + max 1 msgs;
-      let pairs =
-        match tenant with
-        | None -> pairs
-        | Some name ->
-          let prefix = name ^ "/" in
-          List.map
-            (fun (c, r) -> (c, Executor.unscope_response ~prefix r))
-            pairs
-      in
-      Telemetry.Span.around ~phase:"reply" (fun () ->
-        let out = Buffer.create 256 in
-        List.iter
-          (fun (cmd, resp) ->
-            if not (P.suppress_reply cmd resp) then begin
-              S.advance CM.current.proto_pack;
-              Buffer.add_string out (encode_reply t.cfg cmd resp)
-            end)
-          pairs;
-        if Buffer.length out > 0 then T.server_send conn (Buffer.contents out));
-        Telemetry.Span.finish root;
+      send_replies t conn pairs;
+      Telemetry.Span.finish root;
       if quit then `Quit else `Ok
 
   (* The ring worker's event loop. Instead of blocking on the socket
@@ -464,14 +388,6 @@ struct
      arms every ring for a doorbell, re-checks, and parks. *)
   let ring_worker_loop t wi inbox =
     let buffers : (int, Buffer.t) Hashtbl.t = Hashtbl.create 16 in
-    let buffer_of cid =
-      match Hashtbl.find_opt buffers cid with
-      | Some b -> b
-      | None ->
-        let b = Buffer.create 256 in
-        Hashtbl.add buffers cid b;
-        b
-    in
     let my_conns () =
       Mutex.lock t.conns_lock;
       let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.ring_conns.(wi) [] in
@@ -494,7 +410,7 @@ struct
             acted := true;
             T.ring_arm conn false;
             match
-              ring_drain t conn cid (buffer_of cid)
+              ring_drain t conn cid (buffer_of buffers cid)
                 ~msgs:p.Transport.Ring.p_msgs
                 ~first_stamp:p.Transport.Ring.p_first_stamp
             with
@@ -549,30 +465,52 @@ struct
     in
     loop ~napped:false
 
+  (* The registry slot a new connection is bound to. A name the
+     registry does not hold is an [Error]: serving it would open an
+     unmetered namespace that `stats tenants` never lists. The lookup
+     is host-side, at accept, outside any crossing. *)
+  let resolve_tenant t cid =
+    match t.assign_tenant cid with
+    | None -> Ok None
+    | Some name -> (
+      let find reg =
+        Shm.Region.kernel_mode (fun () -> Mc_core.Tenant.find reg name)
+      in
+      match Option.bind t.tenants find with
+      | Some slot -> Ok (Some slot)
+      | None -> Error name)
+
   let acceptor_loop t =
     let next = ref 0 in
     let register conn =
-      (match t.ring_ctx with
-       | Some rc ->
-         let ra = rc.rc_alloc conn.T.cid in
-         T.attach_rings conn ra;
-         (* the worker may already be parked: the first send must find
-            the doorbell armed *)
-         T.ring_arm conn true
-       | None -> ());
-      Mutex.lock t.conns_lock;
-      Hashtbl.replace t.conns conn.T.cid conn;
-      (match t.ring_ctx with
-       | Some _ ->
-         Hashtbl.replace t.ring_conns.(!next mod t.cfg.workers) conn.T.cid conn;
-         Hashtbl.replace t.ring_states conn.T.cid (fresh_wstate ())
-       | None -> ());
-      (* bind the tenant identity before the client is released, so no
-         request can race ahead of its own scoping *)
-      (match t.assign_tenant conn.T.cid with
-       | Some name -> Hashtbl.replace t.tenant_of conn.T.cid name
-       | None -> ());
-      Mutex.unlock t.conns_lock
+      let cid = conn.T.cid in
+      match resolve_tenant t cid with
+      | Error name ->
+        Telemetry.Trace.emit ~sev:Telemetry.Trace.Warn ~subsys:"server"
+          (Printf.sprintf "refused conn %d: %S is not a registered tenant" cid
+             name);
+        false
+      | Ok slot ->
+        (match t.ring_ctx with
+         | Some rc ->
+           let ra = rc.rc_alloc cid in
+           T.attach_rings conn ra;
+           (* the worker may already be parked: the first send must find
+              the doorbell armed *)
+           T.ring_arm conn true
+         | None -> ());
+        Mutex.lock t.conns_lock;
+        Hashtbl.replace t.conns cid conn;
+        (match t.ring_ctx with
+         | Some _ ->
+           Hashtbl.replace t.ring_conns.(!next mod t.cfg.workers) cid conn;
+           Hashtbl.replace t.ring_states cid (fresh_wstate ())
+         | None -> ());
+        (* bind the tenant identity before the client is released, so no
+           request can race ahead of its own scoping *)
+        Option.iter (Hashtbl.replace t.slot_of cid) slot;
+        Mutex.unlock t.conns_lock;
+        true
     in
     let rec loop () =
       match
@@ -588,14 +526,15 @@ struct
 
   (* [prebuilt] lets benchmark sweeps reuse one loaded store across
      many server incarnations (the dataset outlives the threads), and
-     is how the hybrid deployment hands the shared store in. *)
-  let start_with ?(cfg = default_config) ?(wrap = default_wrapper)
+     is how the hybrid deployment hands the shared store in — with its
+     tenant registry, when [assign_tenant] binds connections to one. *)
+  let start_with ?(cfg = default_config) ?(wrap = default_wrapper) ?tenants
       ?(assign_tenant = fun _ -> None) ?ring_ctx ~store ~name () =
     let listener = T.listen ~name in
     let inboxes = Array.init cfg.workers (fun _ -> S.chan ()) in
     let t =
       { cfg; store; listener; inboxes; conns = Hashtbl.create 64;
-        conns_lock = Mutex.create (); tenant_of = Hashtbl.create 8;
+        conns_lock = Mutex.create (); tenants; slot_of = Hashtbl.create 8;
         assign_tenant; wrap; ring_ctx;
         ring_conns = Array.init cfg.workers (fun _ -> Hashtbl.create 8);
         ring_states = Hashtbl.create 16; threads = [] }

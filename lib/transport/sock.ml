@@ -116,16 +116,17 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* Server side: accept the oldest pending connect and bind it to
      [inbox] (the chosen worker's event queue). [register] runs before
      the client is released, so server-side connection tables are
-     populated before the first request can arrive. *)
-  let accept ?(register = fun (_ : conn) -> ()) l ~inbox =
+     populated before the first request can arrive. A [register] that
+     answers [false] refuses the connection: the client's [connect]
+     fails. *)
+  let accept ?(register = fun (_ : conn) -> true) l ~inbox =
     let resolve = S.recv l.backlog in
     S.advance CM.current.syscall_recv (* accept() *);
     let conn =
       { cid = Atomic.fetch_and_add next_cid 1; inbox; reply = S.chan ();
         rings = None }
     in
-    register conn;
-    resolve (Some conn);
+    resolve (if register conn then Some conn else None);
     conn
 
   (* --- ring attachment ------------------------------------------------ *)

@@ -279,12 +279,12 @@ let test_stats_tenants_rollup () =
 
 (* ---- the socket path: connection-bound identity, both codecs ---------- *)
 
-let serve ~protocol ~assign p name =
+let serve ?rings ~protocol ~assign p name =
   let scfg =
     { Mc_server.Server.default_config with
       workers = 1; protocol; store = small_cfg }
   in
-  Plib.serve_remote ~cfg:scfg ~assign_tenant:assign p ~name
+  Plib.serve_remote ~cfg:scfg ?rings ~assign_tenant:assign p ~name
 
 let queue_assign names =
   let q = ref names in
@@ -429,6 +429,217 @@ let server_quota_enforcement ~rings () =
 let test_server_quota_legacy () = server_quota_enforcement ~rings:false ()
 
 let test_server_quota_rings () = server_quota_enforcement ~rings:true ()
+
+(* A reply within a few seconds, or a failed check: a worker that died
+   mid-request must fail the test, not hang it. *)
+let recv_within c =
+  let rec go tries =
+    match Platform.Real_sync.try_recv c.T.reply with
+    | Some m -> m
+    | None when tries > 0 ->
+      Platform.Real_sync.sleep_ns 10_000_000;
+      go (tries - 1)
+    | None -> Alcotest.fail "no reply: the server's worker died"
+  in
+  go 500
+
+(* Two live handles in one process: each server runs tenancy against
+   the registry and store of the handle that started it, never against
+   whichever handle was created last. *)
+let test_server_two_handles () =
+  with_plib @@ fun p ~owner ->
+  ignore (Plib.create_tenant p ~name:"h1" ~uid:4901 ~byte_quota:4096 ());
+  incr fresh_id;
+  let path2 = Printf.sprintf "/shm/tenant-test-%d" !fresh_id in
+  let p2 =
+    Plib.create ~store_cfg:small_cfg ~path:path2 ~size:(8 lsl 20) ~owner ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Simos.Sim_fs.unlink path2;
+      Hodor.Library.release (Plib.library p2))
+  @@ fun () ->
+  ignore (Plib.create_tenant p2 ~name:"h2" ~uid:4902 ());
+  let name = "tenant-two-handles-srv" in
+  let srv =
+    serve ~protocol:Mc_server.Server.Ascii ~assign:(fun _ -> Some "h1") p name
+  in
+  Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+  let c = T.connect ~name in
+  let rpc payload =
+    T.client_send c payload;
+    recv_within c
+  in
+  let v = String.make 300 'w' in
+  for i = 0 to 29 do
+    Alcotest.(check bool)
+      (Printf.sprintf "set %d stored" i)
+      true
+      (has_sub ~needle:"STORED"
+         (rpc (Printf.sprintf "set w%d 0 0 300\r\n%s\r\n" i v)))
+  done;
+  let bytes, _ = Plib.tenant_usage p (Option.get (Plib.find_tenant p "h1")) in
+  Alcotest.(check bool)
+    (Printf.sprintf "usage %dB held to the first handle's 4096B quota" bytes)
+    true (bytes <= 4096);
+  let stats = rpc "stats tenants\r\n" in
+  Alcotest.(check bool) "stats tenants lists the first handle's tenant" true
+    (has_sub ~needle:"tenant:h1:cmd_set 30" stats);
+  Alcotest.(check bool) "and not the second handle's" false
+    (has_sub ~needle:"tenant:h2:" stats)
+
+(* A connection assigned a name the registry does not hold is refused
+   at accept, with a warning, rather than served an unmetered
+   namespace that `stats tenants` never lists. *)
+let test_server_unknown_tenant_refused () =
+  with_plib @@ fun p ~owner:_ ->
+  ignore (Plib.create_tenant p ~name:"known" ~uid:4951 ());
+  let name = "tenant-ghost-srv" in
+  let srv =
+    serve ~protocol:Mc_server.Server.Ascii
+      ~assign:(queue_assign [ "ghost"; "known" ])
+      p name
+  in
+  Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+  let was_on = Telemetry.Control.on () in
+  Telemetry.Control.set_enabled true;
+  let refused =
+    Fun.protect ~finally:(fun () -> Telemetry.Control.set_enabled was_on)
+    @@ fun () ->
+    match T.connect ~name with
+    | c ->
+      for i = 0 to 29 do
+        T.client_send c (Printf.sprintf "set g%d 0 0 300\r\n%s\r\n" i
+                           (String.make 300 'g'));
+        ignore (recv_within c)
+      done;
+      false
+    | exception Failure _ -> true
+  in
+  let ghost_keys =
+    Plib.fold_keys p
+      (fun acc key ~nbytes:_ ~exptime:_ ->
+        if String.starts_with ~prefix:"ghost/" key then key :: acc else acc)
+      []
+  in
+  Alcotest.(check (list string)) "nothing lands under the unknown name" []
+    ghost_keys;
+  Alcotest.(check bool) "connection refused at accept" true refused;
+  Alcotest.(check bool) "the refusal is traced as a warning" true
+    (List.exists
+       (fun e -> has_sub ~needle:"ghost" e.Telemetry.Trace.msg)
+       (Telemetry.Trace.dump ~subsys:"server" ~min_sev:Telemetry.Trace.Warn ()));
+  (* the listener keeps serving registered tenants *)
+  let c = T.connect ~name in
+  T.client_send c "set k 0 0 2\r\nok\r\n";
+  Alcotest.(check bool) "next connection served" true
+    (has_sub ~needle:"STORED" (recv_within c))
+
+(* ---- one op stream through every tenant front end --------------------- *)
+
+type dop = D_set of string * string | D_get of string | D_delete of string
+
+(* Sets of 100-400 B over 24 keys against a 4096 B quota force
+   tenant-local eviction throughout; one item larger than the whole
+   quota must be refused on every front end. *)
+let diff_stream ~seed =
+  let rng = Random.State.make [| seed |] in
+  List.init 160 (fun i ->
+    if i = 80 then D_set ("huge", String.make 5000 'h')
+    else
+      let k = Printf.sprintf "k%d" (Random.State.int rng 24) in
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 | 4 ->
+        D_set
+          (k, String.make (100 + Random.State.int rng 300)
+                (Char.chr (Char.code 'a' + (i mod 26))))
+      | 5 | 6 | 7 | 8 -> D_get k
+      | _ -> D_delete k)
+
+type front = {
+  f_set : string -> string -> Store.store_result;
+  f_get : string -> string option;
+  f_delete : string -> bool;
+}
+
+(* A refused set is "not stored" on every front end: the binary codec
+   has no out-of-memory status and answers it as a plain failure. *)
+let outcome f = function
+  | D_set (k, v) ->
+    if f.f_set k v = Store.Stored then "stored" else "not stored"
+  | D_get k ->
+    (match f.f_get k with Some v -> "hit " ^ v | None -> "miss")
+  | D_delete k -> if f.f_delete k then "deleted" else "not found"
+
+(* Each front end gets a fresh handle and runs the whole stream as
+   tenant "dt"; the result is the per-op outcomes, the tenant's usage
+   and its `stats tenants` rows. *)
+let run_front ~seed how =
+  with_plib @@ fun p ~owner:_ ->
+  let slot = Plib.create_tenant p ~name:"dt" ~uid:4961 ~byte_quota:4096 () in
+  let run f = List.map (outcome f) (diff_stream ~seed) in
+  let outcomes =
+    match how with
+    | `Plib ->
+      as_uid 4961 (fun () ->
+        run
+          { f_set = (fun k v -> Plib.tenant_set p slot k v);
+            f_get =
+              (fun k -> Option.map (fun r -> r.Store.value)
+                          (Plib.tenant_get p slot k));
+            f_delete = (fun k -> Plib.tenant_delete p slot k) })
+    | `Socket (protocol, rings) ->
+      let name = Printf.sprintf "tenant-diff-srv-%d" !fresh_id in
+      let srv =
+        serve ?rings ~protocol ~assign:(fun _ -> Some "dt") p name
+      in
+      Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+      let c =
+        Cl.Sock.connect ~name
+          ~protocol:
+            (match protocol with
+             | Mc_server.Server.Ascii -> Cl.Sock.Ascii
+             | Mc_server.Server.Binary -> Cl.Sock.Binary)
+          ()
+      in
+      run
+        { f_set = (fun k v -> Cl.Sock.set c k v);
+          f_get = (fun k -> Option.map (fun r -> r.Store.value) (Cl.Sock.get c k));
+          f_delete = (fun k -> Cl.Sock.delete c k) }
+  in
+  let rows =
+    List.filter
+      (fun (k, _) -> String.starts_with ~prefix:"tenant:dt:" k)
+      (Plib.stats_tenants p)
+  in
+  (outcomes, Plib.tenant_usage p slot, rows)
+
+let test_differential_front_ends () =
+  let seed = 7 in
+  let ref_outcomes, ref_usage, ref_rows = run_front ~seed `Plib in
+  Alcotest.(check bool) "the stream evicts tenant-locally" true
+    (List.exists
+       (fun (k, v) -> k = "tenant:dt:evictions" && int_of_string v > 0)
+       ref_rows);
+  Alcotest.(check string) "the oversize set is refused" "not stored"
+    (List.nth ref_outcomes 80);
+  List.iter
+    (fun (label, how) ->
+      let outcomes, usage, rows = run_front ~seed how in
+      List.iteri
+        (fun i (want, got) ->
+          if want <> got then
+            Alcotest.failf "%s: op %d is %S through Plib but %S here" label i
+              want got)
+        (List.combine ref_outcomes outcomes);
+      Alcotest.(check (pair int int)) (label ^ ": tenant_usage") ref_usage usage;
+      Alcotest.(check (list (pair string string)))
+        (label ^ ": stats tenants rows") ref_rows rows)
+    [ ("socket ascii", `Socket (Mc_server.Server.Ascii, None));
+      ("socket binary", `Socket (Mc_server.Server.Binary, None));
+      ("ring binary",
+       `Socket
+         (Mc_server.Server.Binary, Some Mc_server.Server.default_ring_config)) ]
 
 (* ---- seeded cross-tenant isolation sweep under the VM ----------------- *)
 
@@ -652,6 +863,11 @@ let () =
           Alcotest.test_case "online quota, legacy transport" `Quick
             test_server_quota_legacy;
           Alcotest.test_case "online quota, ring transport" `Quick
-            test_server_quota_rings ] );
+            test_server_quota_rings;
+          Alcotest.test_case "two live handles" `Quick test_server_two_handles;
+          Alcotest.test_case "unknown tenant refused" `Quick
+            test_server_unknown_tenant_refused;
+          Alcotest.test_case "differential front ends" `Quick
+            test_differential_front_ends ] );
       ( "isolation sweep",
         [ Alcotest.test_case "seeded schedules" `Quick test_iso_sweep ] ) ]
