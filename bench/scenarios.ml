@@ -83,27 +83,7 @@ let sock_db conn : Ycsb.Runner.db =
    a single call — so the driver cost, like the crossing cost, is paid
    once per batch. *)
 
-let plib_batch_db plib : Ycsb.Runner.batch_db =
-  { b_run =
-      (fun ops ->
-        S.advance CM.current.ycsb_driver;
-        let bops =
-          List.map
-            (function
-              | Ycsb.Workload.Read k -> Plib.B_get k
-              | Ycsb.Workload.Update (k, v) ->
-                Plib.B_set
-                  { b_key = k; b_data = v; b_flags = 0; b_exptime = 0 })
-            ops
-        in
-        List.map
-          (function
-            | Plib.R_get r -> r <> None
-            | Plib.R_store r -> r = Mc_core.Store.Stored
-            | Plib.R_found b -> b)
-          (Plib.batch plib bops)) }
-
-let sock_batch_db conn : Ycsb.Runner.batch_db =
+let batch_db run : Ycsb.Runner.batch_db =
   let module P = Mc_protocol.Types in
   { b_run =
       (fun ops ->
@@ -123,7 +103,13 @@ let sock_batch_db conn : Ycsb.Runner.batch_db =
             | P.Values { vals; _ } -> vals <> []
             | P.Stored -> true
             | _ -> false)
-          (Sock.pipeline conn cmds)) }
+          (run cmds)) }
+
+(* One crossing per batch on the protected library, one pipelined
+   round trip over a socket. *)
+let plib_batch_db plib = batch_db (Plib.batch plib)
+
+let sock_batch_db conn = batch_db (Sock.pipeline conn)
 
 (* Open-loop adapter: requests stream out through the split
    submit/await plane (over either transport; with ring mode the

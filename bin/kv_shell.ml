@@ -12,6 +12,7 @@
 
 module Client = Core.Client.Make (Platform.Real_sync)
 module Plib = Client.Plib
+module P = Mc_protocol.Types
 
 let usage () =
   print_string
@@ -29,7 +30,10 @@ let usage () =
     \  heap-map               (one character per superblock)\n\
     \  quit (flushes to the image when one is configured)\n\
     \  stats args: items | slabs | latency | phases | contention | reset\n\
-    \              settings | heap | forensics\n"
+    \              settings | heap | forensics | tenants | rings\n"
+
+let print_value k (r : Mc_core.Store.get_result) =
+  Printf.printf "VALUE %s flags=%d cas=%Ld\n%s\n" k r.flags r.cas r.value
 
 let shell plib image =
   let open Mc_core.Store in
@@ -50,61 +54,34 @@ let shell plib image =
          | [ "quit" ] | [ "exit" ] -> quit := true
          | [ "get"; k ] ->
            (match Plib.get plib k with
-            | Some r ->
-              Printf.printf "VALUE %s flags=%d cas=%Ld\n%s\n" k r.flags r.cas
-                r.value
+            | Some r -> print_value k r
             | None -> print_endline "NOT_FOUND")
          | "mget" :: (_ :: _ as keys) ->
            (* the whole key list rides one trampoline crossing *)
            let hits = Plib.mget plib keys in
-           List.iter
-             (fun (k, r) ->
-               Printf.printf "VALUE %s flags=%d cas=%Ld\n%s\n" k r.flags r.cas
-                 r.value)
-             hits;
+           List.iter (fun (k, r) -> print_value k r) hits;
            Printf.printf "END (%d of %d hit)\n" (List.length hits)
              (List.length keys)
-         | "set" :: k :: rest ->
+         | (("set" | "add" | "replace" | "append" | "prepend") as op) :: k
+           :: rest ->
            let v = String.concat " " rest in
            print_endline
-             (match Plib.set plib k v with
+             (match
+                match op with
+                | "set" -> Plib.set plib k v
+                | "add" -> Plib.add plib k v
+                | "replace" -> Plib.replace plib k v
+                | "append" -> Plib.append plib k v
+                | _ -> Plib.prepend plib k v
+              with
               | Stored -> "STORED"
               | No_memory -> "SERVER_ERROR out of memory"
               | _ -> "NOT_STORED")
-         | "add" :: k :: rest ->
-           print_endline
-             (match Plib.add plib k (String.concat " " rest) with
-              | Stored -> "STORED"
-              | _ -> "NOT_STORED")
-         | "replace" :: k :: rest ->
-           print_endline
-             (match Plib.replace plib k (String.concat " " rest) with
-              | Stored -> "STORED"
-              | _ -> "NOT_STORED")
-         | "append" :: k :: rest ->
-           print_endline
-             (match Plib.append plib k (String.concat " " rest) with
-              | Stored -> "STORED"
-              | _ -> "NOT_STORED")
-         | "prepend" :: k :: rest ->
-           print_endline
-             (match Plib.prepend plib k (String.concat " " rest) with
-              | Stored -> "STORED"
-              | _ -> "NOT_STORED")
          | [ "del"; k ] ->
            print_endline (if Plib.delete plib k then "DELETED" else "NOT_FOUND")
-         | [ "incr"; k ] | [ "incr"; k; "1" ] -> (
-             match Plib.incr plib k 1L with
-             | Counter v -> Printf.printf "%Lu\n" v
-             | Counter_not_found -> print_endline "NOT_FOUND"
-             | Non_numeric -> print_endline "CLIENT_ERROR non-numeric")
-         | [ "incr"; k; n ] -> (
-             match Plib.incr plib k (Int64.of_string n) with
-             | Counter v -> Printf.printf "%Lu\n" v
-             | Counter_not_found -> print_endline "NOT_FOUND"
-             | Non_numeric -> print_endline "CLIENT_ERROR non-numeric")
-         | [ "decr"; k; n ] -> (
-             match Plib.decr plib k (Int64.of_string n) with
+         | (("incr" | "decr") as op) :: k :: ([] | [ _ ] as n) -> (
+             let delta = match n with [ n ] -> Int64.of_string n | _ -> 1L in
+             match (if op = "incr" then Plib.incr else Plib.decr) plib k delta with
              | Counter v -> Printf.printf "%Lu\n" v
              | Counter_not_found -> print_endline "NOT_FOUND"
              | Non_numeric -> print_endline "CLIENT_ERROR non-numeric")
@@ -125,66 +102,17 @@ let shell plib image =
            Printf.printf "%d key(s)\n" n
          | [ "reap" ] ->
            Printf.printf "reaped %d expired item(s)\n" (Plib.reap_expired plib)
-         | [ "stats" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Plib.stats plib @ Telemetry.Counters.boundary_kvs ())
-         | [ "stats"; "items" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Plib.stats_items plib)
-         | [ "stats"; "slabs" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Plib.stats_slabs plib)
-         | [ "stats"; "latency" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Telemetry.Timers.kvs ())
-         | [ "stats"; "phases" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Telemetry.Span.phase_kvs ())
-         | [ "stats"; "contention" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Telemetry.Contention.kvs ()
-             @ Telemetry.Counters.optimistic_kvs ())
-         | [ "stats"; "settings" ] ->
-           let cfg = Plib.Store.config (Plib.store plib) in
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             ([ ("optimistic_reads", if cfg.optimistic_reads then "1" else "0");
-                ("lock_count", string_of_int cfg.lock_count);
-                ("hashpower", string_of_int cfg.hashpower);
-                ("lru_count", string_of_int cfg.lru_count);
-                ("evict_batch", string_of_int cfg.evict_batch);
-                ("trace_level",
-                 Telemetry.Trace.severity_name (Telemetry.Trace.get_level ()));
-                ("trace_sample_every",
-                 string_of_int (Telemetry.Span.sampling ()));
-                ("slow_threshold_ns",
-                 string_of_int (Telemetry.Span.slow_threshold_ns ()));
-                ("telemetry", if Telemetry.Control.on () then "1" else "0") ]
-              @ Telemetry.Flight.settings_kvs ()
-              @ !Mc_server.Executor.settings_stats_hook ())
-         | [ "stats"; "heap" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (!Mc_server.Executor.heap_stats_hook ())
-         | [ "stats"; "forensics" ] ->
-           List.iter
-             (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Telemetry.Forensics.kvs (Plib.forensics plib))
+         | "stats" :: ([] | [ _ ] as arg) -> (
+             (* every surface through the executor's own `stats` arm,
+                inside one crossing, exactly as a server answers it *)
+             match Plib.batch plib [ P.Stats (List.nth_opt arg 0) ] with
+             | [ P.Stats_reply kvs ] ->
+               List.iter (fun (k, v) -> Printf.printf "STAT %s %s\n" k v) kvs
+             | [ P.Reset ] -> print_endline "RESET"
+             | [ P.Client_error m ] -> Printf.printf "CLIENT_ERROR %s\n" m
+             | _ -> print_endline "ERROR")
          | [ "doctor" ] -> print_string (Plib.doctor plib)
          | [ "heap-map" ] -> print_string (Plib.heap_report plib)
-         | [ "stats"; "reset" ] ->
-           Plib.stats_reset plib;
-           Telemetry.Counters.reset ();
-           Telemetry.Timers.reset ();
-           Telemetry.Span.reset_phases ();
-           Telemetry.Contention.reset ();
-           print_endline "RESET"
          | [ "telemetry" ] ->
            (* everything the subsystem holds, store-op mirrors included *)
            List.iter

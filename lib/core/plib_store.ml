@@ -24,6 +24,7 @@
     Hodor". *)
 
 module CM = Platform.Cost_model
+module P = Mc_protocol.Types
 module Region = Shm.Region
 module Process = Simos.Process
 
@@ -87,6 +88,11 @@ let max_tenants = 64
 module Make (S : Platform.Sync_intf.S) = struct
   module Store =
     Mc_core.Store.Make (Mc_core.Shared_memory) (Mc_core.Ralloc_alloc) (S)
+
+  (* The server the hybrid deployment starts ({!serve_remote}); the
+     batch plane runs its executor too. *)
+  module Remote = Mc_server.Server.Make_hybrid (S)
+  module E = Remote.E
 
   module Tenant = Mc_core.Tenant
 
@@ -391,26 +397,6 @@ module Make (S : Platform.Sync_intf.S) = struct
         (* The death note served its purpose; don't let it finger the
            same victim at the next, unrelated recovery. *)
         Telemetry.Flight.clear_victim ()));
-    (* Observability hooks for the socket surface: `stats heap` serves
-       the allocator map plus the hot tier's and store slab accounting;
-       `stats forensics` serves the stashed post-recovery report (or a
-       live recorder analysis when no recovery has run yet). *)
-    Mc_server.Executor.heap_stats_hook :=
-      (fun () ->
-        Region.kernel_mode (fun () ->
-          Ralloc.heap_kvs t.heap
-          @ Mc_core.Bump_arena.stats_kvs t.arena
-          @ Store.stats_slabs t.store));
-    Mc_server.Executor.forensics_stats_hook :=
-      (fun () ->
-        match t.last_forensics with
-        | Some r -> Telemetry.Forensics.kvs r
-        | None -> Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()));
-    Mc_server.Executor.settings_stats_hook :=
-      (fun () ->
-        Region.kernel_mode (fun () ->
-          [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
-            ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
     t
 
   (* The bookkeeping process creates the store from nothing. *)
@@ -553,6 +539,25 @@ module Make (S : Platform.Sync_intf.S) = struct
   let heap_report t =
     Region.kernel_mode (fun () -> Ralloc.render_heap_map t.heap)
 
+  (* This handle's `stats` surfaces, for its own batches and for the
+     servers it starts: `stats heap` maps the allocator plus the hot
+     tier's and the store's slab accounting, `stats forensics` serves
+     {!forensics}, and `stats settings` adds the registry's size. *)
+  let surfaces t =
+    { Mc_server.Executor.heap =
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            Ralloc.heap_kvs t.heap
+            @ Mc_core.Bump_arena.stats_kvs t.arena
+            @ Store.stats_slabs t.store));
+      forensics = (fun () -> Telemetry.Forensics.kvs (forensics t));
+      settings =
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
+              ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
+      rings = (fun () -> []) }
+
   (* ---- Figure 4's copy-in idiom ------------------------------------- *)
 
   (* Copy client-supplied bytes into a library-private Ralloc buffer
@@ -671,97 +676,9 @@ module Make (S : Platform.Sync_intf.S) = struct
     enter t (fun () ->
       Store.touch t.store (copy_in t (Bytes.unsafe_of_string key)) exptime)
 
-  (* ---- Batch plane: many operations, one crossing --------------------- *)
-
-  (* Multi-get: the whole key list rides one trampoline crossing (one
-     pkru swap pair, one stack note), keys are copied into the library
-     domain first (Figure 4 idiom, before any lock), and the distinct
-     item-lock stripes the keys hash to are taken once for the group —
-     ascending, the creation-rank order lockdep demands. *)
-  let mget t keys : (string * Mc_core.Store.get_result) list =
-    match keys with
-    | [] -> []
-    | keys ->
-      span_root "mget" @@ fun () ->
-      Hodor.Trampoline.call_batch t.lib ~ops:(List.length keys) (fun () ->
-        let prot =
-          List.map (fun k -> copy_in t (Bytes.unsafe_of_string k)) keys
-        in
-        (* With the seqlock read path on, an all-get group needs no
-           stripes at all: each lookup validates against the version
-           words, and the rare conflict falls back to per-op locking. *)
-        let stripes =
-          if (Store.config t.store).Mc_core.Store.optimistic_reads then []
-          else
-            List.sort_uniq compare (List.map (Store.stripe_of t.store) prot)
-        in
-        Store.with_stripes t.store ~stripes (fun () ->
-          List.filter_map
-            (fun key ->
-              (* The batch fans out one [exec] child per op, so a trace
-                 tree shows every key's lookup under one crossing. *)
-              Telemetry.Span.around ~phase:"exec" (fun () ->
-                Option.map (fun r -> (key, r)) (Store.get t.store key)))
-            prot))
-
-  (* A mixed batch for pipelining arbitrary operations through one
-     crossing. Storage ops allocate (and may evict from arbitrary
-     stripes), so a mixed batch keeps the ops' own internal locking;
-     the crossing amortization is the win, the stripe-group
-     amortization belongs to the uniform [mget]. *)
-  type batch_op =
-    | B_get of string
-    | B_set of { b_key : string; b_data : string; b_flags : int;
-                 b_exptime : int }
-    | B_delete of string
-    | B_touch of string * int
-
-  type batch_result =
-    | R_get of Mc_core.Store.get_result option
-    | R_store of Mc_core.Store.store_result
-    | R_found of bool
-
-  let exec_op t = function
-    | B_get k ->
-      R_get (Store.get t.store (copy_in t (Bytes.unsafe_of_string k)))
-    | B_set { b_key; b_data; b_flags; b_exptime } ->
-      let key_prot = copy_in t (Bytes.unsafe_of_string b_key) in
-      R_store (Store.set t.store ~flags:b_flags ~exptime:b_exptime key_prot
-                 b_data)
-    | B_delete k ->
-      R_found (Store.delete t.store (copy_in t (Bytes.unsafe_of_string k)))
-    | B_touch (k, e) ->
-      R_found (Store.touch t.store (copy_in t (Bytes.unsafe_of_string k)) e)
-
-  (* [on_op i r] fires after op [i] fully completed inside the library
-     — an application-level ack. The crash sweep leans on it: if the
-     calling thread dies mid-batch, every op that acked before the
-     kill must still be readable after recovery (the batch's committed
-     prefix), while the op in flight may have been torn and dropped. *)
-  let batch ?on_op t (ops : batch_op list) : batch_result list =
-    match ops with
-    | [] -> []
-    | ops ->
-      span_root "batch" @@ fun () ->
-      Hodor.Trampoline.call_batch t.lib ~ops:(List.length ops) (fun () ->
-        List.mapi
-          (fun i op ->
-            let r =
-              Telemetry.Span.around ~phase:"exec" (fun () -> exec_op t op)
-            in
-            (match on_op with Some f -> f i r | None -> ());
-            r)
-          ops)
-
   let flush_all t = enter t (fun () -> Store.flush_all t.store)
 
   let stats t = enter t (fun () -> Store.stats t.store)
-
-  let stats_items t = enter t (fun () -> Store.stats_items t.store)
-
-  let stats_slabs t = enter t (fun () -> Store.stats_slabs t.store)
-
-  let stats_reset t = enter t (fun () -> Store.stats_reset t.store)
 
   (* ---- Multi-tenant surface ------------------------------------------- *)
 
@@ -912,36 +829,67 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let stats_tenants t = enter t (fun () -> Tenant.stats_kvs t.tenants)
 
-  (* Tenant-scoped multi-get: same one-crossing, stripe-group (or
-     seqlock) plan as {!mget}, over scoped keys — the optimistic read
-     path stays inside the namespace because the scoped key {e is} the
-     lookup key. *)
-  let tenant_mget t slot keys =
-    match keys with
+  (* ---- Batch plane: many operations, one crossing --------------------- *)
+
+  (* The whole command list rides one trampoline crossing (one pkru
+     swap pair, one stack note). Every key is copied into the library
+     domain first (Figure 4 idiom, before any lock); then [run] — the
+     executor — takes the list exactly as a server drain does: groupable
+     runs take their distinct stripes once, ascending, and storage ops
+     keep their own locking. Bound to tenant [slot], the capability is
+     bound at the door and the body runs under the tenant's crumb. *)
+  let crossing ?slot name t (cmds : P.command list) run =
+    match cmds with
     | [] -> []
-    | keys ->
-      span_root "tenant_mget" @@ fun () ->
-      bind_capability t slot;
-      Hodor.Trampoline.call_batch t.lib ~ops:(List.length keys) (fun () ->
-        t_crumb slot @@ fun () ->
-        let prot = List.map (fun k -> (k, t_key t slot k)) keys in
-        let stripes =
-          if (Store.config t.store).Mc_core.Store.optimistic_reads then []
-          else
-            List.sort_uniq compare
-              (List.map (fun (_, k) -> Store.stripe_of t.store k) prot)
+    | cmds ->
+      span_root name @@ fun () ->
+      Option.iter (bind_capability t) slot;
+      Hodor.Trampoline.call_batch t.lib ~ops:(List.length cmds) (fun () ->
+        let body () =
+          List.map snd
+            (run
+               (List.map
+                  (Mc_server.Executor.map_keys (fun k ->
+                     copy_in t (Bytes.unsafe_of_string k)))
+                  cmds))
         in
-        Store.with_stripes t.store ~stripes (fun () ->
-          List.filter_map
-            (fun (orig, key) ->
-              Telemetry.Span.around ~phase:"exec" (fun () ->
-                Tenant.bump t.tenants slot Tenant.Cmd_get;
-                match Store.get t.store key with
-                | Some r ->
-                  Tenant.bump t.tenants slot Tenant.Get_hits;
-                  Some (orig, r)
-                | None -> None))
-            prot))
+        match slot with Some slot -> t_crumb slot body | None -> body ())
+
+  (* [on_op i r] fires after op [i] fully completed inside the library
+     — an application-level ack: if the calling thread dies mid-batch,
+     every op acked before the kill is still readable after recovery,
+     while the op in flight may have been torn and dropped. *)
+  let batch ?on_op t cmds =
+    crossing "batch" t cmds
+      (E.run_batch ?on_op ~tenants:t.tenants ~surfaces:(surfaces t) t.store)
+
+  let hits =
+    List.concat_map (function
+      | P.Values { vals; _ } ->
+        List.map
+          (fun (v : P.value) ->
+            ( v.v_key,
+              { Mc_core.Store.value = v.v_data; flags = v.v_flags;
+                cas = v.v_cas } ))
+          vals
+      | _ -> [])
+
+  let get_each keys = List.map (fun k -> P.Get [ k ]) keys
+
+  (* Multi-get is a batch of one-key gets: an all-get run, so with the
+     seqlock read path on it holds no stripes at all. *)
+  let mget t keys : (string * Mc_core.Store.get_result) list =
+    hits
+      (crossing "mget" t (get_each keys)
+         (E.run_batch ~tenants:t.tenants ~surfaces:(surfaces t) t.store))
+
+  (* Scoped keys are the lookup keys, so the optimistic read path stays
+     inside the namespace; hits come back under their unscoped names. *)
+  let tenant_mget t slot keys =
+    hits
+      (crossing ~slot "tenant_mget" t (get_each keys)
+         (E.execute_batch ~tenants:t.tenants ~slot ~surfaces:(surfaces t)
+            t.store))
 
   (* ---- Bookkeeping process duties ------------------------------------ *)
 
@@ -999,8 +947,6 @@ module Make (S : Platform.Sync_intf.S) = struct
      The bookkeeping process serves its own shared store over sockets;
      its worker threads enter the store through the same trampolines
      as any local client, so the protection story is unchanged. *)
-
-  module Remote = Mc_server.Server.Make_hybrid (S)
 
   (* ---- Shared-ring transport (the heap-owner side) -------------------
 
@@ -1111,7 +1057,8 @@ module Make (S : Platform.Sync_intf.S) = struct
     in
     let ring_ctx = Option.map (ring_ctx t) rings in
     Remote.start_with ~cfg:{ cfg with store = Store.config t.store } ~wrap
-      ~tenants:t.tenants ?assign_tenant ?ring_ctx ~store:t.store ~name ()
+      ~tenants:t.tenants ?assign_tenant ~surfaces:(surfaces t) ?ring_ctx
+      ~store:t.store ~name ()
 
   let stop_remote srv = Remote.stop srv
 
@@ -1123,11 +1070,6 @@ module Make (S : Platform.Sync_intf.S) = struct
     Ralloc.flush t.heap ~path:disk_path;
     Simos.Sim_fs.unlink t.path;
     Hodor.Library.release t.lib;
-    (* The executor hooks closed over this handle's heap. *)
-    Mc_server.Executor.heap_stats_hook := (fun () -> []);
-    Mc_server.Executor.settings_stats_hook := (fun () -> []);
-    Mc_server.Executor.forensics_stats_hook :=
-      (fun () -> Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()));
     (* The counter cells and the flight-recorder block lived in this
        heap; don't leave the process-wide backends pointing into a
        detached region. Both were flushed with the heap and reappear on

@@ -17,34 +17,35 @@ module Tenant = Mc_core.Tenant
    toggle: with it off, keys pass through unscoped (the forged-prefix
    breach) and even [flush_all] reaches the whole store. *)
 
-let scope_key ~prefix k = prefix ^ k
-
-let scope_params ~prefix (p : P.store_params) =
-  { p with P.key = scope_key ~prefix p.P.key }
+(* Every key a command carries, rewritten by [f]. *)
+let map_keys f (cmd : P.command) : P.command =
+  let params (p : P.store_params) = { p with P.key = f p.P.key } in
+  match cmd with
+  | P.Get keys -> P.Get (List.map f keys)
+  | P.Gets keys -> P.Gets (List.map f keys)
+  | P.Getx g -> P.Getx { g with g_key = f g.g_key }
+  | P.Set p -> P.Set (params p)
+  | P.Add p -> P.Add (params p)
+  | P.Replace p -> P.Replace (params p)
+  | P.Append p -> P.Append (params p)
+  | P.Prepend p -> P.Prepend (params p)
+  | P.Cas (p, u) -> P.Cas (params p, u)
+  | P.Delete (k, n) -> P.Delete (f k, n)
+  | P.Incr (k, d, n) -> P.Incr (f k, d, n)
+  | P.Decr (k, d, n) -> P.Decr (f k, d, n)
+  | P.Touch (k, e, n) -> P.Touch (f k, e, n)
+  | (P.Flush_all | P.Stats _ | P.Version | P.Quit | P.Noop | P.Invalid _) as c
+    -> c
 
 let scope_command ~prefix (cmd : P.command) : P.command =
   if not !Mc_core.Tenant.namespace_enforced then cmd
   else
     match cmd with
-    | P.Get keys -> P.Get (List.map (scope_key ~prefix) keys)
-    | P.Gets keys -> P.Gets (List.map (scope_key ~prefix) keys)
-    | P.Getx { g_key; g_quiet; g_withkey } ->
-      P.Getx { g_key = scope_key ~prefix g_key; g_quiet; g_withkey }
-    | P.Set p -> P.Set (scope_params ~prefix p)
-    | P.Add p -> P.Add (scope_params ~prefix p)
-    | P.Replace p -> P.Replace (scope_params ~prefix p)
-    | P.Append p -> P.Append (scope_params ~prefix p)
-    | P.Prepend p -> P.Prepend (scope_params ~prefix p)
-    | P.Cas (p, u) -> P.Cas (scope_params ~prefix p, u)
-    | P.Delete (k, n) -> P.Delete (scope_key ~prefix k, n)
-    | P.Incr (k, d, n) -> P.Incr (scope_key ~prefix k, d, n)
-    | P.Decr (k, d, n) -> P.Decr (scope_key ~prefix k, d, n)
-    | P.Touch (k, e, n) -> P.Touch (scope_key ~prefix k, e, n)
     | P.Flush_all ->
       (* a global wipe from inside one namespace is exactly the
          cross-tenant attack; tenants flush through their own API *)
       P.Invalid "flush_all forbidden on tenant connections"
-    | (P.Stats _ | P.Version | P.Quit | P.Noop | P.Invalid _) as c -> c
+    | c -> map_keys (( ^ ) prefix) c
 
 let unscope_response ~prefix (resp : P.response) : P.response =
   if not !Mc_core.Tenant.namespace_enforced then resp
@@ -61,28 +62,28 @@ let unscope_response ~prefix (resp : P.response) : P.response =
       P.Values { with_cas; vals = List.map strip vals }
     | r -> r
 
-(* Live per-connection window/occupancy figures for `stats rings`,
-   installed by a ring-mode server. *)
-let rings_stats_hook : (unit -> (string * string) list) ref =
-  ref (fun () -> [])
+(* The `stats` surfaces a deployment serves from state outside the
+   store: the heap observatory and (for the plib build) the post-mortem
+   report live with the heap's owner, deployment settings (tenant
+   count, ring geometry) with whoever owns them, and live per-ring
+   drain figures with a ring server. Each server and library handle
+   holds its own value, so two handles in one process never answer
+   with each other's heap. *)
+type surfaces = {
+  heap : unit -> (string * string) list;
+  forensics : unit -> (string * string) list;
+  settings : unit -> (string * string) list;  (** appended to the build's *)
+  rings : unit -> (string * string) list;  (** appended to the counters *)
+}
 
-(* Deployment-specific settings (ring defaults, tenant count) appended
-   to `stats settings` by whoever owns them — a ring server, the
-   protected-library layer. *)
-let settings_stats_hook : (unit -> (string * string) list) ref =
-  ref (fun () -> [])
-
-(* Heap-observatory and post-mortem surfaces. The heap and (for the
-   plib build) the flight recorder live with the library owner, so
-   `stats heap` / `stats forensics` are served through hooks it
-   installs; an untenanted baseline server answers with the
-   recorder-local analysis only. *)
-let heap_stats_hook : (unit -> (string * string) list) ref =
-  ref (fun () -> [])
-
-let forensics_stats_hook : (unit -> (string * string) list) ref =
-  ref (fun () ->
-    Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()))
+(* An untenanted baseline server: no heap of its own to map, and the
+   recorder-local analysis as its post-mortem. *)
+let baseline_surfaces =
+  { heap = (fun () -> []);
+    forensics =
+      (fun () -> Telemetry.Forensics.kvs (Telemetry.Forensics.analyze ()));
+    settings = (fun () -> []);
+    rings = (fun () -> []) }
 
 module Make
     (M : Mc_core.Memory_intf.MEMORY)
@@ -143,8 +144,10 @@ struct
      `stats tenants` and joins `stats reset`. [slot] is the tenant a
      connection is bound to: its reads roll up on the slot's stats and
      its storage, delete and counter arms pass through admission. Keys
-     arrive already scoped. *)
-  let execute ?tenants ?slot store (cmd : P.command) : P.response =
+     arrive already scoped. [surfaces] serves the deployment's own
+     `stats` arms. *)
+  let execute ?tenants ?slot ?(surfaces = baseline_surfaces) store
+      (cmd : P.command) : P.response =
     let admit = admit ?tenants ?slot store in
     let replace (p : P.store_params) op =
       admit p.P.key
@@ -213,8 +216,7 @@ struct
     | P.Stats (Some "rings") ->
       (* extension: shared-ring transport counters, plus the live
          per-connection drain state the ring server appends *)
-      P.Stats_reply
-        (Telemetry.Counters.ring_kvs () @ !rings_stats_hook ())
+      P.Stats_reply (Telemetry.Counters.ring_kvs () @ surfaces.rings ())
     | P.Stats (Some "tenants") ->
       P.Stats_reply
         (match tenants with Some reg -> Tenant.stats_kvs reg | None -> [])
@@ -237,15 +239,15 @@ struct
             string_of_int (Telemetry.Span.slow_threshold_ns ()));
            ("telemetry", if Telemetry.Control.on () then "1" else "0") ]
          @ Telemetry.Flight.settings_kvs ()
-         @ !settings_stats_hook ())
+         @ surfaces.settings ())
     | P.Stats (Some "heap") ->
       (* the heap observatory: per-class occupancy, fragmentation,
-         largest free extent (hook-installed by the heap's owner) *)
-      P.Stats_reply (!heap_stats_hook ())
+         largest free extent, as the heap's owner maps it *)
+      P.Stats_reply (surfaces.heap ())
     | P.Stats (Some "forensics") ->
       (* the post-mortem story: death classification, victim op and
          stripes, recovery cross-checks *)
-      P.Stats_reply (!forensics_stats_hook ())
+      P.Stats_reply (surfaces.forensics ())
     | P.Stats (Some "reset") ->
       Store.stats_reset store;
       Telemetry.Counters.reset ();
@@ -267,9 +269,10 @@ struct
 
   (* Per-protocol-op latency, in virtual time, recorded host-side only
      (no [advance]): with telemetry off this is one ref read. *)
-  let execute ?tenants ?slot store (cmd : P.command) : P.response =
+  let execute ?tenants ?slot ?surfaces store (cmd : P.command) : P.response =
     Telemetry.Span.around ~phase:"exec" @@ fun () ->
-    if not (Telemetry.Control.on ()) then execute ?tenants ?slot store cmd
+    if not (Telemetry.Control.on ()) then
+      execute ?tenants ?slot ?surfaces store cmd
     else begin
       (* Tenant and conn ride on Tenant_scope / ring-drain records;
          the dispatch crumb names the op (interned against the
@@ -279,7 +282,7 @@ struct
       Telemetry.Flight.record Telemetry.Flight.Op_dispatch
         ~a:(Telemetry.Forensics.op_code (P.command_name cmd)) ~b:(-1) ~c:(-1);
       let t0 = S.now_ns () in
-      let resp = execute ?tenants ?slot store cmd in
+      let resp = execute ?tenants ?slot ?surfaces store cmd in
       Telemetry.Timers.record ~op:(P.command_name cmd) (S.now_ns () - t0);
       resp
     end
@@ -307,10 +310,18 @@ struct
      stripes once, sorted ascending (creation-rank order — the lockdep
      discipline for same-class mutexes), and ops execute in arrival
      order under the group, so two ops on one key keep their relative
-     order. Responses align 1:1 with [cmds]. *)
-  let run_batch ?tenants ?slot store (cmds : P.command list) :
-      (P.command * P.response) list =
-    let execute = execute ?tenants ?slot in
+     order. Responses align 1:1 with [cmds]. [on_op i r] fires as soon
+     as op [i] has fully completed — an application-level ack: if the
+     calling thread dies mid-batch, every acked op has committed. *)
+  let run_batch ?on_op ?tenants ?slot ?surfaces store (cmds : P.command list)
+      : (P.command * P.response) list =
+    let acked = ref 0 in
+    let run c =
+      let r = execute ?tenants ?slot ?surfaces store c in
+      Option.iter (fun f -> f !acked r) on_op;
+      incr acked;
+      (c, r)
+    in
     let rec split_run acc = function
       | c :: rest when groupable c -> split_run (c :: acc) rest
       | rest -> (List.rev acc, rest)
@@ -318,7 +329,7 @@ struct
     let rec go acc = function
       | [] -> List.rev acc
       | c :: _ as cmds when groupable c ->
-        let run, rest = split_run [] cmds in
+        let group, rest = split_run [] cmds in
         (* With the seqlock read path on, gets need no stripes — they
            validate against the version words and fall back per-op on
            conflict. Only the mutating groupables (delete/touch) still
@@ -333,17 +344,17 @@ struct
                  match c with
                  | (P.Get _ | P.Gets _ | P.Getx _) when optimistic -> []
                  | c -> List.map (Store.stripe_of store) (cmd_keys c))
-               run)
+               group)
         in
         let resps =
           (* [group] covers the stripe-amortized run: stripe_wait/
              stripe_hold and the per-op [exec] children nest under it. *)
           Telemetry.Span.around ~phase:"group" (fun () ->
             Store.with_stripes store ~stripes (fun () ->
-              List.map (fun c -> (c, execute store c)) run))
+              List.map run group))
         in
         go (List.rev_append resps acc) rest
-      | c :: rest -> go ((c, execute store c) :: acc) rest
+      | c :: rest -> go (run c :: acc) rest
     in
     go [] cmds
 
@@ -352,7 +363,7 @@ struct
      reply stripped of it again, so the client sees its own flat key
      space and the store only ever sees scoped keys; the pairs carry
      the commands as sent. *)
-  let execute_batch ?tenants ?slot store (cmds : P.command list) :
+  let execute_batch ?tenants ?slot ?surfaces store (cmds : P.command list) :
       (P.command * P.response) list =
     match (tenants, slot) with
     | Some reg, Some slot ->
@@ -360,7 +371,7 @@ struct
       List.map2
         (fun cmd (_, resp) -> (cmd, unscope_response ~prefix resp))
         cmds
-        (run_batch ~tenants:reg ~slot store
+        (run_batch ~tenants:reg ~slot ?surfaces store
            (List.map (scope_command ~prefix) cmds))
-    | _ -> run_batch ?tenants store cmds
+    | _ -> run_batch ?tenants ?surfaces store cmds
 end

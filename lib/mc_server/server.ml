@@ -102,6 +102,9 @@ struct
     (** connection-bound tenant identity (cid → registry slot),
         resolved once at accept time; also guarded by [conns_lock] *)
     assign_tenant : int -> string option;
+    surfaces : Executor.surfaces;
+    (** the deployment's own `stats` surfaces, plus this server's ring
+        rows when it runs the ring transport *)
     wrap : wrapper;
     (** runs each batch execution; the hybrid server passes the Hodor
         batch trampoline here so worker threads gain access rights to
@@ -195,7 +198,7 @@ struct
      storage against its quotas and rolls up its stats — the registry
      lives in the protected heap. *)
   let execute t slot cmds =
-    E.execute_batch ?tenants:t.tenants ?slot t.store cmds
+    E.execute_batch ?tenants:t.tenants ?slot ~surfaces:t.surfaces t.store cmds
 
   (* One output buffer for the whole batch, one send. *)
   let send_replies t conn pairs =
@@ -524,46 +527,53 @@ struct
     in
     loop ()
 
+  (* A ring server serves its geometry in `stats settings` and each
+     connection's live occupancy and drain figures in `stats rings`,
+     on top of what the deployment already answers there. *)
+  let ring_surfaces (surfaces : Executor.surfaces) rc ~lock ~states =
+    { surfaces with
+      settings =
+        (fun () ->
+          surfaces.settings ()
+          @ [ ("ring_slots", string_of_int rc.rc_cfg.r_slots);
+              ("ring_slot_bytes", string_of_int rc.rc_cfg.r_slot_bytes) ]);
+      rings =
+        (fun () ->
+          Mutex.lock lock;
+          let sts = Hashtbl.fold (fun cid st acc -> (cid, st) :: acc) states [] in
+          Mutex.unlock lock;
+          surfaces.rings ()
+          @ List.concat_map
+              (fun (cid, st) ->
+                let tag k = Printf.sprintf "rings:conn%d:%s" cid k in
+                [ (tag "occupancy", string_of_int st.w_occ);
+                  (tag "drains", string_of_int st.w_drains);
+                  (tag "ops", string_of_int st.w_ops) ])
+              (List.sort compare sts)) }
+
   (* [prebuilt] lets benchmark sweeps reuse one loaded store across
      many server incarnations (the dataset outlives the threads), and
      is how the hybrid deployment hands the shared store in — with its
-     tenant registry, when [assign_tenant] binds connections to one. *)
+     tenant registry, when [assign_tenant] binds connections to one,
+     and with the [surfaces] its heap owner serves. *)
   let start_with ?(cfg = default_config) ?(wrap = default_wrapper) ?tenants
-      ?(assign_tenant = fun _ -> None) ?ring_ctx ~store ~name () =
+      ?(assign_tenant = fun _ -> None) ?(surfaces = Executor.baseline_surfaces)
+      ?ring_ctx ~store ~name () =
     let listener = T.listen ~name in
     let inboxes = Array.init cfg.workers (fun _ -> S.chan ()) in
-    let t =
-      { cfg; store; listener; inboxes; conns = Hashtbl.create 64;
-        conns_lock = Mutex.create (); tenants; slot_of = Hashtbl.create 8;
-        assign_tenant; wrap; ring_ctx;
-        ring_conns = Array.init cfg.workers (fun _ -> Hashtbl.create 8);
-        ring_states = Hashtbl.create 16; threads = [] }
+    let conns_lock = Mutex.create () and ring_states = Hashtbl.create 16 in
+    let surfaces =
+      match ring_ctx with
+      | None -> surfaces
+      | Some rc -> ring_surfaces surfaces rc ~lock:conns_lock ~states:ring_states
     in
-    (match ring_ctx with
-     | None -> ()
-     | Some rc ->
-       (* ring geometry appended to `stats settings` *)
-       let prev_settings = !Executor.settings_stats_hook in
-       Executor.settings_stats_hook :=
-         (fun () ->
-           prev_settings ()
-           @ [ ("ring_slots", string_of_int rc.rc_cfg.r_slots);
-               ("ring_slot_bytes", string_of_int rc.rc_cfg.r_slot_bytes) ]);
-       (* live occupancy and drain figures appended to `stats rings` *)
-       Executor.rings_stats_hook :=
-         (fun () ->
-           Mutex.lock t.conns_lock;
-           let sts =
-             Hashtbl.fold (fun cid st acc -> (cid, st) :: acc) t.ring_states []
-           in
-           Mutex.unlock t.conns_lock;
-           List.concat_map
-             (fun (cid, st) ->
-               let tag k = Printf.sprintf "rings:conn%d:%s" cid k in
-               [ (tag "occupancy", string_of_int st.w_occ);
-                 (tag "drains", string_of_int st.w_drains);
-                 (tag "ops", string_of_int st.w_ops) ])
-             (List.sort compare sts)));
+    let t =
+      { cfg; store; listener; inboxes; conns = Hashtbl.create 64; conns_lock;
+        tenants; slot_of = Hashtbl.create 8; assign_tenant; surfaces; wrap;
+        ring_ctx;
+        ring_conns = Array.init cfg.workers (fun _ -> Hashtbl.create 8);
+        ring_states; threads = [] }
+    in
     let acceptor = S.spawn ~name:(name ^ ".acceptor") (fun () -> acceptor_loop t) in
     let workers =
       List.init cfg.workers (fun i ->
@@ -599,9 +609,7 @@ struct
             tbl;
           Hashtbl.reset tbl)
         t.ring_conns;
-      Hashtbl.reset t.ring_states;
-      Executor.rings_stats_hook := (fun () -> []);
-      Executor.settings_stats_hook := (fun () -> [])
+      Hashtbl.reset t.ring_states
 
   let store t = t.store
 end

@@ -81,12 +81,31 @@ let fresh_store () =
   in
   E.Store.create ~mem:arena ~alloc:slab cfg
 
+(* Both tenants in a scratch registry, as a tenanted deployment's heap
+   holds them. No quotas: admission runs but never refuses. *)
+let fresh_registry () =
+  let region =
+    Shm.Region.create ~name:"fuzz-tenants" ~size:Shm.Region.page_size ~pkey:0
+      ()
+  in
+  let reg = Mc_core.Tenant.format region ~base:0 ~max:2 in
+  List.iter
+    (fun name ->
+      ignore
+        (Mc_core.Tenant.register reg ~name ~uid:0 ~byte_quota:0 ~item_quota:0))
+    [ tenant_a; tenant_b ];
+  reg
+
 (* The per-connection drain loop, shaped like Server's: reassembly
    buffer, parse a batch, execute it in one go, encode replies
    honoring suppression, repeat until the buffer yields nothing
    more. A Parse_error answers CLIENT_ERROR and drops the rest of the
-   buffer, exactly as the server does before killing the connection. *)
-let drain ?tenant store proto (input : string) : (string, failure) result =
+   buffer, exactly as the server does before killing the connection.
+   [tenants]/[slot] bind the connection to a tenant: the executor then
+   scopes, admits and unscopes exactly as it does for a server's bound
+   connection. *)
+let drain ?tenants ?slot store proto (input : string) :
+    (string, failure) result =
   let parse_batch =
     match proto with Ascii -> A.parse_batch | Binary -> B.parse_batch
   in
@@ -132,28 +151,7 @@ let drain ?tenant store proto (input : string) : (string, failure) result =
            end
            else begin
              buf := String.sub !buf consumed (String.length !buf - consumed);
-             (* tenant mode: the server's host-side rewrite, applied
-                exactly as Server.worker_loop would for a bound conn *)
-             let cmds =
-               match tenant with
-               | None -> cmds
-               | Some name ->
-                 List.map
-                   (Mc_server.Executor.scope_command ~prefix:(name ^ "/"))
-                   cmds
-             in
-             let pairs = E.execute_batch store cmds in
-             let pairs =
-               match tenant with
-               | None -> pairs
-               | Some name ->
-                 List.map
-                   (fun (c, r) ->
-                     ( c,
-                       Mc_server.Executor.unscope_response
-                         ~prefix:(name ^ "/") r ))
-                   pairs
-             in
+             let pairs = E.execute_batch ?tenants ?slot store cmds in
              List.iter
                (fun (cmd, resp) ->
                  if not (P.suppress_reply cmd resp) then
@@ -198,7 +196,14 @@ let run_input ?tenant proto (input : string) : failure list =
    | P.Stored -> ()
    | _ -> failwith "fuzz harness: secret not stored");
   let failures = ref [] in
-  (match drain ?tenant store proto input with
+  let tenants, slot =
+    match tenant with
+    | None -> (None, None)
+    | Some name ->
+      let reg = fresh_registry () in
+      (Some reg, Mc_core.Tenant.find reg name)
+  in
+  (match drain ?tenants ?slot store proto input with
    | Error f -> failures := [ f ]
    | Ok replies ->
      if contains ~needle:vic_value replies then

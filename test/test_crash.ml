@@ -534,8 +534,9 @@ let run_c ?tally ~at () =
                      (fun j k ->
                        let v = batch_val ((b * 8) + j) in
                        Hashtbl.replace issued k v;
-                       Plib.B_set
-                         { b_key = k; b_data = v; b_flags = 0; b_exptime = 0 })
+                       Mc_protocol.Types.Set
+                         { key = k; data = v; flags = 0; exptime = 0;
+                           noreply = false })
                      keys
                  in
                  ignore

@@ -374,6 +374,146 @@ let test_position_independence_across_mappings () =
       | Some r -> Alcotest.(check string) "data" "still-here" r.Store.value
       | None -> Alcotest.fail "anchor lost")
 
+(* ---- the batch plane against the scalar ops -------------------------- *)
+
+module P = Mc_protocol.Types
+
+(* One seeded stream over 16 keys: every command kind the batch plane
+   shares with the scalar wrappers, numeric values so incr hits, and
+   an absolute touch expiry so the final contents do not depend on
+   the wall clock. *)
+let batch_stream ~seed =
+  let rng = Random.State.make [| seed |] in
+  List.init 400 (fun i ->
+    let key = Printf.sprintf "bk%d" (Random.State.int rng 16) in
+    let data =
+      if Random.State.bool rng then string_of_int (Random.State.int rng 1000)
+      else String.make (1 + Random.State.int rng 200) (Char.chr (97 + (i mod 26)))
+    in
+    let params =
+      { P.key; flags = Random.State.int rng 8; exptime = 0; data;
+        noreply = false }
+    in
+    match Random.State.int rng 7 with
+    | 0 -> P.Get [ key ]
+    | 1 -> P.Set params
+    | 2 -> P.Add params
+    | 3 -> P.Delete (key, false)
+    | 4 -> P.Touch (key, 2_000_000_000, false)
+    | 5 -> P.Incr (key, Int64.of_int (Random.State.int rng 100), false)
+    | _ -> P.Append params)
+
+let hit ~flags ~cas value = Printf.sprintf "hit %d %Ld %s" flags cas value
+
+let stored = function
+  | Store.Stored -> "stored"
+  | Store.Not_stored -> "not stored"
+  | Store.Exists -> "exists"
+  | Store.Not_found -> "not found"
+  | Store.No_memory -> "no memory"
+
+let found b ~yes = if b then yes else "not found"
+
+(* The stream's outcomes through the scalar wrappers, one crossing per
+   op. *)
+let scalar_outcome p = function
+  | P.Get [ k ] -> (
+    match Plib.get p k with
+    | Some r -> hit ~flags:r.Store.flags ~cas:r.Store.cas r.Store.value
+    | None -> "miss")
+  | P.Set q -> stored (Plib.set p ~flags:q.P.flags q.P.key q.P.data)
+  | P.Add q -> stored (Plib.add p ~flags:q.P.flags q.P.key q.P.data)
+  | P.Append q -> stored (Plib.append p q.P.key q.P.data)
+  | P.Delete (k, _) -> found (Plib.delete p k) ~yes:"deleted"
+  | P.Touch (k, e, _) -> found (Plib.touch p k e) ~yes:"touched"
+  | P.Incr (k, d, _) -> (
+    match Plib.incr p k d with
+    | Store.Counter v -> Printf.sprintf "number %Lu" v
+    | Store.Counter_not_found -> "not found"
+    | Store.Non_numeric -> "non-numeric")
+  | _ -> Alcotest.fail "command outside the stream"
+
+let batch_outcome = function
+  | P.Values { vals = [ v ]; _ } -> hit ~flags:v.P.v_flags ~cas:v.P.v_cas v.P.v_data
+  | P.Values { vals = []; _ } -> "miss"
+  | P.Stored -> "stored"
+  | P.Not_stored -> "not stored"
+  | P.Exists -> "exists"
+  | P.Not_found -> "not found"
+  | P.Server_error _ -> "no memory"
+  | P.Deleted -> "deleted"
+  | P.Touched -> "touched"
+  | P.Number v -> Printf.sprintf "number %Lu" v
+  | P.Client_error _ -> "non-numeric"
+  | r -> Alcotest.failf "unexpected reply %S" (Mc_protocol.Ascii.encode_response r)
+
+let contents p =
+  List.sort compare
+    (Plib.fold_keys p
+       (fun acc key ~nbytes ~exptime -> (key, nbytes, exptime) :: acc)
+       [])
+
+let rec chunks n = function
+  | [] -> []
+  | l ->
+    let rec take i acc = function
+      | x :: tl when i < n -> take (i + 1) (x :: acc) tl
+      | rest -> (List.rev acc, rest)
+    in
+    let c, rest = take 0 [] l in
+    c :: chunks n rest
+
+(* The batch plane is the scalar plane, amortized: the same stream cut
+   into batches of 1, 8 and 64 gives the same per-op outcome and leaves
+   the same store, and [on_op] acks every op exactly once, in order,
+   with the reply the batch returns for it. *)
+let test_batch_matches_scalar () =
+  let stream = batch_stream ~seed:11 in
+  let want, want_contents =
+    with_plib (fun p ~owner:_ ->
+      let o = List.map (scalar_outcome p) stream in
+      (o, contents p))
+  in
+  Alcotest.(check bool) "the stream hits, misses and counts" true
+    (List.exists (String.starts_with ~prefix:"hit") want
+     && List.mem "miss" want
+     && List.exists (String.starts_with ~prefix:"number") want
+     && List.mem "touched" want);
+  List.iter
+    (fun b ->
+      let got, got_contents =
+        with_plib (fun p ~owner:_ ->
+          let o =
+            List.concat_map
+              (fun cmds ->
+                let acks = ref [] in
+                let resps =
+                  Plib.batch p cmds ~on_op:(fun i r -> acks := (i, r) :: !acks)
+                in
+                Alcotest.(check (list int))
+                  (Printf.sprintf "B=%d: on_op acks each op once, in order" b)
+                  (List.init (List.length cmds) Fun.id)
+                  (List.rev_map fst !acks);
+                Alcotest.(check bool)
+                  (Printf.sprintf "B=%d: on_op sees the returned replies" b)
+                  true
+                  (List.rev_map snd !acks = resps);
+                List.map batch_outcome resps)
+              (chunks b stream)
+          in
+          (o, contents p))
+      in
+      List.iteri
+        (fun i (w, g) ->
+          if w <> g then
+            Alcotest.failf "B=%d: op %d is %S through the scalar ops but %S batched"
+              b i w g)
+        (List.combine want got);
+      Alcotest.(check (list (triple string int int)))
+        (Printf.sprintf "B=%d: final contents" b)
+        want_contents got_contents)
+    [ 1; 8; 64 ]
+
 let () =
   Alcotest.run "plib"
     [ ( "operation",
@@ -407,4 +547,6 @@ let () =
       ( "extensions",
         [ Alcotest.test_case "hybrid socket+local" `Quick
             test_hybrid_socket_and_local_share;
-          Alcotest.test_case "resize through plib" `Quick test_plib_resize ] ) ]
+          Alcotest.test_case "resize through plib" `Quick test_plib_resize;
+          Alcotest.test_case "batch matches scalar ops" `Quick
+            test_batch_matches_scalar ] ) ]

@@ -265,11 +265,11 @@ let run_vm_workload ~seed ~threads () =
                    | _ ->
                      ignore
                        (Plib.batch p
-                          [ Plib.B_get k;
-                            Plib.B_set
-                              { b_key = k; b_data = "y"; b_flags = 0;
-                                b_exptime = 0 };
-                            Plib.B_delete "k-9" ])
+                          [ Mc_protocol.Types.Get [ k ];
+                            Mc_protocol.Types.Set
+                              { key = k; data = "y"; flags = 0; exptime = 0;
+                                noreply = false };
+                            Mc_protocol.Types.Delete ("k-9", false) ])
                  done)))
       done;
       Vm.run vm;

@@ -488,6 +488,136 @@ let test_server_two_handles () =
   Alcotest.(check bool) "and not the second handle's" false
     (has_sub ~needle:"tenant:h2:" stats)
 
+(* Each server answers `stats` from the handle that started it, with
+   only its own ring rows: a ring server that came and went leaves the
+   next server's settings whole, and a second handle in the process
+   does not take over the first one's heap or tenant rows. *)
+let test_server_surfaces_stay_with_their_handle () =
+  with_plib @@ fun p ~owner ->
+  ignore (Plib.create_tenant p ~name:"sa" ~uid:4981 ());
+  let stat c sub k = List.assoc_opt k (Cl.Sock.stats ~arg:sub c) in
+  let connect name = Cl.Sock.connect ~name ~protocol:Cl.Sock.Ascii () in
+  let ring_name = "tenant-surfaces-ring-srv" in
+  let rsrv =
+    serve ~rings:Mc_server.Server.default_ring_config
+      ~protocol:Mc_server.Server.Ascii ~assign:(fun _ -> None) p ring_name
+  in
+  Alcotest.(check (option string)) "the ring server serves its geometry"
+    (Some "64") (stat (connect ring_name) "settings" "ring_slots");
+  Plib.stop_remote rsrv;
+  let name = "tenant-surfaces-srv" in
+  let srv =
+    serve ~protocol:Mc_server.Server.Ascii ~assign:(fun _ -> None) p name
+  in
+  Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+  let c = connect name in
+  Alcotest.(check (option string)) "tenants_active after the ring server"
+    (Some "1") (stat c "settings" "tenants_active");
+  Alcotest.(check (option string)) "tenants_max after the ring server"
+    (Some "64") (stat c "settings" "tenants_max");
+  Alcotest.(check (option string)) "no ring rows on a socket server" None
+    (stat c "settings" "ring_slots");
+  incr fresh_id;
+  let path2 = Printf.sprintf "/shm/tenant-test-%d" !fresh_id in
+  let p2 =
+    Plib.create ~store_cfg:small_cfg ~path:path2 ~size:(8 lsl 20) ~owner ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Simos.Sim_fs.unlink path2;
+      Hodor.Library.release (Plib.library p2))
+  @@ fun () ->
+  let served = stat c "heap" "heap_bytes_used" in
+  let own =
+    Region.kernel_mode (fun () ->
+      List.assoc_opt "heap_bytes_used" (Ralloc.heap_kvs (Plib.heap p)))
+  in
+  let other =
+    Region.kernel_mode (fun () ->
+      List.assoc_opt "heap_bytes_used" (Ralloc.heap_kvs (Plib.heap p2)))
+  in
+  Alcotest.(check bool) "the two heaps differ" true (own <> other);
+  Alcotest.(check (option string)) "heap_bytes_used is the first handle's" own
+    served;
+  Alcotest.(check (option string)) "tenants_active is the first handle's"
+    (Some "1") (stat c "settings" "tenants_active")
+
+(* Key names with every digit run read as <n>: the shape of a surface,
+   whatever its counts, sizes and connection ids. *)
+let key_schema kvs =
+  let shape k =
+    let b = Buffer.create (String.length k) in
+    String.iteri
+      (fun i ch ->
+        match ch with
+        | '0' .. '9' ->
+          if i = 0 || not (match k.[i - 1] with '0' .. '9' -> true | _ -> false)
+          then Buffer.add_string b "<n>"
+        | ch -> Buffer.add_char b ch)
+      k;
+    Buffer.contents b
+  in
+  List.sort_uniq compare (List.map (fun (k, _) -> shape k) kvs)
+
+(* Every deployment `stats` surface, read through a Plib-backed ring
+   server with one bound tenant, has the same key set over both codecs. *)
+let test_server_stats_surface_schema () =
+  let want =
+    [ ( "heap",
+        [ "<n>:chunk_size"; "<n>:free_chunks"; "<n>:superblocks";
+          "arena:blocks_live"; "arena:bumped_bytes"; "arena:free_blocks";
+          "arena:objects"; "arena:regions"; "heap_bytes_capacity";
+          "heap_bytes_live"; "heap_bytes_used"; "heap_class_<n>_capacity";
+          "heap_class_<n>_live"; "heap_class_<n>_superblocks";
+          "heap_class_<n>_util"; "heap_ext_frag"; "heap_large_bytes";
+          "heap_large_runs"; "heap_largest_free_run_sbs"; "heap_sb_free";
+          "heap_sb_fresh"; "heap_sb_large"; "heap_sb_small"; "heap_sb_total";
+          "limit_maxbytes"; "total_malloced" ] );
+      ( "forensics",
+        [ "forensics_class"; "forensics_depth"; "forensics_lanes_with_records";
+          "forensics_noted"; "forensics_op"; "forensics_ring_conn";
+          "forensics_stripes_held"; "forensics_tenant"; "forensics_torn_lanes";
+          "forensics_verdict"; "forensics_victim_lane"; "forensics_well_formed"
+        ] );
+      ( "settings",
+        [ "evict_batch"; "flight_depth"; "flight_lanes"; "flight_publish_last";
+          "flight_trace_slots"; "hashpower"; "lock_count"; "lru_count";
+          "optimistic_reads"; "ring_slot_bytes"; "ring_slots";
+          "slow_threshold_ns"; "telemetry"; "tenants_active"; "tenants_max";
+          "trace_level"; "trace_sample_every" ] );
+      ( "rings",
+        [ "ring_completions"; "ring_doorbells"; "ring_drain_ops"; "ring_drains";
+          "ring_full_waits"; "ring_kills"; "ring_submits";
+          "rings:conn<n>:drains"; "rings:conn<n>:occupancy";
+          "rings:conn<n>:ops" ] );
+      ( "tenants",
+        [ "tenant:sx:bytes"; "tenant:sx:bytes_quota"; "tenant:sx:cmd_get";
+          "tenant:sx:cmd_set"; "tenant:sx:evictions"; "tenant:sx:get_hits";
+          "tenant:sx:items"; "tenant:sx:items_quota" ] ) ]
+  in
+  List.iter
+    (fun (label, protocol, cproto) ->
+      with_plib @@ fun p ~owner:_ ->
+      ignore (Plib.create_tenant p ~name:"sx" ~uid:4991 ~byte_quota:4096 ());
+      let name = "tenant-schema-srv" in
+      let srv =
+        serve ~rings:Mc_server.Server.default_ring_config ~protocol
+          ~assign:(fun _ -> Some "sx") p name
+      in
+      Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+      let c = Cl.Sock.connect ~name ~protocol:cproto () in
+      ignore (Cl.Sock.set c "k" "v");
+      ignore (Cl.Sock.get c "k");
+      List.iter
+        (fun (sub, keys) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: stats %s keys" label sub)
+            keys
+            (key_schema (Cl.Sock.stats ~arg:sub c)))
+        want)
+    [ ("ascii", Mc_server.Server.Ascii, Cl.Sock.Ascii);
+      ("binary", Mc_server.Server.Binary, Cl.Sock.Binary) ]
+
 (* A connection assigned a name the registry does not hold is refused
    at accept, with a warning, rather than served an unmetered
    namespace that `stats tenants` never lists. *)
@@ -865,6 +995,10 @@ let () =
           Alcotest.test_case "online quota, ring transport" `Quick
             test_server_quota_rings;
           Alcotest.test_case "two live handles" `Quick test_server_two_handles;
+          Alcotest.test_case "stats surfaces stay with their handle" `Quick
+            test_server_surfaces_stay_with_their_handle;
+          Alcotest.test_case "stats surface schema" `Quick
+            test_server_stats_surface_schema;
           Alcotest.test_case "unknown tenant refused" `Quick
             test_server_unknown_tenant_refused;
           Alcotest.test_case "differential front ends" `Quick

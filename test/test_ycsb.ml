@@ -407,21 +407,23 @@ let run_seeded_ycsb_plib ~sched_seed ~workload_seed ~batch =
   let db : Ycsb.Runner.batch_db =
     { b_run =
         (fun ops ->
-          let bops =
+          let module P = Mc_protocol.Types in
+          let cmds =
             List.map
               (function
-                | W.Read k -> Plib.B_get k
+                | W.Read k -> P.Get [ k ]
                 | W.Update (k, v) ->
-                  Plib.B_set
-                    { b_key = k; b_data = v; b_flags = 0; b_exptime = 0 })
+                  P.Set
+                    { P.key = k; flags = 0; exptime = 0; data = v;
+                      noreply = false })
               ops
           in
           List.map
             (function
-              | Plib.R_get r -> r <> None
-              | Plib.R_store r -> r = Mc_core.Store.Stored
-              | Plib.R_found b -> b)
-            (Plib.batch plib bops)) }
+              | P.Values { vals; _ } -> vals <> []
+              | P.Stored -> true
+              | _ -> false)
+            (Plib.batch plib cmds)) }
   in
   let vm = Vm.create ~sched_seed () in
   let res = ref None in
