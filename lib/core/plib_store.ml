@@ -209,6 +209,21 @@ module Make (S : Platform.Sync_intf.S) = struct
              Tenant.bump tenants slot Tenant.Evictions
            | None -> ()))
 
+  (* Each tenant slot's (bytes, items) as the store holds them: what
+     recovery resets usage to. Stop-the-world like [Store.fold_keys];
+     the caller needs the heap's pages. *)
+  let tenant_recount t =
+    let usage = Array.make (Tenant.max_tenants t.tenants) (0, 0) in
+    Store.fold_keys t.store
+      (fun () key ~nbytes ~exptime:_ ->
+        match Tenant.owner_slot_of_key t.tenants key with
+        | Some slot ->
+          let b, i = usage.(slot) in
+          usage.(slot) <- (b + String.length key + nbytes, i + 1)
+        | None -> ())
+      ();
+    usage
+
   let build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner =
     let t =
       { lib; region; heap; arena; store; tenants;
@@ -244,37 +259,19 @@ module Make (S : Platform.Sync_intf.S) = struct
           List.partition (Mc_core.Bump_arena.owns t.arena) live
         in
         let live = Mc_core.Bump_arena.recovery_roots t.arena @ live in
+        (* Each block under its own persistent root stays whole: the
+           Figure-3 cell and the arena anchor; the telemetry block and
+           the tenant registry, sifted rather than reset (monotone
+           counters; durable membership, quotas and vkey ids); and the
+           flight recorder, whose last breadcrumbs are the evidence the
+           forensic pass below reads. *)
         let live =
-          match Ralloc.get_root t.heap root_primary with
-          | 0 -> live
-          | cell -> cell :: live
-        in
-        (* The telemetry block is sifted, not reset: the counters it
-           holds are monotone event counts and survive recovery. *)
-        let live =
-          match Ralloc.get_root t.heap root_telemetry with
-          | 0 -> live
-          | block -> block :: live
-        in
-        let live =
-          match Ralloc.get_root t.heap root_arena with
-          | 0 -> live
-          | cell -> cell :: live
-        in
-        (* The tenant registry is sifted like the telemetry block:
-           membership, quotas and vkey ids are durable. *)
-        let live =
-          match Ralloc.get_root t.heap root_tenants with
-          | 0 -> live
-          | block -> block :: live
-        in
-        (* The flight recorder is the one block that must survive with
-           its contents intact: it holds the dying thread's last
-           breadcrumbs — the evidence the forensic pass below reads. *)
-        let live =
-          match Ralloc.get_root t.heap root_flight with
-          | 0 -> live
-          | block -> block :: live
+          List.fold_left
+            (fun live root ->
+              match Ralloc.get_root t.heap root with 0 -> live | b -> b :: live)
+            live
+            [ root_primary; root_telemetry; root_arena; root_tenants;
+              root_flight ]
         in
         (* Ring pairs of live connections stay carved; each ring then
            runs its own recovery protocol — acked completions survive,
@@ -311,18 +308,10 @@ module Make (S : Platform.Sync_intf.S) = struct
           let vk = Tenant.vkey_of reg slot in
           if vk > 0 then
             Pku.Vpkey.restore ~id:vk ~owner:(Tenant.uid_of reg slot));
-        let bytes = Array.make (Tenant.max_tenants reg) 0 in
-        let items = Array.make (Tenant.max_tenants reg) 0 in
-        Store.fold_keys t.store
-          (fun () key ~nbytes ~exptime:_ ->
-            match Tenant.owner_slot_of_key reg key with
-            | Some slot ->
-              bytes.(slot) <- bytes.(slot) + String.length key + nbytes;
-              items.(slot) <- items.(slot) + 1
-            | None -> ())
-          ();
+        let usage = tenant_recount t in
         Tenant.iter_active reg (fun slot ->
-          Tenant.set_usage reg slot ~bytes:bytes.(slot) ~items:items.(slot));
+          let bytes, items = usage.(slot) in
+          Tenant.set_usage reg slot ~bytes ~items);
         (* ---- Post-crash forensics --------------------------------------
            Recovery has just repaired the store; now cross-check the
            repaired state against what the flight recorder says the
@@ -763,26 +752,20 @@ module Make (S : Platform.Sync_intf.S) = struct
       Some r
     | None -> None
 
-  (* The tenant's quota rule ({!Tenant.admit}) over this store — the
+  (* Writes run under the tenant's quota rule ({!Tenant.admit}) — the
      same admission the server's executor runs for a tenant-bound
      connection. *)
-  let t_admit t slot k footprint ~applied op =
-    Tenant.admit t.tenants slot
-      ~probe:(fun () -> Store.probe t.store k)
-      ~evict:(Store.evict_some_matching t.store) footprint op ~applied
-
   let t_set_in t slot ?(flags = 0) ?(exptime = 0) key data =
     let k = t_key t slot key in
-    t_admit t slot k
-      (Tenant.Replace (String.length k + String.length data))
-      ~applied:(( = ) Mc_core.Store.Stored)
-      (fun () -> Store.set t.store ~flags ~exptime k data)
+    Tenant.bump t.tenants slot Tenant.Cmd_set;
+    Tenant.admit t.tenants slot ~evict:(Store.evict_some_matching t.store)
+      (fun quota -> Store.set t.store ~quota ~flags ~exptime k data)
     |> Option.value ~default:Mc_core.Store.No_memory
 
   (* [k] is already scoped: the flush below deletes store keys. *)
   let t_delete_in t slot k =
-    t_admit t slot k Tenant.Release ~applied:Fun.id (fun () ->
-      Store.delete t.store k)
+    Tenant.admit t.tenants slot ~evict:(Store.evict_some_matching t.store)
+      (fun quota -> Store.delete t.store ~quota k)
     |> Option.value ~default:false
 
   (* Tenant-scoped flush: only the tenant's own namespace is swept —

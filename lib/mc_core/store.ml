@@ -94,6 +94,13 @@ type get_result = { value : string; flags : int; cas : int64 }
 
 type counter_result = Counter of int64 | Counter_not_found | Non_numeric
 
+type quota = {
+  fits : bytes:int -> items:int -> bool;
+  charge : bytes:int -> items:int -> unit;
+}
+
+exception Over_quota
+
 (* Statistics counter indices within a slot. *)
 module C = struct
   let get_hits = 0
@@ -135,7 +142,7 @@ let telemetry_id =
    and stripe reentrancy is a property of the physical handle, not of
    whichever module happens to touch it. A per-instantiation Tls key
    would make [holds_stripe] blind to stripes pinned through the other
-   instance — a self-deadlock when, say, the quota gate probes a key
+   instance — a self-deadlock when, say, a tenant delete takes a key
    whose stripe the batch executor already groups. Entries are keyed by
    the handle's physical identity. *)
 let held_stripes : (Obj.t * int) list ref Tls.key =
@@ -573,6 +580,9 @@ struct
 
   let item_nbytes t it = rd32 t (it + it_nbytes)
 
+  (* What an item weighs against its owner's quota: key + value bytes. *)
+  let item_size t it = item_nkey t it + item_nbytes t it
+
   let item_data_off t it = it + header_size + item_nkey t it
 
   let item_key t it =
@@ -690,6 +700,34 @@ struct
     stat_add t C.curr_items (-1);
     if rd32 t (it + it_refcount) = 0 then free_item t it
 
+  (* Unlink an item the store reclaims on its own (eviction, expiry),
+     telling the evict hook. Caller holds the item lock. *)
+  let reclaim t h it =
+    let key = item_key t it and bytes = item_size t it in
+    unlink_item t h it;
+    notify_evict t ~key ~bytes
+
+  (* The live item for [key], or 0, reclaiming an expired one. *)
+  let find_live t h key ~now =
+    let it = find t h key in
+    if it <> 0 && expired t it ~now then begin
+      reclaim t h it;
+      0
+    end
+    else it
+
+  (* A quota'd write under stripe [h]: refuse a delta that does not
+     fit (releasing the stripe), book one it committed. *)
+  let admit quota t h ~bytes ~items =
+    match quota with
+    | Some q when not (q.fits ~bytes ~items) ->
+      unlock_item t h;
+      raise Over_quota
+    | _ -> ()
+
+  let charge quota ~bytes ~items =
+    Option.iter (fun q -> q.charge ~bytes ~items) quota
+
   (* Drop a reader's reference; caller holds the item lock. *)
   let release t it =
     let r = rd32 t (it + it_refcount) - 1 in
@@ -745,10 +783,8 @@ struct
           && rd32 t (it + it_refcount) = 0
           && rd32 t (it + it_lru_id) = l
         then begin
-          let key = item_key t it and nbytes = item_nbytes t it in
-          unlink_item t h it;
+          reclaim t h it;
           stat t C.evictions;
-          notify_evict t ~key ~bytes:(String.length key + nbytes);
           incr reclaimed
         end;
         unlock_item t h)
@@ -917,7 +953,7 @@ struct
       None
     end
     else if expired t it ~now then begin
-      unlink_item t h it;
+      reclaim t h it;
       unlock_item t h;
       stat t C.expired;
       stat t C.get_misses;
@@ -1096,13 +1132,39 @@ struct
 
   (* [abs_exptime], when [Some], overrides [exptime] with an absolute
      expiry already in unix seconds (no [real_exptime] conversion) —
-     used by paths that must carry an existing item's TTL forward. *)
-  let store_with t policy ~abs_exptime ~key ~data ~flags ~exptime =
+     used by paths that must carry an existing item's TTL forward.
+     A [quota] is asked under the stripe before allocating, and charged
+     against the item actually replaced under the commit's hold. *)
+  let store_with ?quota t policy ~abs_exptime ~key ~data ~flags ~exptime =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
-    let total = header_size + String.length key + String.length data in
+    let size = String.length key + String.length data in
+    let total = header_size + size in
+    let decide old =
+      match policy, old with
+      | P_set, _ -> `Store
+      | P_add, 0 -> `Store
+      | P_add, _ -> `Fail Not_stored
+      | P_replace, 0 -> `Fail Not_stored
+      | P_replace, _ -> `Store
+      | P_cas _, 0 -> `Fail Not_found
+      | P_cas c, o ->
+        if Int64.equal (rd64r t (o + it_cas)) c then `Store
+        else `Fail Exists
+    in
+    (* usage added by storing over [old] (0: none) *)
+    let delta old = if old = 0 then (size, 1) else (size - item_size t old, 0) in
+    if Option.is_some quota then begin
+      lock_item t h;
+      let old = find_live t h key ~now in
+      let bytes, items =
+        match decide old with `Store -> delta old | `Fail _ -> (0, 0)
+      in
+      admit quota t h ~bytes ~items;
+      unlock_item t h
+    end;
     let it = alloc_item t total ~h in
     if it = 0 then No_memory
     else begin
@@ -1111,32 +1173,16 @@ struct
        | Some e -> wr32 t (it + it_exptime) e
        | None -> ());
       lock_item t h;
-      let old = find t h key in
-      let old = if old <> 0 && expired t old ~now then begin
-          unlink_item t h old;
-          0
-        end
-        else old
-      in
-      let decide =
-        match policy, old with
-        | P_set, _ -> `Store
-        | P_add, 0 -> `Store
-        | P_add, _ -> `Fail Not_stored
-        | P_replace, 0 -> `Fail Not_stored
-        | P_replace, _ -> `Store
-        | P_cas _, 0 -> `Fail Not_found
-        | P_cas c, o ->
-          if Int64.equal (rd64r t (o + it_cas)) c then `Store
-          else `Fail Exists
-      in
+      let old = find_live t h key ~now in
       let result =
-        match decide with
+        match decide old with
         | `Fail r ->
           unlock_item t h;
           free_item t it;
           r
         | `Store ->
+          let bytes, items = delta old in
+          charge quota ~bytes ~items;
           if old <> 0 then unlink_item t h old;
           hash_insert t h it;
           let l = lru_of t ~h ~key ~size:total in
@@ -1157,21 +1203,23 @@ struct
       result
     end
 
-  let set t ?(flags = 0) ?(exptime = 0) key data =
-    store_with t P_set ~abs_exptime:None ~key ~data ~flags ~exptime
+  let set t ?quota ?(flags = 0) ?(exptime = 0) key data =
+    store_with ?quota t P_set ~abs_exptime:None ~key ~data ~flags ~exptime
 
-  let add t ?(flags = 0) ?(exptime = 0) key data =
-    store_with t P_add ~abs_exptime:None ~key ~data ~flags ~exptime
+  let add t ?quota ?(flags = 0) ?(exptime = 0) key data =
+    store_with ?quota t P_add ~abs_exptime:None ~key ~data ~flags ~exptime
 
-  let replace t ?(flags = 0) ?(exptime = 0) key data =
-    store_with t P_replace ~abs_exptime:None ~key ~data ~flags ~exptime
+  let replace t ?quota ?(flags = 0) ?(exptime = 0) key data =
+    store_with ?quota t P_replace ~abs_exptime:None ~key ~data ~flags ~exptime
 
-  let cas t ?(flags = 0) ?(exptime = 0) ~cas key data =
-    store_with t (P_cas cas) ~abs_exptime:None ~key ~data ~flags ~exptime
+  let cas t ?quota ?(flags = 0) ?(exptime = 0) ~cas key data =
+    store_with ?quota t (P_cas cas) ~abs_exptime:None ~key ~data ~flags
+      ~exptime
 
   (* Append/prepend: size the new item from a racy read, then verify
-     under the lock and retry on interference. *)
-  let concat_op t ~prepend key extra =
+     under the lock and retry on interference. A [quota] admits the
+     added bytes at the read and is charged them at the swap. *)
+  let concat_op ?quota t ~prepend key extra =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
@@ -1186,6 +1234,7 @@ struct
           Not_stored
         end
         else begin
+          admit quota t h ~bytes:(String.length extra) ~items:0;
           let old_n = item_nbytes t old
           and old_cas = rd64r t (old + it_cas) in
           let flags = rd32 t (old + it_flags) in
@@ -1211,6 +1260,7 @@ struct
               attempt (tries - 1)
             end
             else begin
+              charge quota ~bytes:(String.length extra) ~items:0;
               unlink_item t h cur;
               hash_insert t h it;
               let l = lru_of t ~h ~key ~size:total in
@@ -1229,48 +1279,30 @@ struct
     in
     attempt 5
 
-  let append t key extra = concat_op t ~prepend:false key extra
+  let append t ?quota key extra = concat_op ?quota t ~prepend:false key extra
 
-  let prepend t key extra = concat_op t ~prepend:true key extra
+  let prepend t ?quota key extra = concat_op ?quota t ~prepend:true key extra
 
   (* ---- Delete / touch ------------------------------------------------------------- *)
 
-  let delete t key =
+  let delete t ?quota key =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     lock_item t h;
-    let it = find t h key in
-    if it = 0 || expired t it ~now:(now_sec ()) then begin
-      if it <> 0 then unlink_item t h it;
+    let it = find_live t h key ~now:(now_sec ()) in
+    if it = 0 then begin
       unlock_item t h;
       stat t C.delete_misses;
       false
     end
     else begin
+      charge quota ~bytes:(-item_size t it) ~items:(-1);
       unlink_item t h it;
       unlock_item t h;
       stat t C.delete_hits;
       true
     end
-
-  (* Accounting probe: the live item's key+value byte count, with no
-     stat bumps, no LRU bump and no expiry side effects — the tenant
-     layer sizes replacements and deletes with it without polluting
-     cmd_get/get_misses. *)
-  let probe t key =
-    with_op t @@ fun () ->
-    adv CM.current.hash_op;
-    let h = Hash.murmur3_32 key in
-    let now = now_sec () in
-    lock_item t h;
-    let it = find t h key in
-    let r =
-      if it = 0 || expired t it ~now then None
-      else Some (item_nkey t it + item_nbytes t it)
-    in
-    unlock_item t h;
-    r
 
   let touch t key exptime =
     with_op t @@ fun () ->
@@ -1319,15 +1351,15 @@ struct
       go 0 0L
     end
 
-  let counter_op t ~decr key (delta : int64) =
+  (* A value that outgrows its block re-stores through the [quota]. *)
+  let counter_op ?quota t ~decr key (delta : int64) =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
     lock_item t h;
-    let it = find t h key in
-    if it = 0 || expired t it ~now then begin
-      if it <> 0 then unlink_item t h it;
+    let it = find_live t h key ~now in
+    if it = 0 then begin
       unlock_item t h;
       stat t C.incr_misses;
       Counter_not_found
@@ -1352,6 +1384,7 @@ struct
         if String.length s <= cap then begin
           (* The common, in-place path: memcached overwrites the value
              under the item lock. *)
+          charge quota ~bytes:(String.length s - nbytes) ~items:0;
           M.write_string t.mem ~off:(item_data_off t it) s;
           wr32 t (it + it_nbytes) (String.length s);
           wr64r t (it + it_cas) (next_cas t);
@@ -1369,8 +1402,8 @@ struct
           let exp = rd32 t (it + it_exptime) in
           unlock_item t h;
           match
-            store_with t P_set ~abs_exptime:(Some exp) ~key ~data:s ~flags
-              ~exptime:0
+            store_with ?quota t P_set ~abs_exptime:(Some exp) ~key ~data:s
+              ~flags ~exptime:0
           with
           | Stored ->
             stat t C.incr_hits;
@@ -1379,9 +1412,9 @@ struct
         end
     end
 
-  let incr t key delta = counter_op t ~decr:false key delta
+  let incr t ?quota key delta = counter_op ?quota t ~decr:false key delta
 
-  let decr t key delta = counter_op t ~decr:true key delta
+  let decr t ?quota key delta = counter_op ?quota t ~decr:true key delta
 
   (* ---- flush_all / stats ----------------------------------------------------------------- *)
 
@@ -1526,10 +1559,8 @@ struct
              && expired t it ~now
              && rd32 t (it + it_refcount) = 0
           then begin
-            let key = item_key t it and nbytes = item_nbytes t it in
-            unlink_item t h it;
+            reclaim t h it;
             stat t C.expired;
-            notify_evict t ~key ~bytes:(String.length key + nbytes);
             Stdlib.incr reaped
           end;
           unlock_item t h)

@@ -87,6 +87,20 @@ type get_result = { value : string; flags : int; cas : int64 }
 
 type counter_result = Counter of int64 | Counter_not_found | Non_numeric
 
+(** A write's owner-side quota ({!Tenant.admit}'s). The write sizes,
+    admits and charges itself in its own store op, under its key's
+    stripe: it asks [fits] before allocating anything, and [charge]s
+    the delta against the item it actually replaced or removed. Sizes
+    are key + value bytes. *)
+type quota = {
+  fits : bytes:int -> items:int -> bool;
+  charge : bytes:int -> items:int -> unit;
+}
+
+exception Over_quota
+(** Raised by a write whose quota refused it. The write allocated and
+    changed nothing, and holds no stripe when it raises. *)
+
 module Make
     (M : Memory_intf.MEMORY)
     (A : Memory_intf.ALLOCATOR)
@@ -133,31 +147,39 @@ module Make
       order trips lockdep. Exception-safe; raises [Invalid_argument] if
       a stripe is already held by this thread. *)
 
-  (** {1 Operations (memcached command set)} *)
+  (** {1 Operations (memcached command set)}
+
+      With a {!quota}, a storing write that does not fit raises
+      {!Over_quota}; delete and in-place incr/decr only charge. *)
 
   val get : t -> string -> get_result option
 
-  val set : t -> ?flags:int -> ?exptime:int -> string -> string -> store_result
-
-  val add : t -> ?flags:int -> ?exptime:int -> string -> string -> store_result
-
-  val replace :
-    t -> ?flags:int -> ?exptime:int -> string -> string -> store_result
-
-  val append : t -> string -> string -> store_result
-
-  val prepend : t -> string -> string -> store_result
-
-  val cas :
-    t -> ?flags:int -> ?exptime:int -> cas:int64 -> string -> string ->
+  val set :
+    t -> ?quota:quota -> ?flags:int -> ?exptime:int -> string -> string ->
     store_result
 
-  val delete : t -> string -> bool
+  val add :
+    t -> ?quota:quota -> ?flags:int -> ?exptime:int -> string -> string ->
+    store_result
 
-  val incr : t -> string -> int64 -> counter_result
+  val replace :
+    t -> ?quota:quota -> ?flags:int -> ?exptime:int -> string -> string ->
+    store_result
+
+  val append : t -> ?quota:quota -> string -> string -> store_result
+
+  val prepend : t -> ?quota:quota -> string -> string -> store_result
+
+  val cas :
+    t -> ?quota:quota -> ?flags:int -> ?exptime:int -> cas:int64 -> string ->
+    string -> store_result
+
+  val delete : t -> ?quota:quota -> string -> bool
+
+  val incr : t -> ?quota:quota -> string -> int64 -> counter_result
   (** Unsigned 64-bit, wrapping — memcached semantics. *)
 
-  val decr : t -> string -> int64 -> counter_result
+  val decr : t -> ?quota:quota -> string -> int64 -> counter_result
   (** Clamps at zero. *)
 
   val touch : t -> string -> int -> bool
@@ -182,11 +204,6 @@ module Make
 
   val curr_items : t -> int
 
-  val probe : t -> string -> int option
-  (** The live item's key+value byte count — no stat bumps, no LRU
-      bump, no expiry side effects. The tenant layer's accounting
-      probe. *)
-
   (** {1 Bookkeeping-process duties} *)
 
   val maintain : ?hi:float -> ?lo:float -> t -> unit
@@ -210,8 +227,9 @@ module Make
       attach/recover. *)
 
   val set_evict_hook : t -> (key:string -> bytes:int -> unit) option -> unit
-  (** Fired once per item reclaimed by eviction or expiry reaping
-      (not client deletes/replacement), with the item's key and
+  (** Fired once per item the store reclaims on its own — eviction,
+      the expiry crawler, or an expired item any op finds on its chain
+      (not client deletes or replacement) — with the item's key and
       key+value byte count; runs under the item's stripe lock, so keep
       it lock-free. The tenant layer credits usage here. *)
 

@@ -161,6 +161,7 @@ let set_usage t i ~bytes ~items =
 
 let would_exceed t i ~add_bytes ~add_items =
   !quota_enforced
+  && (add_bytes > 0 || add_items > 0)
   &&
   let e = entry t i in
   let bq = rd t (e + o_byte_quota) and iq = rd t (e + o_item_quota) in
@@ -210,50 +211,26 @@ let reset_stats t =
 
 (* ---- admission -------------------------------------------------------- *)
 
-type footprint = Replace of int | Grow of int | Release | Rewrite
-
 let evict_rounds = 64
 
-let admit t i ~probe ~evict footprint op ~applied =
-  (match footprint with
-   | Replace _ | Grow _ -> bump t i Cmd_set
-   | Release | Rewrite -> ());
-  let delta old =
-    match (footprint, old) with
-    | Replace n, None -> (n, 1)
-    | Replace n, Some b -> (n - b, 0)
-    | Grow n, Some _ -> (n, 0)
-    | Release, Some b -> (-b, -1)
-    | (Grow _ | Release | Rewrite), _ -> (0, 0)
+let admit t i ~evict op =
+  let quota =
+    { Store.fits =
+        (fun ~bytes ~items ->
+          not (would_exceed t i ~add_bytes:bytes ~add_items:items));
+      charge = (fun ~bytes ~items -> charge t i ~bytes ~items) }
   in
   (* a full tenant evicts only its own items: one pass over its LRU
-     list, under its prefix, then a fresh probe — the pass may have
-     taken the key itself *)
-  let rec room tries =
-    let old = probe () in
-    let add_bytes, add_items = delta old in
-    if (add_bytes <= 0 && add_items <= 0)
-       || not (would_exceed t i ~add_bytes ~add_items)
-    then Some old
-    else if
-      tries > 0
-      && evict ~lru:i ~pred:(String.starts_with ~prefix:(prefix t i)) > 0
-    then room (tries - 1)
-    else None
+     list, under its prefix and outside the op's stripe, then the op
+     runs afresh — the pass may have taken the key itself *)
+  let rec attempt tries =
+    match op quota with
+    | r -> Some r
+    | exception Store.Over_quota ->
+      if
+        tries > 0
+        && evict ~lru:i ~pred:(String.starts_with ~prefix:(prefix t i)) > 0
+      then attempt (tries - 1)
+      else None
   in
-  match room evict_rounds with
-  | None -> None
-  | Some old ->
-    let r = op () in
-    (match footprint with
-     | Rewrite ->
-       (* incr/decr: the result does not give the new size *)
-       let size = function Some b -> (b, 1) | None -> (0, 0) in
-       let b0, i0 = size old and b1, i1 = size (probe ()) in
-       charge t i ~bytes:(b1 - b0) ~items:(i1 - i0)
-     | Replace _ | Grow _ | Release ->
-       if applied r then begin
-         let bytes, items = delta old in
-         charge t i ~bytes ~items
-       end);
-    Some r
+  attempt evict_rounds

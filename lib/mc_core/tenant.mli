@@ -107,8 +107,8 @@ val set_usage : t -> int -> bytes:int -> items:int -> unit
 (** Recovery: overwrite usage with recomputed truth. *)
 
 val would_exceed : t -> int -> add_bytes:int -> add_items:int -> bool
-(** Would the delta push usage past a quota? Always false with
-    {!quota_enforced} off. *)
+(** Would the delta push usage past a quota? Always false for a delta
+    that adds nothing, and with {!quota_enforced} off. *)
 
 (** {1 Per-tenant stats} *)
 
@@ -130,31 +130,21 @@ val reset_stats : t -> unit
 
 (** {1 Admission} *)
 
-(** What an operation does to its key's footprint. *)
-type footprint =
-  | Replace of int
-      (** set/add/replace/cas: the item's new key+value bytes *)
-  | Grow of int  (** append/prepend: bytes added to an existing value *)
-  | Release  (** delete: frees whatever the key held *)
-  | Rewrite  (** incr/decr: the new size is known only afterwards *)
-
 val admit :
   t -> int ->
-  probe:(unit -> int option) ->
   evict:(lru:int -> pred:(string -> bool) -> int) ->
-  footprint -> (unit -> 'r) -> applied:('r -> bool) -> 'r option
-(** [admit t slot ~probe ~evict fp op ~applied] runs [op] as tenant
-    [slot] under its quotas. [probe] reads the key's live key+value
-    bytes; [evict] is one tenant-local eviction pass over LRU list
-    [lru] restricted to keys satisfying [pred] (the store's
+  (Store.quota -> 'r) -> 'r option
+(** [admit t slot ~evict op] runs the store op [op] as tenant [slot]
+    under its quotas. [evict] is one tenant-local eviction pass over
+    LRU list [lru] restricted to keys satisfying [pred] (the store's
     [evict_some_matching]).
 
-    Every attempt probes afresh, so a key evicted by its own tenant's
-    pass is re-counted. When the delta would exceed a quota, one
-    eviction pass over the tenant's own items runs and the attempt
-    repeats, up to 64 passes; if there is still no room the op does
-    not run and the result is [None]. Once admitted, usage is charged
-    from the op's result: the probed delta if [applied] holds, nothing
-    otherwise. Only [Rewrite] probes again after the op. A storage
-    footprint ([Replace]/[Grow]) counts as one [Cmd_set], admitted or
-    refused. *)
+    [op] hands the tenant's {!Store.quota} to the one store write it
+    makes, which sizes, admits and charges itself under its key's
+    stripe, so concurrent writers of one tenant cannot make its usage
+    drift from the store's contents. When the write does not fit
+    ({!Store.Over_quota}), one eviction pass over the tenant's own
+    items runs outside the write's stripe and the write runs again, up
+    to 64 passes; then the result is [None], with nothing stored or
+    allocated. Front ends count a storage op as one [Cmd_set]
+    themselves, admitted or refused. *)

@@ -120,19 +120,16 @@ struct
      | _ -> ());
     P.Values { with_cas; vals }
 
-  (* A tenant-bound op runs under the registry's admission, exactly as
-     the in-process tenant API does; anything else runs as is. *)
-  let admit ?tenants ?slot store key footprint ~applied op =
+  (* A tenant-bound write runs under the registry's admission, exactly
+     as the in-process tenant API does: [op] hands the tenant's quota to
+     its store call. Anything else runs as is, with no quota. *)
+  let admit ?tenants ?slot store op =
     match (tenants, slot) with
-    | Some reg, Some slot -> (
-      match
-        Tenant.admit reg slot
-          ~probe:(fun () -> Store.probe store key)
-          ~evict:(Store.evict_some_matching store) footprint op ~applied
-      with
-      | Some r -> r
-      | None -> of_store_result Mc_core.Store.No_memory)
-    | _ -> op ()
+    | Some reg, Some slot ->
+      Tenant.admit reg slot ~evict:(Store.evict_some_matching store)
+        (fun quota -> op (Some quota))
+      |> Option.value ~default:(of_store_result Mc_core.Store.No_memory)
+    | _ -> op None
 
   let counter_reply = function
     | Mc_core.Store.Counter v -> P.Number v
@@ -149,16 +146,12 @@ struct
   let execute ?tenants ?slot ?(surfaces = baseline_surfaces) store
       (cmd : P.command) : P.response =
     let admit = admit ?tenants ?slot store in
-    let replace (p : P.store_params) op =
-      admit p.P.key
-        (Tenant.Replace (String.length p.P.key + String.length p.P.data))
-        ~applied:(( = ) P.Stored)
-        (fun () -> of_store_result (op ()))
-    in
-    let grow (p : P.store_params) op =
-      admit p.P.key (Tenant.Grow (String.length p.P.data))
-        ~applied:(( = ) P.Stored)
-        (fun () -> of_store_result (op ()))
+    (* a storage command counts as one [Cmd_set], admitted or refused *)
+    let storage op =
+      (match (tenants, slot) with
+       | Some reg, Some slot -> Tenant.bump reg slot Tenant.Cmd_set
+       | _ -> ());
+      admit (fun quota -> of_store_result (op quota))
     in
     match cmd with
     | P.Get keys -> retrieve ?tenants ?slot store keys ~with_cas:false
@@ -166,30 +159,32 @@ struct
     | P.Getx { g_key; _ } ->
       retrieve ?tenants ?slot store [ g_key ] ~with_cas:true
     | P.Set p ->
-      replace p (fun () ->
-        Store.set store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key p.P.data)
-    | P.Add p ->
-      replace p (fun () ->
-        Store.add store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key p.P.data)
-    | P.Replace p ->
-      replace p (fun () ->
-        Store.replace store ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
+      storage (fun quota ->
+        Store.set store ?quota ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
           p.P.data)
-    | P.Cas (p, unique) ->
-      replace p (fun () ->
-        Store.cas store ~flags:p.P.flags ~exptime:p.P.exptime ~cas:unique
+    | P.Add p ->
+      storage (fun quota ->
+        Store.add store ?quota ~flags:p.P.flags ~exptime:p.P.exptime p.P.key
+          p.P.data)
+    | P.Replace p ->
+      storage (fun quota ->
+        Store.replace store ?quota ~flags:p.P.flags ~exptime:p.P.exptime
           p.P.key p.P.data)
-    | P.Append p -> grow p (fun () -> Store.append store p.P.key p.P.data)
-    | P.Prepend p -> grow p (fun () -> Store.prepend store p.P.key p.P.data)
+    | P.Cas (p, unique) ->
+      storage (fun quota ->
+        Store.cas store ?quota ~flags:p.P.flags ~exptime:p.P.exptime
+          ~cas:unique p.P.key p.P.data)
+    | P.Append p ->
+      storage (fun quota -> Store.append store ?quota p.P.key p.P.data)
+    | P.Prepend p ->
+      storage (fun quota -> Store.prepend store ?quota p.P.key p.P.data)
     | P.Delete (key, _) ->
-      admit key Tenant.Release ~applied:(( = ) P.Deleted) (fun () ->
-        if Store.delete store key then P.Deleted else P.Not_found)
+      admit (fun quota ->
+        if Store.delete store ?quota key then P.Deleted else P.Not_found)
     | P.Incr (key, delta, _) ->
-      admit key Tenant.Rewrite ~applied:(fun _ -> true) (fun () ->
-        counter_reply (Store.incr store key delta))
+      admit (fun quota -> counter_reply (Store.incr store ?quota key delta))
     | P.Decr (key, delta, _) ->
-      admit key Tenant.Rewrite ~applied:(fun _ -> true) (fun () ->
-        counter_reply (Store.decr store key delta))
+      admit (fun quota -> counter_reply (Store.decr store ?quota key delta))
     | P.Touch (key, exptime, _) ->
       if Store.touch store key exptime then P.Touched else P.Not_found
     | P.Stats None ->

@@ -865,23 +865,14 @@ let run_d ?tally ~at () =
                  ());
              (* Usage counters equal a recomputation from the store
                 (they may have been mid-update at the kill). *)
-             let recomputed = Array.make 3 (0, 0) in
-             Shm.Region.kernel_mode (fun () ->
-               Plib.Store.fold_keys (Plib.store p)
-                 (fun () key ~nbytes ~exptime:_ ->
-                   match Mc_core.Tenant.owner_slot_of_key reg key with
-                   | Some s when s < 3 ->
-                     let b, i = recomputed.(s) in
-                     recomputed.(s) <- (b + String.length key + nbytes, i + 1)
-                   | _ -> ())
-                 ());
+             let recomputed =
+               Shm.Region.kernel_mode (fun () -> Plib.tenant_recount p)
+             in
              List.iteri
                (fun i slot ->
-                 let b, it = Plib.tenant_usage p slot in
-                 let rb, ri = recomputed.(i) in
                  Alcotest.(check (pair int int))
                    (Printf.sprintf "tenant %d usage = recomputed truth" i)
-                   (rb, ri) (b, it))
+                   recomputed.(slot) (Plib.tenant_usage p slot))
                [ sa; sb; sc ];
              (* The rebuilt vkeys are bindable and fresh tenant traffic
                 flows; a post-recovery quota flood in C evicts only C's

@@ -235,10 +235,21 @@ let test_quota_eviction_is_tenant_local () =
     match Plib.tenant_get p b "keep" with
     | Some r -> Alcotest.(check string) "b untouched" "b-acked" r.Store.value
     | None -> Alcotest.fail "a's quota churn evicted b's item");
-  (* an item that can never fit is refused, not force-fed *)
+  (* an item that can never fit is refused, not force-fed, and the
+     refusal allocates nothing: the quota is decided before the item is *)
+  let heap_rows () =
+    Region.kernel_mode (fun () ->
+      ( Ralloc.used_bytes (Plib.heap p),
+        List.assoc "arena:objects"
+          (Mc_core.Bump_arena.stats_kvs (Plib.arena p)) ))
+  in
+  let before = heap_rows () in
   as_uid 4301 (fun () ->
     Alcotest.(check bool) "oversized single item refused" true
-      (Plib.tenant_set p a "big" (String.make 9000 'x') = Store.No_memory))
+      (Plib.tenant_set p a "big" (String.make 9000 'x') = Store.No_memory));
+  Alcotest.(check (pair int string))
+    "the refusal leaves heap used bytes and arena live objects as they were"
+    before (heap_rows ())
 
 let test_tenant_flush_and_mget () =
   with_plib @@ fun p ~owner:_ ->
@@ -665,6 +676,64 @@ let test_server_unknown_tenant_refused () =
   Alcotest.(check bool) "next connection served" true
     (has_sub ~needle:"STORED" (recv_within c))
 
+(* Every write arm of a tenant-bound connection accounts for itself:
+   after each add, replace, cas, append, prepend, incr, decr and delete
+   (hits, misses and refusals alike) the tenant's usage equals a recount
+   of the store, over both codecs. *)
+let test_server_command_accounting () =
+  List.iter
+    (fun (label, protocol, cproto) ->
+      with_plib @@ fun p ~owner:_ ->
+      let slot = Plib.create_tenant p ~name:"ca" ~uid:4971 ~byte_quota:4096 () in
+      let name = "tenant-accounting-srv" in
+      let srv = serve ~protocol ~assign:(fun _ -> Some "ca") p name in
+      Fun.protect ~finally:(fun () -> Plib.stop_remote srv) @@ fun () ->
+      let c = Cl.Sock.connect ~name ~protocol:cproto () in
+      let module S = Cl.Sock in
+      let cas_of k =
+        match S.get c k with Some r -> r.Store.cas | None -> 0L
+      in
+      let stored r = r = Store.Stored in
+      let counted = function Store.Counter _ -> true | _ -> false in
+      let steps =
+        [ ("add new", fun () -> stored (S.add c "a" "alpha"));
+          ("add existing", fun () -> not (stored (S.add c "a" "other")));
+          ("replace", fun () -> stored (S.replace c "a" (String.make 200 'r')));
+          ("replace missing", fun () -> not (stored (S.replace c "zz" "z")));
+          ("append", fun () -> stored (S.append c "a" "++"));
+          ("prepend", fun () -> stored (S.prepend c "a" "--"));
+          ("append missing", fun () -> not (stored (S.append c "zz" "z")));
+          ("cas", fun () -> stored (S.cas c ~cas:(cas_of "a") "a" "cas'd"));
+          ("cas stale",
+           fun () ->
+             let stale = cas_of "a" in
+             ignore (S.set c "a" "moved");
+             not (stored (S.cas c ~cas:stale "a" "late")));
+          ("cas missing", fun () -> not (stored (S.cas c ~cas:1L "zz" "z")));
+          ("set counter", fun () -> stored (S.set c "n" "9"));
+          ("incr widens", fun () -> S.incr c "n" 1L = Store.Counter 10L);
+          ("decr narrows", fun () -> S.decr c "n" 5L = Store.Counter 5L);
+          ("incr outgrows its block",
+           fun () -> counted (S.incr c "n" 1_000_000_000_000_000_000L));
+          ("incr missing", fun () -> not (counted (S.incr c "zz" 1L)));
+          ("delete", fun () -> S.delete c "a");
+          ("delete missing", fun () -> not (S.delete c "a"));
+          ("delete counter", fun () -> S.delete c "n");
+          ("set again", fun () -> stored (S.set c "b" "beta"));
+          ("append past the quota",
+           fun () -> not (stored (S.append c "b" (String.make 5000 'x')))) ]
+      in
+      List.iter
+        (fun (step, run) ->
+          Alcotest.(check bool) (Printf.sprintf "%s: %s" label step) true (run ());
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: usage = recount after %s" label step)
+            (Region.kernel_mode (fun () -> Plib.tenant_recount p)).(slot)
+            (Plib.tenant_usage p slot))
+        steps)
+    [ ("ascii", Mc_server.Server.Ascii, Cl.Sock.Ascii);
+      ("binary", Mc_server.Server.Binary, Cl.Sock.Binary) ]
+
 (* ---- one op stream through every tenant front end --------------------- *)
 
 type dop = D_set of string * string | D_get of string | D_delete of string
@@ -932,25 +1001,10 @@ let run_iso ~seed =
                    note ("key outside every namespace: " ^ key))
                ());
            (* usage counters match the store's truth *)
-           let usage = Hashtbl.create 4 in
-           Region.kernel_mode (fun () ->
-             VPlib.Store.fold_keys (VPlib.store p)
-               (fun () key ~nbytes ~exptime:_ ->
-                 match Tenant.owner_slot_of_key reg key with
-                 | Some s ->
-                   let b, i =
-                     Option.value (Hashtbl.find_opt usage s) ~default:(0, 0)
-                   in
-                   Hashtbl.replace usage s
-                     (b + String.length key + nbytes, i + 1)
-                 | None -> ())
-               ());
+           let usage = Region.kernel_mode (fun () -> VPlib.tenant_recount p) in
            List.iter
              (fun slot ->
-               let want =
-                 Option.value (Hashtbl.find_opt usage slot) ~default:(0, 0)
-               in
-               if VPlib.tenant_usage p slot <> want then
+               if VPlib.tenant_usage p slot <> usage.(slot) then
                  note (Printf.sprintf "usage drift on slot %d" slot))
              [ sa; sb; sc; sd ];
            Pku.Vpkey.check_invariants ()));
@@ -964,6 +1018,103 @@ let test_iso_sweep () =
   let n = iso_seeds () in
   for seed = 1 to n do
     run_iso ~seed
+  done
+
+(* ---- concurrent writers of one tenant --------------------------------- *)
+
+(* Four threads of one tenant race sets of varied sizes and deletes
+   (every fifth op) over four shared keys, under a 4 KiB byte quota.
+   Sizing, admission and the charge all happen inside the write's own
+   store op under the key's stripe, so at quiescence the tenant's usage
+   equals a recount of the store on every schedule. [how] picks the
+   front end: the trampoline, or four tenant-bound socket connections
+   served by four workers. *)
+let run_writers_race ~seed how =
+  incr iso_fresh;
+  let path = Printf.sprintf "/shm/writers-%d-%d" seed !iso_fresh in
+  let owner = Process.make ~uid:1000 "writers-bk" in
+  let p = VPlib.create ~store_cfg:small_cfg ~path ~size:(4 lsl 20) ~owner () in
+  Fun.protect
+    ~finally:(fun () ->
+      Simos.Sim_fs.unlink path;
+      Hodor.Library.release (VPlib.library p);
+      Pku.Vpkey.reset ();
+      Pku.Pkru.reset_thread ())
+    (fun () ->
+      let vm = Vm.create ~sched_seed:seed ~preempt_jitter:200 () in
+      let outcome = ref None in
+      ignore
+        (Vm.spawn vm ~name:"main" (fun () ->
+           let slot =
+             Process.with_process owner (fun () ->
+               VPlib.create_tenant p ~name:"rw" ~uid:5101 ~byte_quota:4096 ())
+           in
+           let fronts, stop =
+             match how with
+             | `Plib ->
+               let front =
+                 { f_set =
+                     (fun k v -> as_uid 5101 (fun () -> VPlib.tenant_set p slot k v));
+                   f_get = (fun _ -> None);
+                   f_delete =
+                     (fun k -> as_uid 5101 (fun () -> VPlib.tenant_delete p slot k))
+                 }
+               in
+               (List.init 4 (fun _ -> front), ignore)
+             | `Socket ->
+               let name = Printf.sprintf "writers-srv-%d-%d" seed !iso_fresh in
+               let srv =
+                 VPlib.serve_remote
+                   ~cfg:
+                     { Mc_server.Server.default_config with
+                       workers = 4; store = small_cfg }
+                   ~assign_tenant:(fun _ -> Some "rw")
+                   p ~name
+               in
+               ( List.init 4 (fun _ ->
+                   let c = VCl.Sock.connect ~name () in
+                   { f_set = VCl.Sock.set c;
+                     f_get = (fun _ -> None);
+                     f_delete = VCl.Sock.delete c }),
+                 fun () -> VPlib.stop_remote srv )
+           in
+           let threads =
+             List.mapi
+               (fun w f ->
+                 Vm.Sync.spawn ~name:(Printf.sprintf "writer-%d" w) (fun () ->
+                   for i = 0 to 19 do
+                     let k = Printf.sprintf "r%d" (i mod 4) in
+                     if i mod 5 = 4 then ignore (f.f_delete k)
+                     else
+                       ignore
+                         (f.f_set k
+                            (String.make (20 + ((i * 53 + w * 97) mod 300)) 'w'));
+                     Vm.Sync.advance 20
+                   done))
+               fronts
+           in
+           List.iter Vm.Sync.join threads;
+           stop ();
+           outcome :=
+             Some
+               ( VPlib.tenant_usage p slot,
+                 (Region.kernel_mode (fun () -> VPlib.tenant_recount p)).(slot) )));
+      Vm.run vm;
+      match !outcome with
+      | Some (usage, truth) ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "seed %d: usage (bytes, items) = store recount" seed)
+          truth usage
+      | None -> Alcotest.fail (Printf.sprintf "seed %d: run did not finish" seed))
+
+let test_writers_race_plib () =
+  for seed = 1 to 6 do
+    run_writers_race ~seed `Plib
+  done
+
+let test_writers_race_socket () =
+  for seed = 1 to 6 do
+    run_writers_race ~seed `Socket
   done
 
 let () =
@@ -1001,7 +1152,14 @@ let () =
             test_server_stats_surface_schema;
           Alcotest.test_case "unknown tenant refused" `Quick
             test_server_unknown_tenant_refused;
+          Alcotest.test_case "every write arm accounts" `Quick
+            test_server_command_accounting;
           Alcotest.test_case "differential front ends" `Quick
             test_differential_front_ends ] );
       ( "isolation sweep",
-        [ Alcotest.test_case "seeded schedules" `Quick test_iso_sweep ] ) ]
+        [ Alcotest.test_case "seeded schedules" `Quick test_iso_sweep ] );
+      ( "writer races",
+        [ Alcotest.test_case "usage exact through plib" `Quick
+            test_writers_race_plib;
+          Alcotest.test_case "usage exact through sockets" `Quick
+            test_writers_race_socket ] ) ]
