@@ -14,7 +14,10 @@
     Greppable lines (CI gates in .github/workflows/ci.yml):
       rings.idle_p50_ns.ring / rings.idle_p50_ns.legacy
       rings.cpo.rate<R> / rings.p99_us.rate<R> / rings.ktps.rate<R> /
-      rings.ops_per_drain.rate<R> *)
+      rings.ops_per_drain.rate<R>
+    plus rings.wakes_per_op.rate<R> (completions that found the client
+    parked and paid its wakeup), ungated: it shows the client's
+    spin-before-park window at work. *)
 
 open Scenarios
 
@@ -71,13 +74,14 @@ let run_knee ~ops =
   let w = workload ~ops in
   load_plib plib w;
   let threads = 4 in
-  pf "%-12s %10s %10s %10s %10s\n" "offered" "achieved" "cpo" "p99_us"
-    "ops/drain";
+  pf "%-12s %10s %10s %10s %10s %10s\n" "offered" "achieved" "cpo" "p99_us"
+    "ops/drain" "wakes/op";
   List.iter
     (fun rate_kops ->
       let name = fresh_name "mc-rings-knee" in
       let e0 = C.read C.Id.hodor_enter in
       let d0 = C.read C.Id.ring_drains and o0 = C.read C.Id.ring_drain_ops in
+      let k0 = C.read C.Id.ring_wakes in
       let r =
         in_vm (fun () ->
           let srv =
@@ -98,14 +102,19 @@ let run_knee ~ops =
       let cpo = float_of_int crossings /. float_of_int r.Ycsb.Runner.r_ops in
       let p99 = Telemetry.Histogram.percentile r.Ycsb.Runner.r_hist 99.0 in
       let opd = float_of_int dops /. float_of_int drains in
-      pf "%-12s %10.0f %10.3f %10.1f %10.2f\n"
+      let wpo =
+        float_of_int (C.read C.Id.ring_wakes - k0)
+        /. float_of_int r.Ycsb.Runner.r_ops
+      in
+      pf "%-12s %10.0f %10.3f %10.1f %10.2f %10.3f\n"
         (Printf.sprintf "%d kops" rate_kops)
         (Ycsb.Runner.throughput_ktps r)
-        cpo (us p99) opd;
+        cpo (us p99) opd wpo;
       pf "rings.ktps.rate%d = %.0f\n" rate_kops (Ycsb.Runner.throughput_ktps r);
       pf "rings.cpo.rate%d = %.3f\n" rate_kops cpo;
       pf "rings.p99_us.rate%d = %.1f\n" rate_kops (us p99);
       pf "rings.ops_per_drain.rate%d = %.2f\n" rate_kops opd;
+      pf "rings.wakes_per_op.rate%d = %.3f\n" rate_kops wpo;
       note ~run:"rings" ~metric:(Printf.sprintf "ktps_rate%d" rate_kops)
         ~unit_:"ktps" (Ycsb.Runner.throughput_ktps r);
       note ~run:"rings" ~metric:(Printf.sprintf "cpo_rate%d" rate_kops)
@@ -113,7 +122,9 @@ let run_knee ~ops =
       note ~run:"rings" ~metric:(Printf.sprintf "p99_rate%d" rate_kops)
         ~unit_:"us" (us p99);
       note ~run:"rings" ~metric:(Printf.sprintf "ops_per_drain_rate%d" rate_kops)
-        ~unit_:"ops/drain" opd)
+        ~unit_:"ops/drain" opd;
+      note ~run:"rings" ~metric:(Printf.sprintf "wakes_per_op_rate%d" rate_kops)
+        ~unit_:"wakes/op" wpo)
     rates_kops
 
 let run ?(ops = 20_000) () =

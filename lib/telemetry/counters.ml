@@ -90,8 +90,9 @@ module Id = struct
      syscalls actually paid (the amortization win is submits far above
      doorbells), ring drains (each takes everything a ring held when
      the worker looked), the ops those drains carried (ops/drain =
-     ring_drain_ops / ring_drains), completions published, producer stalls on a full ring, and
-     connections bounced for forged slot headers. *)
+     ring_drain_ops / ring_drains), completions published, producer
+     stalls on a full ring, connections bounced for forged slot headers,
+     and completions that found the client parked and paid its wakeup. *)
   let ring_submits = 38
   let ring_doorbells = 39
   let ring_drains = 40
@@ -99,10 +100,11 @@ module Id = struct
   let ring_completions = 42
   let ring_full_waits = 43
   let ring_kills = 44
+  let ring_wakes = 45
 
   (* Per-pkey fault counts occupy the tail: [pku_fault_pkey + k] for
      pkey k in [0, pkeys). *)
-  let pku_fault_pkey = 45
+  let pku_fault_pkey = 46
 
   let pkeys = 16
 
@@ -145,7 +147,7 @@ let names =
       (Id.ring_drain_ops, "ring_drain_ops");
       (Id.ring_completions, "ring_completions");
       (Id.ring_full_waits, "ring_full_waits");
-      (Id.ring_kills, "ring_kills") ];
+      (Id.ring_kills, "ring_kills"); (Id.ring_wakes, "ring_wakes") ];
   for k = 0 to Id.pkeys - 1 do
     a.(Id.pku_fault_pkey + k) <- Printf.sprintf "pku_fault_pkey:%d" k
   done;
@@ -240,7 +242,7 @@ let ring_kvs () =
   List.map kv
     [ Id.ring_submits; Id.ring_doorbells; Id.ring_drains;
       Id.ring_drain_ops; Id.ring_completions; Id.ring_full_waits;
-      Id.ring_kills ]
+      Id.ring_kills; Id.ring_wakes ]
 
 let all_kvs () =
   List.filter_map

@@ -239,10 +239,17 @@ module Make (S : Platform.Sync_intf.S) = struct
     | exception S.Closed -> raise Connection_closed
 
   (* Completion-ring receive. Fast path: a completion is already
-     published — consume it with zero kernel involvement. Slow path:
-     arm the ring, re-check (the publish-then-check-armed producer
-     protocol makes the wakeup race-free), then park on the reply
-     channel, which stands in for a futex wait. *)
+     published — consume it with zero kernel involvement. Spin: an
+     empty ring is polled (one header read each) with exponential
+     backoff — waits of one ring slot, doubling, the last clipped so
+     the window totals one context-switch interval, the wake-up latency
+     a park would add anyway (the worker's nap, on the client side). A
+     reply published inside the window costs neither the server's
+     wakeup nor the client's context switch, because the ring was never
+     armed. Slow path: arm the ring, re-check (the
+     publish-then-check-armed producer protocol makes the wakeup
+     race-free), then park on the reply channel, which stands in for a
+     futex wait. *)
   let ring_client_recv conn ra =
     let comp = ra.ra_comp in
     ring_grant ra;
@@ -269,7 +276,18 @@ module Make (S : Platform.Sync_intf.S) = struct
               await ()
             | exception S.Closed -> raise Connection_closed))
     in
-    await ()
+    let rec spin ~left ~wait =
+      if Ring.is_dead comp then raise Connection_closed;
+      match Ring.consume_one comp with
+      | Some msg -> take msg
+      | None when left <= 0 -> await ()
+      | None ->
+        S.advance CM.current.ring_slot;
+        let w = min wait left in
+        S.sleep_ns w;
+        spin ~left:(left - w) ~wait:(2 * wait)
+    in
+    spin ~left:CM.current.ctx_switch ~wait:CM.current.ring_slot
 
   let client_recv conn =
     match conn.rings with
@@ -358,6 +376,7 @@ module Make (S : Platform.Sync_intf.S) = struct
        done;
        if Ring.consumer_armed comp then begin
          S.advance (CM.current.syscall_send + CM.current.wakeup);
+         C.incr C.Id.ring_wakes;
          try S.send conn.reply "" with S.Closed -> ()
        end
      with Connection_closed -> ())

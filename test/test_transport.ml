@@ -644,6 +644,119 @@ let test_ring_seeded_bursts () =
       !expected served
   done
 
+(* ---- Ring client: spin before parking ------------------------------------
+   A bare ring connection with the test playing the server by hand, so
+   it decides exactly when a reply lands relative to the client's
+   one-context-switch polling window. *)
+
+let ring_conn_fresh = ref 0
+
+(* [serve conn] runs on a thread of its own once the client connected;
+   [f conn] is the client side. *)
+let with_ring_conn ~serve f =
+  incr ring_conn_fresh;
+  let name = Printf.sprintf "ring-conn-%d" !ring_conn_fresh in
+  let vk = Pku.Vpkey.alloc () in
+  Fun.protect ~finally:(fun () -> Pku.Vpkey.free vk) @@ fun () ->
+  in_vm (fun () ->
+    let l = T.listen ~name in
+    let inbox = S.chan () in
+    let acceptor =
+      S.spawn (fun () ->
+        let register conn =
+          let _, sub = mk_ring () and _, comp = mk_ring () in
+          T.attach_rings conn { T.ra_sub = sub; ra_comp = comp; ra_vkey = vk };
+          true
+        in
+        serve (T.accept ~register l ~inbox))
+    in
+    let conn = T.connect ~name in
+    let out = f conn in
+    S.join acceptor;
+    T.close_listener l;
+    out)
+
+let comp_of conn = (Option.get (T.rings_of conn)).T.ra_comp
+
+(* The server publishes [payload] after [delay] ns and records whether
+   the client had armed its completion ring by then. *)
+let reply_after ~delay payload armed_at_publish conn =
+  S.sleep_ns delay;
+  armed_at_publish := Transport.Ring.consumer_armed (comp_of conn);
+  T.server_send conn payload
+
+let timed_recv conn =
+  let w0 = TC.read TC.Id.ring_wakes and t0 = S.now_ns () in
+  let m = T.client_recv conn in
+  (m, S.now_ns () - t0, TC.read TC.Id.ring_wakes - w0)
+
+let ctx_switch () = Platform.Cost_model.current.ctx_switch
+
+let test_ring_client_spin_takes_reply () =
+  let armed = ref true in
+  let m, dt, wakes =
+    with_ring_conn
+      ~serve:(reply_after ~delay:(ctx_switch () / 3) "pong" armed)
+      timed_recv
+  in
+  Alcotest.(check string) "reply bytes" "pong" m;
+  Alcotest.(check bool) "completion ring never armed" false !armed;
+  Alcotest.(check int) "no wakeup paid" 0 wakes;
+  Alcotest.(check bool)
+    (Printf.sprintf "taken within the window (%dns)" dt)
+    true (dt < ctx_switch ())
+
+let test_ring_client_parks_after_window () =
+  let armed = ref false in
+  let payload = String.init 200 (fun i -> Char.chr (65 + (i mod 26))) in
+  let delay = 3 * ctx_switch () in
+  let dt, wakes, bytes =
+    with_ring_conn ~serve:(reply_after ~delay payload armed) (fun conn ->
+      let m, dt, wakes = timed_recv conn in
+      (* a reply longer than one slot arrives as several chunks *)
+      let buf = Buffer.create 256 in
+      Buffer.add_string buf m;
+      while Buffer.length buf < String.length payload do
+        Buffer.add_string buf (T.client_recv conn)
+      done;
+      (dt, wakes, Buffer.contents buf))
+  in
+  Alcotest.(check string) "reply bytes" payload bytes;
+  Alcotest.(check bool) "client armed after the window" true !armed;
+  Alcotest.(check int) "woken once" 1 wakes;
+  Alcotest.(check bool)
+    (Printf.sprintf "parked past the publish (%dns)" dt)
+    true
+    (dt >= delay + ctx_switch ())
+
+let test_ring_client_closed_while_spinning () =
+  List.iter
+    (fun (label, kill) ->
+      let outcome, dt, wakes =
+        with_ring_conn
+          ~serve:(fun conn ->
+            S.sleep_ns (ctx_switch () / 3);
+            kill conn)
+          (fun conn ->
+            let w0 = TC.read TC.Id.ring_wakes and t0 = S.now_ns () in
+            let outcome =
+              match T.client_recv conn with
+              | _ -> `Reply
+              | exception T.Connection_closed ->
+                if Transport.Ring.consumer_armed (comp_of conn) then `Parked
+                else `Closed
+            in
+            (outcome, S.now_ns () - t0, TC.read TC.Id.ring_wakes - w0))
+      in
+      Alcotest.(check bool)
+        (label ^ ": Connection_closed without parking")
+        true (outcome = `Closed);
+      Alcotest.(check int) (label ^ ": no wakeup") 0 wakes;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: within the window (%dns)" label dt)
+        true (dt <= ctx_switch ()))
+    [ ("bounce", T.ring_bounce); ("close", T.close_conn) ]
+
 let ring_server_tests =
   [ Alcotest.test_case "lone request drains at once" `Quick
       test_ring_lone_request_no_wait;
@@ -651,7 +764,13 @@ let ring_server_tests =
       test_ring_backlog_one_drain;
     Alcotest.test_case "nap, then arm and park" `Quick test_ring_nap_then_park;
     Alcotest.test_case "seeded bursts and idle gaps" `Quick
-      test_ring_seeded_bursts ]
+      test_ring_seeded_bursts;
+    Alcotest.test_case "client spin takes a prompt reply" `Quick
+      test_ring_client_spin_takes_reply;
+    Alcotest.test_case "client parks after the window" `Quick
+      test_ring_client_parks_after_window;
+    Alcotest.test_case "client closed while spinning" `Quick
+      test_ring_client_closed_while_spinning ]
 
 let () =
   Alcotest.run "transport"

@@ -500,6 +500,7 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
   let rings = Mc_server.Server.default_ring_config in
   let d0 = TC.read TC.Id.ring_drains in
   let o0 = TC.read TC.Id.ring_drain_ops in
+  let k0 = TC.read TC.Id.ring_wakes in
   let threads = 2 in
   let traces = Array.init threads (fun _ -> Buffer.create 4096) in
   let vm = Vm.create ~sched_seed () in
@@ -547,7 +548,8 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
   ( Array.to_list (Array.map Buffer.contents traces),
     (r.Ycsb.Runner.r_ops, r.Ycsb.Runner.r_hits, r.Ycsb.Runner.r_misses),
     ( TC.read TC.Id.ring_drains - d0,
-      TC.read TC.Id.ring_drain_ops - o0 ),
+      TC.read TC.Id.ring_drain_ops - o0,
+      TC.read TC.Id.ring_wakes - k0 ),
     Vm.events_processed vm ))
 
 (* 50 kops leaves each worker idle between requests; 4000 kops offers
@@ -570,9 +572,12 @@ let test_determinism_open_rings_same_seed () =
       Alcotest.(check int) (tag "%d kops ops") ops1 ops2;
       Alcotest.(check int) (tag "%d kops hits") hits1 hits2;
       Alcotest.(check int) (tag "%d kops misses") miss1 miss2;
-      let d1, o1 = r1 and d2, o2 = r2 in
+      let d1, o1, k1 = r1 and d2, o2, k2 = r2 in
       Alcotest.(check int) (tag "%d kops ring drains") d1 d2;
       Alcotest.(check int) (tag "%d kops drained ops") o1 o2;
+      (* the client's spin-before-park window is on virtual time too *)
+      Alcotest.(check int) (tag "%d kops completion wakeups") k1 k2;
+      Alcotest.(check bool) (tag "%d kops client parks exercised") true (k1 > 0);
       Alcotest.(check bool) (tag "%d kops rings exercised") true (d1 > 0);
       Alcotest.(check int) (tag "%d kops scheduler events") e1 e2)
     open_ring_rates
@@ -583,7 +588,7 @@ let test_backlog_batching_preserves_op_streams () =
      keys in the same order whatever the offered rate. A slow stream
      drains one request at a time, with nothing held back to wait for
      company; a stream past saturation batches its backlog. *)
-  let t1, (ops1, hits1, miss1), (d1, o1), _ =
+  let t1, (ops1, hits1, miss1), (d1, o1, _), _ =
     run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops:50
   in
   Alcotest.(check int)
@@ -591,7 +596,7 @@ let test_backlog_batching_preserves_op_streams () =
     d1 o1;
   List.iter
     (fun rate_kops ->
-      let tb, (opsb, hitsb, missb), (db, ob), _ =
+      let tb, (opsb, hitsb, missb), (db, ob, _), _ =
         run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops
       in
       let tag fmt = Printf.sprintf fmt rate_kops in
