@@ -15,9 +15,13 @@
       rings.idle_p50_ns.ring / rings.idle_p50_ns.legacy
       rings.cpo.rate<R> / rings.p99_us.rate<R> / rings.ktps.rate<R> /
       rings.ops_per_drain.rate<R>
-    plus rings.wakes_per_op.rate<R> (completions that found the client
-    parked and paid its wakeup), ungated: it shows the client's
-    spin-before-park window at work. *)
+    plus, ungated, rings.doorbells_per_op.rate<R> (submissions that
+    found the worker parked and rang its doorbell),
+    rings.wakes_per_op.rate<R> (completions that found the client
+    parked and paid its wakeup) and rings.early_reads_per_op.rate<R>
+    (messages a consumer read before its producer's virtual clock
+    published them; see EXPERIMENTS.md "Early ring reads"). The first
+    two show both sides' spin-before-park windows at work. *)
 
 open Scenarios
 
@@ -68,20 +72,25 @@ let run_idle ~ops =
 
 let rates_kops = [ 50; 100; 200; 400; 800; 1600 ]
 
+(* Ungated transport counts, reported per op at every rate. *)
+let per_op_counts =
+  [ ("doorbells", C.Id.ring_doorbells); ("wakes", C.Id.ring_wakes);
+    ("early_reads", C.Id.ring_early_reads) ]
+
 let run_knee ~ops =
   header "Rings: open-loop knee (crossings/op and p99 vs offered load)";
   let plib = fresh_plib () in
   let w = workload ~ops in
   load_plib plib w;
   let threads = 4 in
-  pf "%-12s %10s %10s %10s %10s %10s\n" "offered" "achieved" "cpo" "p99_us"
-    "ops/drain" "wakes/op";
+  pf "%-12s %10s %10s %10s %10s %12s %10s %10s\n" "offered" "achieved" "cpo"
+    "p99_us" "ops/drain" "doorbells/op" "wakes/op" "early/op";
   List.iter
     (fun rate_kops ->
       let name = fresh_name "mc-rings-knee" in
       let e0 = C.read C.Id.hodor_enter in
       let d0 = C.read C.Id.ring_drains and o0 = C.read C.Id.ring_drain_ops in
-      let k0 = C.read C.Id.ring_wakes in
+      let c0 = List.map (fun (_, id) -> C.read id) per_op_counts in
       let r =
         in_vm (fun () ->
           let srv =
@@ -102,19 +111,28 @@ let run_knee ~ops =
       let cpo = float_of_int crossings /. float_of_int r.Ycsb.Runner.r_ops in
       let p99 = Telemetry.Histogram.percentile r.Ycsb.Runner.r_hist 99.0 in
       let opd = float_of_int dops /. float_of_int drains in
-      let wpo =
-        float_of_int (C.read C.Id.ring_wakes - k0)
-        /. float_of_int r.Ycsb.Runner.r_ops
+      let per_op =
+        List.map2
+          (fun (label, id) v0 ->
+            ( label,
+              float_of_int (C.read id - v0) /. float_of_int r.Ycsb.Runner.r_ops
+            ))
+          per_op_counts c0
       in
-      pf "%-12s %10.0f %10.3f %10.1f %10.2f %10.3f\n"
+      let count label = List.assoc label per_op in
+      pf "%-12s %10.0f %10.3f %10.1f %10.2f %12.3f %10.3f %10.3f\n"
         (Printf.sprintf "%d kops" rate_kops)
         (Ycsb.Runner.throughput_ktps r)
-        cpo (us p99) opd wpo;
+        cpo (us p99) opd (count "doorbells") (count "wakes")
+        (count "early_reads");
       pf "rings.ktps.rate%d = %.0f\n" rate_kops (Ycsb.Runner.throughput_ktps r);
       pf "rings.cpo.rate%d = %.3f\n" rate_kops cpo;
       pf "rings.p99_us.rate%d = %.1f\n" rate_kops (us p99);
       pf "rings.ops_per_drain.rate%d = %.2f\n" rate_kops opd;
-      pf "rings.wakes_per_op.rate%d = %.3f\n" rate_kops wpo;
+      List.iter
+        (fun (label, v) ->
+          pf "rings.%s_per_op.rate%d = %.3f\n" label rate_kops v)
+        per_op;
       note ~run:"rings" ~metric:(Printf.sprintf "ktps_rate%d" rate_kops)
         ~unit_:"ktps" (Ycsb.Runner.throughput_ktps r);
       note ~run:"rings" ~metric:(Printf.sprintf "cpo_rate%d" rate_kops)
@@ -123,8 +141,12 @@ let run_knee ~ops =
         ~unit_:"us" (us p99);
       note ~run:"rings" ~metric:(Printf.sprintf "ops_per_drain_rate%d" rate_kops)
         ~unit_:"ops/drain" opd;
-      note ~run:"rings" ~metric:(Printf.sprintf "wakes_per_op_rate%d" rate_kops)
-        ~unit_:"wakes/op" wpo)
+      List.iter
+        (fun (label, v) ->
+          note ~run:"rings"
+            ~metric:(Printf.sprintf "%s_per_op_rate%d" label rate_kops)
+            ~unit_:(label ^ "/op") v)
+        per_op)
     rates_kops
 
 let run ?(ops = 20_000) () =

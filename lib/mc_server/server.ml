@@ -113,6 +113,8 @@ struct
     ring_ctx : ring_ctx option;
     ring_conns : (int, T.conn) Hashtbl.t array;
     (** per-worker ring connections (guarded by [conns_lock]) *)
+    ring_gen : int Atomic.t;
+    (** bumped under [conns_lock] whenever a [ring_conns] set changes *)
     ring_states : (int, wstate) Hashtbl.t;
     (** cid -> drain counters (created/removed under
         [conns_lock]; the scalar fields are the owning worker's) *)
@@ -318,6 +320,7 @@ struct
     Mutex.lock t.conns_lock;
     Hashtbl.remove t.ring_conns.(wi) cid;
     Hashtbl.remove t.ring_states cid;
+    Atomic.incr t.ring_gen;
     Mutex.unlock t.conns_lock;
     drop_conn t cid
 
@@ -386,30 +389,50 @@ struct
      anything, at once: the loop is work-conserving, so a batch is
      exactly what piled up while the worker was busy and a lone
      request never waits for company. When every ring is empty the
-     worker naps one context-switch interval — the wake-up latency a
-     park would add anyway — and looks again; only a second empty pass
-     arms every ring for a doorbell, re-checks, and parks. *)
+     worker naps one context-switch interval, which lets a backlog
+     gather into the next batch, and looks again. If that pass is empty
+     too it keeps polling on the [T.backoff_waits] schedule for
+     [syscall_send + syscall_select] more, so the whole idle window is
+     what a park adds to the next request: the client's doorbell
+     syscall, the worker's context switch, and its select on wake.
+     Only a pass after that window that still finds nothing arms every
+     ring for a doorbell, re-checks, and parks. *)
   let ring_worker_loop t wi inbox =
     let buffers : (int, Buffer.t) Hashtbl.t = Hashtbl.create 16 in
+    (* the worker's connections in cid order, with their drain
+       counters; re-read only after the acceptor or a teardown changed
+       some worker's set, not on every pass of the idle window *)
+    let cached = ref (-1, []) in
     let my_conns () =
-      Mutex.lock t.conns_lock;
-      let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.ring_conns.(wi) [] in
-      Mutex.unlock t.conns_lock;
-      List.sort (fun a b -> compare a.T.cid b.T.cid) l
+      let gen = Atomic.get t.ring_gen in
+      if fst !cached <> gen then begin
+        Mutex.lock t.conns_lock;
+        let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.ring_conns.(wi) [] in
+        Mutex.unlock t.conns_lock;
+        let l = List.sort (fun a b -> compare a.T.cid b.T.cid) l in
+        cached := (gen, List.map (fun c -> (c, ring_state t c.T.cid)) l)
+      end;
+      snd !cached
     in
-    let rec loop ~napped =
+    (* the waits of one idle window: the nap, then the backoff *)
+    let idle_waits () =
+      CM.current.ctx_switch
+      :: T.backoff_waits
+           ~window:(CM.current.syscall_send + CM.current.syscall_select)
+    in
+    let rec loop waits =
       let acted = ref false in
       List.iter
-        (fun conn ->
+        (fun (conn, st) ->
           let cid = conn.T.cid in
           match T.ring_pending conn with
           | Error _ ->
             bounce_ring_conn t wi conn;
             Hashtbl.remove buffers cid;
             acted := true
-          | Ok None -> (ring_state t cid).w_occ <- 0
+          | Ok None -> st.w_occ <- 0
           | Ok (Some p) -> (
-            (ring_state t cid).w_occ <- p.Transport.Ring.p_msgs;
+            st.w_occ <- p.Transport.Ring.p_msgs;
             acted := true;
             T.ring_arm conn false;
             match
@@ -426,15 +449,15 @@ struct
               bounce_ring_conn t wi conn;
               Hashtbl.remove buffers cid))
         (my_conns ());
-      if !acted then loop ~napped:false
-      else if not napped then begin
-        S.sleep_ns CM.current.ctx_switch;
-        loop ~napped:true
-      end
-      else begin
+      match waits with
+      | _ when !acted -> loop (idle_waits ())
+      | w :: rest ->
+        S.sleep_ns w;
+        loop rest
+      | [] ->
         (* idle: arm every ring, re-check (the produce-then-check-armed
            protocol makes this race-free), then park on the doorbell *)
-        let conns = my_conns () in
+        let conns = List.map fst (my_conns ()) in
         List.iter (fun c -> T.ring_arm c true) conns;
         let ready =
           List.exists
@@ -446,7 +469,7 @@ struct
         in
         if ready then begin
           List.iter (fun c -> T.ring_arm c false) conns;
-          loop ~napped:false
+          loop (idle_waits ())
         end
         else begin
           S.advance CM.current.syscall_select;
@@ -462,11 +485,10 @@ struct
             in
             clear ();
             List.iter (fun c -> T.ring_arm c false) conns;
-            loop ~napped:false
+            loop (idle_waits ())
         end
-      end
     in
-    loop ~napped:false
+    loop (idle_waits ())
 
   (* The registry slot a new connection is bound to. A name the
      registry does not hold is an [Error]: serving it would open an
@@ -507,7 +529,8 @@ struct
         (match t.ring_ctx with
          | Some _ ->
            Hashtbl.replace t.ring_conns.(!next mod t.cfg.workers) cid conn;
-           Hashtbl.replace t.ring_states cid (fresh_wstate ())
+           Hashtbl.replace t.ring_states cid (fresh_wstate ());
+           Atomic.incr t.ring_gen
          | None -> ());
         (* bind the tenant identity before the client is released, so no
            request can race ahead of its own scoping *)
@@ -572,6 +595,7 @@ struct
         tenants; slot_of = Hashtbl.create 8; assign_tenant; surfaces; wrap;
         ring_ctx;
         ring_conns = Array.init cfg.workers (fun _ -> Hashtbl.create 8);
+        ring_gen = Atomic.make 0;
         ring_states; threads = [] }
     in
     let acceptor = S.spawn ~name:(name ^ ".acceptor") (fun () -> acceptor_loop t) in

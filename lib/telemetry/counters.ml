@@ -92,7 +92,10 @@ module Id = struct
      the worker looked), the ops those drains carried (ops/drain =
      ring_drain_ops / ring_drains), completions published, producer
      stalls on a full ring, connections bounced for forged slot headers,
-     and completions that found the client parked and paid its wakeup. *)
+     completions that found the client parked and paid its wakeup, and
+     messages either consumer read before the virtual time its producer
+     stamped them at (ring slots are host memory, so a consumer can see
+     a publish from its producer's future; see EXPERIMENTS.md). *)
   let ring_submits = 38
   let ring_doorbells = 39
   let ring_drains = 40
@@ -101,10 +104,11 @@ module Id = struct
   let ring_full_waits = 43
   let ring_kills = 44
   let ring_wakes = 45
+  let ring_early_reads = 46
 
   (* Per-pkey fault counts occupy the tail: [pku_fault_pkey + k] for
      pkey k in [0, pkeys). *)
-  let pku_fault_pkey = 46
+  let pku_fault_pkey = 47
 
   let pkeys = 16
 
@@ -147,7 +151,8 @@ let names =
       (Id.ring_drain_ops, "ring_drain_ops");
       (Id.ring_completions, "ring_completions");
       (Id.ring_full_waits, "ring_full_waits");
-      (Id.ring_kills, "ring_kills"); (Id.ring_wakes, "ring_wakes") ];
+      (Id.ring_kills, "ring_kills"); (Id.ring_wakes, "ring_wakes");
+      (Id.ring_early_reads, "ring_early_reads") ];
   for k = 0 to Id.pkeys - 1 do
     a.(Id.pku_fault_pkey + k) <- Printf.sprintf "pku_fault_pkey:%d" k
   done;
@@ -242,7 +247,7 @@ let ring_kvs () =
   List.map kv
     [ Id.ring_submits; Id.ring_doorbells; Id.ring_drains;
       Id.ring_drain_ops; Id.ring_completions; Id.ring_full_waits;
-      Id.ring_kills; Id.ring_wakes ]
+      Id.ring_kills; Id.ring_wakes; Id.ring_early_reads ]
 
 let all_kvs () =
   List.filter_map

@@ -257,8 +257,8 @@ let consume_all t =
     wr t o_acked !pos;
     Ok (List.rev !out)
 
-(* Pop a single message (the client consuming completions). Returns
-   [None] when the ring is empty. *)
+(* Pop a single message with its stamp (the client consuming
+   completions). Returns [None] when the ring is empty. *)
 let consume_one t =
   match walk t with
   | Error e -> invalid_arg ("Ring.consume_one: " ^ e)
@@ -267,11 +267,12 @@ let consume_one t =
     let h = head t in
     let off = slot_off t h in
     let len = Region.read_i64 t.region (off + 8) in
+    let stamp = Region.read_i64 t.region (off + 16) in
     let msg = read_msg t h len in
     let h' = h + max 1 (slots_for t (max 1 len)) in
     wr t o_head h';
     wr t o_acked h';
-    Some msg
+    Some (msg, stamp)
 
 (* ---- recovery -------------------------------------------------------- *)
 

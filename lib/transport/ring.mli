@@ -89,8 +89,9 @@ val consume_all : t -> ((string * int) list, string) result
 (** Drain every published message in order, with its stamp, advancing
     head and the acked watermark together. *)
 
-val consume_one : t -> string option
-(** Pop a single message (the completion-side client path). *)
+val consume_one : t -> (string * int) option
+(** Pop a single message with its stamp (the completion-side client
+    path). *)
 
 val recover : t -> unit
 (** Post-crash repair: clamp broken header invariants, truncate the

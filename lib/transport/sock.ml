@@ -145,6 +145,29 @@ module Make (S : Platform.Sync_intf.S) = struct
     S.advance CM.current.ctx_switch_cpu;
     S.sleep_ns (CM.current.ctx_switch - CM.current.ctx_switch_cpu)
 
+  (* Spin-then-block schedule for a consumer facing an empty ring: the
+     waits between its polls before it arms the ring and parks. One
+     ring slot, doubling, the last clipped so the waits total exactly
+     [window]. With [window] set to what a park would add to the next
+     message's latency, polling that long is 2-competitive (Karlin et
+     al., SOSP 1991): it never costs more than twice an oracle that
+     knew when the message would land. *)
+  let backoff_waits ~window =
+    let rec go ~left ~wait =
+      if left <= 0 then []
+      else
+        let w = min wait left in
+        w :: go ~left:(left - w) ~wait:(2 * wait)
+    in
+    go ~left:window ~wait:CM.current.ring_slot
+
+  (* A consumer read a message stamped later than its own clock: ring
+     slots are host memory, so a fiber can see a publish its producer
+     made at a later virtual time. Counted only, at no virtual cost. *)
+  let note_early_read stamp =
+    if Telemetry.Control.on () && stamp > S.now_ns () then
+      C.incr C.Id.ring_early_reads
+
   (* Bounce a ring connection: the consumer refuses the rings (forged
      slot headers, or a peer that stopped draining); both sides'
      producers raise from now on, and a parked client wakes with
@@ -240,33 +263,32 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   (* Completion-ring receive. Fast path: a completion is already
      published — consume it with zero kernel involvement. Spin: an
-     empty ring is polled (one header read each) with exponential
-     backoff — waits of one ring slot, doubling, the last clipped so
-     the window totals one context-switch interval, the wake-up latency
-     a park would add anyway (the worker's nap, on the client side). A
-     reply published inside the window costs neither the server's
-     wakeup nor the client's context switch, because the ring was never
-     armed. Slow path: arm the ring, re-check (the
-     publish-then-check-armed producer protocol makes the wakeup
-     race-free), then park on the reply channel, which stands in for a
-     futex wait. *)
+     empty ring is polled (one header read each) on the
+     [backoff_waits] schedule over one context-switch interval, the
+     wake-up latency a park would add anyway. A reply published inside
+     the window costs neither the server's wakeup nor the client's
+     context switch, because the ring was never armed. Slow path: arm
+     the ring, re-check (the publish-then-check-armed producer protocol
+     makes the wakeup race-free), then park on the reply channel, which
+     stands in for a futex wait. *)
   let ring_client_recv conn ra =
     let comp = ra.ra_comp in
     ring_grant ra;
-    let take msg =
+    let take (msg, stamp) =
+      note_early_read stamp;
       S.advance (CM.current.ring_slot + CM.memcpy_cost (String.length msg));
       msg
     in
     let rec await () =
       if Ring.is_dead comp then raise Connection_closed;
       match Ring.consume_one comp with
-      | Some msg -> take msg
+      | Some m -> take m
       | None ->
         Ring.set_armed comp true;
         (match Ring.consume_one comp with
-         | Some msg ->
+         | Some m ->
            Ring.set_armed comp false;
-           take msg
+           take m
          | None ->
            S.advance CM.current.syscall_recv (* futex-style wait *);
            (match S.recv conn.reply with
@@ -276,18 +298,17 @@ module Make (S : Platform.Sync_intf.S) = struct
               await ()
             | exception S.Closed -> raise Connection_closed))
     in
-    let rec spin ~left ~wait =
+    let rec spin waits =
       if Ring.is_dead comp then raise Connection_closed;
-      match Ring.consume_one comp with
-      | Some msg -> take msg
-      | None when left <= 0 -> await ()
-      | None ->
+      match (Ring.consume_one comp, waits) with
+      | Some m, _ -> take m
+      | None, [] -> await ()
+      | None, w :: rest ->
         S.advance CM.current.ring_slot;
-        let w = min wait left in
         S.sleep_ns w;
-        spin ~left:(left - w) ~wait:(2 * wait)
+        spin rest
     in
-    spin ~left:CM.current.ctx_switch ~wait:CM.current.ring_slot
+    spin (backoff_waits ~window:CM.current.ctx_switch)
 
   let client_recv conn =
     match conn.rings with
@@ -411,6 +432,7 @@ module Make (S : Platform.Sync_intf.S) = struct
       ring_grant ra;
       (match Ring.consume_all ra.ra_sub with
        | Ok msgs ->
+         List.iter (fun (_, stamp) -> note_early_read stamp) msgs;
          List.iter
            (fun (m, _) ->
              S.advance

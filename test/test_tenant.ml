@@ -598,7 +598,8 @@ let test_server_stats_surface_schema () =
           "trace_level"; "trace_sample_every" ] );
       ( "rings",
         [ "ring_completions"; "ring_doorbells"; "ring_drain_ops"; "ring_drains";
-          "ring_full_waits"; "ring_kills"; "ring_submits"; "ring_wakes";
+          "ring_early_reads"; "ring_full_waits"; "ring_kills"; "ring_submits";
+          "ring_wakes";
           "rings:conn<n>:drains"; "rings:conn<n>:occupancy";
           "rings:conn<n>:ops" ] );
       ( "tenants",

@@ -325,7 +325,9 @@ let test_ring_chunking () =
   Ring.produce t ~stamp:1 big;
   Alcotest.(check int) "occupies three slots" 3 (Ring.slots_used t);
   (match Ring.consume_one t with
-   | Some m -> Alcotest.(check string) "reassembled verbatim" big m
+   | Some (m, stamp) ->
+     Alcotest.(check string) "reassembled verbatim" big m;
+     Alcotest.(check int) "first slot's stamp" 1 stamp
    | None -> Alcotest.fail "message lost");
   (* Degenerate producer inputs are refused outright. *)
   (match Ring.produce t ~stamp:1 "" with
@@ -346,7 +348,7 @@ let test_ring_wraparound () =
     in
     Ring.produce t ~stamp:i m;
     match Ring.consume_one t with
-    | Some got -> Alcotest.(check string) "survives the wrap" m got
+    | Some (got, _) -> Alcotest.(check string) "survives the wrap" m got
     | None -> Alcotest.fail "message lost at wrap"
   done;
   Alcotest.(check bool) "positions ran past the ring size" true
@@ -457,7 +459,8 @@ let test_ring_attach () =
   let t2 = Ring.attach r ~base:0 in
   Alcotest.(check int) "geometry recovered" (Ring.max_msg t) (Ring.max_msg t2);
   (match Ring.consume_one t2 with
-   | Some m -> Alcotest.(check string) "visible through reattach" "persisted" m
+   | Some (m, _) ->
+     Alcotest.(check string) "visible through reattach" "persisted" m
    | None -> Alcotest.fail "message lost across attach");
   Region.write_i64 r 0 0xBAD;
   match Ring.attach r ~base:0 with
@@ -466,16 +469,18 @@ let test_ring_attach () =
 
 (* ---- Ring server: the work-conserving drain -----------------------------
    A one-worker ring-mode server in front of a fresh protected library,
-   one client connection. The worker drains whatever a ring holds as
-   soon as it looks, naps one context switch when every ring is empty,
-   and only then arms the doorbells and parks. *)
+   one client connection (two where a case needs a bystander). The
+   worker drains whatever a ring holds as soon as it looks; when every
+   ring is empty it naps one context switch, then keeps polling with
+   backoff for what a park would cost, and only then arms the doorbells
+   and parks. *)
 
 module TC = Telemetry.Counters
 module CS = Cl.Sock
 
 let ring_srv_fresh = ref 0
 
-let with_plib_server ?(vm = Vm.create ()) ~rings f =
+let with_plib_conns ?(vm = Vm.create ()) ~rings ~n f =
   incr ring_srv_fresh;
   let id = !ring_srv_fresh in
   let path = Printf.sprintf "/shm/ring-srv-%d" id in
@@ -500,10 +505,13 @@ let with_plib_server ?(vm = Vm.create ()) ~rings f =
                ~cfg:{ Mc_server.Server.default_config with workers = 1 }
                ?rings plib ~name
            in
-           out := Some (f (CS.connect ~name ()));
+           out := Some (f (List.init n (fun _ -> CS.connect ~name ())));
            Cl.Plib.stop_remote srv));
       Vm.run vm;
       Option.get !out)
+
+let with_plib_server ?vm ~rings f =
+  with_plib_conns ?vm ~rings ~n:1 (fun cs -> f (List.hd cs))
 
 let rings_of c = Option.get (CS.T.rings_of c.CS.conn)
 
@@ -599,11 +607,14 @@ let test_ring_nap_then_park () =
       (armed ()))
 
 (* Bursts and idle gaps on one connection under perturbed schedules.
-   The gaps straddle the nap (shorter, equal, longer, long enough to
-   park), which is where a lost wakeup would hide; one would leave the
-   client parked for good, and [Vm.run] reports that as a deadlock. *)
+   The gaps straddle the nap and the end of the whole idle window
+   (shorter, equal, longer, long enough to park), which is where a lost
+   wakeup would hide; one would leave the client parked for good, and
+   [Vm.run] reports that as a deadlock. *)
 let test_ring_seeded_bursts () =
-  let gaps = [| 0; 1_000; 2_900; 3_000; 3_100; 6_000; 50_000 |] in
+  let gaps =
+    [| 0; 1_000; 2_900; 3_000; 3_100; 5_400; 5_500; 5_600; 6_000; 50_000 |]
+  in
   for seed = 1 to 16 do
     let vm = Vm.create ~sched_seed:seed ~preempt_jitter:50 () in
     let rng = Random.State.make [| seed |] in
@@ -757,6 +768,117 @@ let test_ring_client_closed_while_spinning () =
         true (dt <= ctx_switch ()))
     [ ("bounce", T.ring_bounce); ("close", T.close_conn) ]
 
+(* ---- Ring worker: spin for what a park costs -----------------------------
+   After its nap comes up empty the worker keeps polling, with backoff,
+   for [syscall_send + syscall_select] more: the doorbell syscall and
+   the select a park would add to the next request. *)
+
+let park_cost () =
+  Platform.Cost_model.current.syscall_send
+  + Platform.Cost_model.current.syscall_select
+
+(* Submit [cmd] and watch its reply land in the completion ring rather
+   than parking on it: the drain that published it is over, so the
+   worker's idle window starts about now. The reply stays queued for
+   [CS.await]. *)
+let reply_landed c st cmd =
+  let comp = (rings_of c).CS.T.ra_comp in
+  CS.submit st cmd;
+  while Transport.Ring.is_empty comp do
+    S.sleep_ns 100
+  done
+
+let sub_armed c = Transport.Ring.consumer_armed (rings_of c).CS.T.ra_sub
+
+let test_ring_worker_spin_drains () =
+  with_plib_server ~rings:true (fun c ->
+    ignore (CS.set c "k" "v");
+    idle ();
+    let st = CS.stream c in
+    let cmd = P.Gets [ "k" ] in
+    reply_landed c st cmd;
+    (* past the nap, inside the rest of the window; the armed flag is
+       watched all the way *)
+    let until = S.now_ns () + ctx_switch () + park_cost () - 300 in
+    let armed = ref false in
+    while S.now_ns () < until do
+      armed := !armed || sub_armed c;
+      S.sleep_ns 50
+    done;
+    let b0 = TC.read TC.Id.ring_doorbells and d0, _ = drains () in
+    CS.submit st cmd;
+    check_hit "reply before the window" "v" (CS.await st cmd);
+    check_hit "reply from inside the window" "v" (CS.await st cmd);
+    Alcotest.(check bool) "submission ring never armed" false !armed;
+    Alcotest.(check int) "no doorbell" 0 (TC.read TC.Id.ring_doorbells - b0);
+    Alcotest.(check int) "a spin poll drains it" 1 (fst (drains ()) - d0))
+
+let test_ring_worker_parks_after_window () =
+  with_plib_server ~rings:true (fun c ->
+    ignore (CS.set c "k" "v");
+    ignore (CS.set c "late" "after the window");
+    idle ();
+    let st = CS.stream c in
+    reply_landed c st (P.Gets [ "k" ]);
+    check_hit "reply before the window" "v" (CS.await st (P.Gets [ "k" ]));
+    S.sleep_ns (2 * (ctx_switch () + park_cost ()));
+    Alcotest.(check bool) "armed once the window ran out" true (sub_armed c);
+    let b0 = TC.read TC.Id.ring_doorbells in
+    let cmd = P.Gets [ "late" ] in
+    CS.submit st cmd;
+    Alcotest.(check int) "exactly one doorbell" 1
+      (TC.read TC.Id.ring_doorbells - b0);
+    check_hit "the parked worker serves it" "after the window"
+      (CS.await st cmd);
+    Alcotest.(check int) "and no other" 1 (TC.read TC.Id.ring_doorbells - b0))
+
+(* Stomp the producer tail past the ring's capacity: the worker's next
+   validated peek fails and it bounces the connection. *)
+let forge_overfill c =
+  let ra = rings_of c in
+  let sub = ra.CS.T.ra_sub in
+  CS.T.ring_grant ra;
+  Region.write_i64 (Transport.Ring.region sub) (Transport.Ring.tail_word sub)
+    (Transport.Ring.head sub + 1_000)
+
+let test_ring_worker_releases_while_spinning () =
+  List.iter
+    (fun (label, kill) ->
+      let kills = TC.read TC.Id.ring_kills in
+      let gone, kept, killed =
+        with_plib_conns ~rings:true ~n:2 (fun cs ->
+          let c1 = List.nth cs 0 and c2 = List.nth cs 1 in
+          ignore (CS.set c2 "k" "v");
+          idle ();
+          let st = CS.stream c1 in
+          let cmd = P.Gets [ "k" ] in
+          reply_landed c1 st cmd;
+          check_hit (label ^ ": reply") "v" (CS.await st cmd);
+          S.sleep_ns (ctx_switch () + (park_cost () / 2));
+          Alcotest.(check bool) (label ^ ": worker still polling") false
+            (sub_armed c1);
+          kill c1;
+          (* the bystander on the same worker is served on *)
+          (match CS.get c2 "k" with
+           | Some r ->
+             Alcotest.(check string) (label ^ ": bystander served") "v"
+               r.Mc_core.Store.value
+           | None -> Alcotest.fail (label ^ ": bystander lost its hit"));
+          let rows = CS.stats ~arg:"rings" c2 in
+          let listed c =
+            List.mem_assoc
+              (Printf.sprintf "rings:conn%d:ops" c.CS.conn.CS.T.cid)
+              rows
+          in
+          (listed c1, listed c2, TC.read TC.Id.ring_kills - kills))
+      in
+      Alcotest.(check bool) (label ^ ": connection released") false gone;
+      Alcotest.(check bool) (label ^ ": bystander still listed") true kept;
+      Alcotest.(check int) (label ^ ": ring kills")
+        (if label = "bounce" then 1 else 0)
+        killed)
+    [ ("quit", CS.quit); ("bounce", forge_overfill) ]
+
 let ring_server_tests =
   [ Alcotest.test_case "lone request drains at once" `Quick
       test_ring_lone_request_no_wait;
@@ -770,7 +892,13 @@ let ring_server_tests =
     Alcotest.test_case "client parks after the window" `Quick
       test_ring_client_parks_after_window;
     Alcotest.test_case "client closed while spinning" `Quick
-      test_ring_client_closed_while_spinning ]
+      test_ring_client_closed_while_spinning;
+    Alcotest.test_case "worker spin drains a late request" `Quick
+      test_ring_worker_spin_drains;
+    Alcotest.test_case "worker parks after the window" `Quick
+      test_ring_worker_parks_after_window;
+    Alcotest.test_case "worker releases while spinning" `Quick
+      test_ring_worker_releases_while_spinning ]
 
 let () =
   Alcotest.run "transport"

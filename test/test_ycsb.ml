@@ -475,6 +475,13 @@ let test_determinism_plib_optimistic_same_seed () =
 
 let rings_det_names = Atomic.make 0
 
+(* Transport counts a same-seed replay must reproduce exactly. *)
+let ring_counts =
+  let module Id = Telemetry.Counters.Id in
+  [ ("ring drains", Id.ring_drains); ("drained ops", Id.ring_drain_ops);
+    ("completion wakeups", Id.ring_wakes); ("doorbells", Id.ring_doorbells);
+    ("early ring reads", Id.ring_early_reads) ]
+
 let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
   let module Cl = Core.Client.Make (Vm.Sync) in
   let module Plib = Cl.Plib in
@@ -498,9 +505,7 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
       ()
   in
   let rings = Mc_server.Server.default_ring_config in
-  let d0 = TC.read TC.Id.ring_drains in
-  let o0 = TC.read TC.Id.ring_drain_ops in
-  let k0 = TC.read TC.Id.ring_wakes in
+  let c0 = List.map (fun (_, id) -> TC.read id) ring_counts in
   let threads = 2 in
   let traces = Array.init threads (fun _ -> Buffer.create 4096) in
   let vm = Vm.create ~sched_seed () in
@@ -547,9 +552,7 @@ let run_seeded_open_rings ~sched_seed ~workload_seed ~rate_kops =
   let r = Option.get !res in
   ( Array.to_list (Array.map Buffer.contents traces),
     (r.Ycsb.Runner.r_ops, r.Ycsb.Runner.r_hits, r.Ycsb.Runner.r_misses),
-    ( TC.read TC.Id.ring_drains - d0,
-      TC.read TC.Id.ring_drain_ops - o0,
-      TC.read TC.Id.ring_wakes - k0 ),
+    List.map2 (fun (name, id) v0 -> (name, TC.read id - v0)) ring_counts c0,
     Vm.events_processed vm ))
 
 (* 50 kops leaves each worker idle between requests; 4000 kops offers
@@ -572,13 +575,19 @@ let test_determinism_open_rings_same_seed () =
       Alcotest.(check int) (tag "%d kops ops") ops1 ops2;
       Alcotest.(check int) (tag "%d kops hits") hits1 hits2;
       Alcotest.(check int) (tag "%d kops misses") miss1 miss2;
-      let d1, o1, k1 = r1 and d2, o2, k2 = r2 in
-      Alcotest.(check int) (tag "%d kops ring drains") d1 d2;
-      Alcotest.(check int) (tag "%d kops drained ops") o1 o2;
-      (* the client's spin-before-park window is on virtual time too *)
-      Alcotest.(check int) (tag "%d kops completion wakeups") k1 k2;
-      Alcotest.(check bool) (tag "%d kops client parks exercised") true (k1 > 0);
-      Alcotest.(check bool) (tag "%d kops rings exercised") true (d1 > 0);
+      (* both sides' spin-before-park windows run on virtual time too,
+         and so does which ring reads land ahead of their producer *)
+      List.iter2
+        (fun (name, v1) (_, v2) ->
+          Alcotest.(check int) (tag "%d kops " ^ name) v1 v2)
+        r1 r2;
+      let count name = List.assoc name r1 in
+      Alcotest.(check bool) (tag "%d kops client parks exercised") true
+        (count "completion wakeups" > 0);
+      Alcotest.(check bool) (tag "%d kops worker parks exercised") true
+        (count "doorbells" > 0);
+      Alcotest.(check bool) (tag "%d kops rings exercised") true
+        (count "ring drains" > 0);
       Alcotest.(check int) (tag "%d kops scheduler events") e1 e2)
     open_ring_rates
 
@@ -588,17 +597,20 @@ let test_backlog_batching_preserves_op_streams () =
      keys in the same order whatever the offered rate. A slow stream
      drains one request at a time, with nothing held back to wait for
      company; a stream past saturation batches its backlog. *)
-  let t1, (ops1, hits1, miss1), (d1, o1, _), _ =
+  let drains r = (List.assoc "ring drains" r, List.assoc "drained ops" r) in
+  let t1, (ops1, hits1, miss1), r1, _ =
     run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops:50
   in
+  let d1, o1 = drains r1 in
   Alcotest.(check int)
     (Printf.sprintf "50 kops drains one op at a time (%d/%d)" o1 d1)
     d1 o1;
   List.iter
     (fun rate_kops ->
-      let tb, (opsb, hitsb, missb), (db, ob, _), _ =
+      let tb, (opsb, hitsb, missb), rb, _ =
         run_seeded_open_rings ~sched_seed:4242 ~workload_seed:17 ~rate_kops
       in
+      let db, ob = drains rb in
       let tag fmt = Printf.sprintf fmt rate_kops in
       Alcotest.(check int) (tag "%d kops same op count") ops1 opsb;
       Alcotest.(check int) (tag "%d kops same hits") hits1 hitsb;
