@@ -34,7 +34,7 @@ module Layout = struct
   let it_lru_id = 52 (* i32 *)
   let it_state = 56 (* i32: bit 1 linked, bit 2 fetched *)
   let it_hash = 60 (* i32 *)
-  let it_time = 64 (* i64, ns timestamp of last store *)
+  let it_time = 64 (* i64, ns: when the item last took its LRU place *)
   let header_size = 80
 
   let state_linked = 1
@@ -70,9 +70,11 @@ type config = {
       build chooses by key hash (§3.2) *)
   evict_batch : int;
   bump_interval_s : int;
-  (** a get skips the LRU bump (and its lock) when the item already
-      moved within this many seconds — memcached's rate-limiting that
-      keeps hot keys off the LRU lock; [0] bumps on every hit *)
+  (** the move rule: an item that took its LRU place within this many
+      seconds is not moved again — a get or touch skips the LRU bump
+      (and its lock), and an overwrite takes the old item's place.
+      memcached's rate-limiting that keeps hot keys off the LRU lock;
+      [0] moves on every access *)
   optimistic_reads : bool;
   (** seqlock read path: a get snapshots the item without the stripe
       lock and validates against the stripe's version word, falling
@@ -144,12 +146,16 @@ let telemetry_id =
    would make [holds_stripe] blind to stripes pinned through the other
    instance — a self-deadlock when, say, a tenant delete takes a key
    whose stripe the batch executor already groups. Entries are keyed by
-   the handle's physical identity. *)
-let held_stripes : (Obj.t * int) list ref Tls.key =
+   the handle's store id, drawn from [store_ids] at create/attach: two
+   handles on one heap (tests attach twice) get different ids, so their
+   stripe indices do not alias. *)
+let store_ids = Atomic.make 0
+
+let held_stripes : (int * int) list ref Tls.key =
   Tls.new_key (fun () -> ref [])
 
 type hold_entry = {
-  he_store : Obj.t;
+  he_store : int;
   he_stripe : int;
   he_wait_ns : int;
   he_since : int;
@@ -173,6 +179,7 @@ struct
   open Layout
 
   type t = {
+    id : int;  (* process-unique: keys this handle's held stripes *)
     mem : M.t;
     alloc : A.t;
     mutable cfg : config;
@@ -264,7 +271,8 @@ struct
   let runtime ~mem ~alloc (cfg : config) ~ctrl ~buckets ~lru ~stats ~seqs =
     if cfg.lock_count land (cfg.lock_count - 1) <> 0 then
       invalid_arg "Store: lock_count must be a power of two";
-    { mem; alloc; cfg; ctrl; buckets; lru; stats; seqs;
+    { id = Atomic.fetch_and_add store_ids 1; mem; alloc; cfg; ctrl; buckets;
+      lru; stats; seqs;
       item_locks =
         Array.init cfg.lock_count (fun _ -> S.mutex ~cls:"store.item" ());
       lru_locks =
@@ -398,12 +406,11 @@ struct
      the per-op [lock_item]/[unlock_item] inside a grouped batch become
      no-ops for stripes the thread pinned through [with_stripes], even
      when the pin went through a different instantiation of this
-     functor. Handles are compared physically — two stores may coexist
+     functor. Handles are compared by store id — two stores may coexist
      in one process (tests attach twice), and their stripe indices must
      not alias. *)
   let holds_stripe t s =
-    let t = Obj.repr t in
-    List.exists (fun (t', s') -> t' == t && s' = s) !(Tls.get held_stripes)
+    List.exists (fun (id, s') -> id = t.id && s' = s) !(Tls.get held_stripes)
 
   let lock_item t h =
     if not (holds_stripe t (stripe_index t h)) then begin
@@ -418,7 +425,7 @@ struct
       Telemetry.Span.finish wsp;
       let holds = Tls.get open_holds in
       holds :=
-        { he_store = Obj.repr t; he_stripe = stripe_index t h;
+        { he_store = t.id; he_stripe = stripe_index t h;
           he_wait_ns = t1 - t0; he_since = t1;
           he_span = Telemetry.Span.start ~phase:"stripe_hold" () }
         :: !holds;
@@ -434,7 +441,7 @@ struct
       let holds = Tls.get open_holds in
       (let rec pop acc = function
          | [] -> ()
-         | e :: tl when e.he_store == Obj.repr t && e.he_stripe = s ->
+         | e :: tl when e.he_store = t.id && e.he_stripe = s ->
            holds := List.rev_append acc tl;
            Telemetry.Span.finish e.he_span;
            Telemetry.Contention.record ~stripe:s ~wait_ns:e.he_wait_ns
@@ -474,7 +481,7 @@ struct
           held :=
             (let rec rm = function
                | [] -> []
-               | (t', s') :: tl when t' == Obj.repr t && s' = s -> tl
+               | (id, s') :: tl when id = t.id && s' = s -> tl
                | p :: tl -> p :: rm tl
              in
              rm !held);
@@ -500,7 +507,7 @@ struct
            seq_bump t s;
            waits := (s, S.now_ns () - t0) :: !waits;
            acquired := s :: !acquired;
-           held := (Obj.repr t, s) :: !held;
+           held := (t.id, s) :: !held;
            (* Per stripe, not once per group: a kill between two of
               the group's acquisitions must still find the stripes
               already pinned on the record. *)
@@ -605,22 +612,28 @@ struct
     let ol = rd64 t (t.ctrl + ctl_oldest_live) in
     ol > 0 && rd64 t (it + it_time) <= ol
 
-  (* Walk the chain for [key]; probing costs are charged per node. *)
-  let find t h key =
+  (* Walk the chain for [key]; probing costs are charged per node.
+     Returns the chain link that points at the item (the bucket slot or
+     its predecessor's [it_h_next]) and the item, or 0, so a commit can
+     swap the item out without walking the chain again. *)
+  let find_at t h key =
     let len = String.length key in
-    let rec go it =
-      if it = 0 then 0
+    let rec go at =
+      let it = ldp t at in
+      if it = 0 then (at, 0)
       else begin
         adv CM.current.bucket_probe;
         if
           rd32 t (it + it_nkey) = len
           && (adv (CM.key_cmp_cost len);
               M.equal_string t.mem ~off:(it + header_size) ~len key)
-        then it
-        else go (ldp t (it + it_h_next))
+        then (at, it)
+        else go (it + it_h_next)
       end
     in
-    go (ldp t (bucket_of t h))
+    go (bucket_of t h)
+
+  let find t h key = snd (find_at t h key)
 
   (* Is the block at [it] currently linked on the bucket chain for
      hash [h]? Caller holds the stripe lock for [h]. Membership proves
@@ -657,6 +670,13 @@ struct
     go b;
     wr32 t (it + it_state) (rd32 t (it + it_state) land lnot state_linked)
 
+  (* [it] takes [old]'s place on its chain, at [cell] (see [find_at]). *)
+  let hash_replace t ~cell ~old it =
+    stp t (it + it_h_next) (ldp t (old + it_h_next));
+    stp t cell it;
+    wr32 t (it + it_state) (rd32 t (it + it_state) lor state_linked);
+    wr32 t (old + it_state) (rd32 t (old + it_state) land lnot state_linked)
+
   (* LRU splicing; caller holds the matching lru lock. *)
   let lru_link t it l =
     adv CM.current.lru_update;
@@ -678,12 +698,41 @@ struct
     stp t (it + it_lru_next) 0;
     stp t (it + it_lru_prev) 0
 
+  (* [it] takes [old]'s node on list [l], in one splice. *)
+  let lru_replace t ~old it l =
+    adv CM.current.lru_update;
+    let nx = ldp t (old + it_lru_next) and pv = ldp t (old + it_lru_prev) in
+    stp t (it + it_lru_next) nx;
+    stp t (it + it_lru_prev) pv;
+    if pv <> 0 then stp t (pv + it_lru_next) it else stp t (lru_head t l) it;
+    if nx <> 0 then stp t (nx + it_lru_prev) it else stp t (lru_tail t l) it;
+    stp t (old + it_lru_next) 0;
+    stp t (old + it_lru_prev) 0;
+    wr32 t (it + it_lru_id) l
+
   let lru_bump t it =
     let l = rd32 t (it + it_lru_id) in
     lock_lru t l;
     lru_unlink t it l;
     lru_link t it l;
     unlock_lru t l
+
+  (* The move rule, memcached's ITEM_UPDATE_INTERVAL: an item whose
+     [it_time] says it took its LRU place within [bump_interval_s]
+     is not moved again — a get or touch leaves it where it is, and an
+     overwrite takes its place. [0] moves on every access. *)
+  let moved_recently t itime =
+    let interval_ns = t.cfg.bump_interval_s * 1_000_000_000 in
+    interval_ns > 0 && S.now_ns () - itime < interval_ns
+
+  (* A get, touch or in-place incr of a live item: move it to the head
+     unless the move rule says it moved recently. Restamping [it_time]
+     is flush_all-safe because the caller's expiry check already ran. *)
+  let lru_use t it =
+    if not (moved_recently t (rd64 t (it + it_time))) then begin
+      wr64 t (it + it_time) (S.now_ns ());
+      lru_bump t it
+    end
 
   let free_item t it =
     adv CM.current.free_cost;
@@ -707,14 +756,47 @@ struct
     unlink_item t h it;
     notify_evict t ~key ~bytes
 
-  (* The live item for [key], or 0, reclaiming an expired one. *)
+  (* The live item for [key] and its chain link (see [find_at]), or
+     [(_, 0)], reclaiming an expired one. *)
   let find_live t h key ~now =
-    let it = find t h key in
+    let (_, it) as found = find_at t h key in
     if it <> 0 && expired t it ~now then begin
       reclaim t h it;
-      0
+      (0, 0)
     end
-    else it
+    else found
+
+  (* Link the new item [it] on LRU list [l] in place of [old] (0: none),
+     [cell] being the chain link [find_at] returned for [old]. Caller
+     holds the stripe for [h]. An [old] on [l] that moved recently
+     hands [it] its chain link, LRU node and [it_time]: one splice
+     under one LRU lock, and [curr_items] is unchanged. The inherited
+     [it_time] is flush_all-safe: a live [old]'s is above the
+     watermark, and a later flush kills the heir as it would have
+     killed [old]. Any other [old] is unlinked and [it] goes to the
+     head. A reader's reference keeps [old]'s block until [release]. *)
+  let commit t h ~cell ~old it l =
+    if
+      old <> 0
+      && rd32 t (old + it_lru_id) = l
+      && moved_recently t (rd64 t (old + it_time))
+    then begin
+      wr64 t (it + it_time) (rd64 t (old + it_time));
+      hash_replace t ~cell ~old it;
+      lock_lru t l;
+      lru_replace t ~old it l;
+      unlock_lru t l;
+      if rd32 t (old + it_refcount) = 0 then free_item t old
+    end
+    else begin
+      if old <> 0 then unlink_item t h old;
+      hash_insert t h it;
+      lock_lru t l;
+      lru_link t it l;
+      unlock_lru t l;
+      stat_add t C.curr_items 1
+    end;
+    stat t C.total_items
 
   (* A quota'd write under stripe [h]: refuse a delta that does not
      fit (releasing the stripe), book one it committed. *)
@@ -969,16 +1051,9 @@ struct
       let cas = rd64r t (it + it_cas) in
       let nbytes = item_nbytes t it in
       let data_off = item_data_off t it in
-      (* Rate-limited bump: a hot key that already moved within the
-         last [bump_interval_s] skips the LRU lock entirely, so hot-key
-         gets do not serialize on it. Refreshing [it_time] here is
-         flush_all-safe because the expiry check above already ran. *)
-      let bump_ns = t.cfg.bump_interval_s * 1_000_000_000 in
-      if bump_ns = 0 || S.now_ns () - rd64 t (it + it_time) >= bump_ns
-      then begin
-        wr64 t (it + it_time) (S.now_ns ());
-        lru_bump t it
-      end;
+      (* Rate-limited bump: a hot key that moved recently skips the
+         LRU lock entirely, so hot-key gets do not serialize on it. *)
+      lru_use t it;
       unlock_item t h;
       adv (CM.memcpy_cost nbytes);
       let value = M.read_string t.mem ~off:data_off ~len:nbytes in
@@ -1073,8 +1148,7 @@ struct
         let ol = rd64 t (t.ctrl + ctl_oldest_live) in
         if ol > 0 && itime <= ol then `Fallback
         else begin
-          let bump_ns = t.cfg.bump_interval_s * 1_000_000_000 in
-          if bump_ns = 0 || S.now_ns () - itime >= bump_ns then `Fallback
+          if not (moved_recently t itime) then `Fallback
           else begin
             adv CM.current.malloc_out;
             adv (CM.memcpy_cost (String.length value));
@@ -1158,7 +1232,7 @@ struct
     let delta old = if old = 0 then (size, 1) else (size - item_size t old, 0) in
     if Option.is_some quota then begin
       lock_item t h;
-      let old = find_live t h key ~now in
+      let _, old = find_live t h key ~now in
       let bytes, items =
         match decide old with `Store -> delta old | `Fail _ -> (0, 0)
       in
@@ -1173,7 +1247,7 @@ struct
        | Some e -> wr32 t (it + it_exptime) e
        | None -> ());
       lock_item t h;
-      let old = find_live t h key ~now in
+      let cell, old = find_live t h key ~now in
       let result =
         match decide old with
         | `Fail r ->
@@ -1183,14 +1257,7 @@ struct
         | `Store ->
           let bytes, items = delta old in
           charge quota ~bytes ~items;
-          if old <> 0 then unlink_item t h old;
-          hash_insert t h it;
-          let l = lru_of t ~h ~key ~size:total in
-          lock_lru t l;
-          lru_link t it l;
-          unlock_lru t l;
-          stat_add t C.curr_items 1;
-          stat t C.total_items;
+          commit t h ~cell ~old it (lru_of t ~h ~key ~size:total);
           unlock_item t h;
           Stored
       in
@@ -1252,7 +1319,7 @@ struct
             write_item t it ~h ~key ~data ~flags ~exptime:0 ~now;
             wr32 t (it + it_exptime) exp;
             lock_item t h;
-            let cur = find t h key in
+            let cell, cur = find_at t h key in
             if cur = 0 || not (Int64.equal (rd64r t (cur + it_cas)) old_cas)
             then begin
               unlock_item t h;
@@ -1261,14 +1328,7 @@ struct
             end
             else begin
               charge quota ~bytes:(String.length extra) ~items:0;
-              unlink_item t h cur;
-              hash_insert t h it;
-              let l = lru_of t ~h ~key ~size:total in
-              lock_lru t l;
-              lru_link t it l;
-              unlock_lru t l;
-              stat_add t C.curr_items 1;
-              stat t C.total_items;
+              commit t h ~cell ~old:cur it (lru_of t ~h ~key ~size:total);
               unlock_item t h;
               stat t C.cmd_set;
               Stored
@@ -1290,7 +1350,7 @@ struct
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     lock_item t h;
-    let it = find_live t h key ~now:(now_sec ()) in
+    let _, it = find_live t h key ~now:(now_sec ()) in
     if it = 0 then begin
       unlock_item t h;
       stat t C.delete_misses;
@@ -1318,7 +1378,7 @@ struct
     end
     else begin
       wr32 t (it + it_exptime) (real_exptime exptime ~now);
-      lru_bump t it;
+      lru_use t it;
       unlock_item t h;
       stat t C.touch_hits;
       true
@@ -1358,7 +1418,7 @@ struct
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
     lock_item t h;
-    let it = find_live t h key ~now in
+    let _, it = find_live t h key ~now in
     if it = 0 then begin
       unlock_item t h;
       stat t C.incr_misses;
@@ -1388,8 +1448,8 @@ struct
           M.write_string t.mem ~off:(item_data_off t it) s;
           wr32 t (it + it_nbytes) (String.length s);
           wr64r t (it + it_cas) (next_cas t);
-          wr64 t (it + it_time) (S.now_ns ());
           adv (CM.memcpy_cost (String.length s));
+          lru_use t it;
           unlock_item t h;
           stat t C.incr_hits;
           Counter nv

@@ -59,9 +59,11 @@ type config = {
       build chooses by key hash (§3.2) *)
   evict_batch : int;
   bump_interval_s : int;
-  (** a get skips the LRU bump (and its lock) when the item already
-      moved within this many seconds — memcached's rate-limiting that
-      keeps hot keys off the LRU lock; [0] bumps on every hit *)
+  (** the move rule: an item that took its LRU place within this many
+      seconds is not moved again — a get or touch skips the LRU bump
+      (and its lock), and an overwrite takes the old item's place.
+      memcached's rate-limiting that keeps hot keys off the LRU lock;
+      [0] moves on every access *)
   optimistic_reads : bool;
   (** seqlock read path: a get snapshots the item without the stripe
       lock and validates against the stripe's version word, falling

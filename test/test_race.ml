@@ -329,6 +329,89 @@ let test_store_locking_is_lockdep_clean () =
       ignore (RSt.stats st))
 
 
+(* ---- replace in place under seeded schedules --------------------- *)
+
+let used_bytes st = int_of_string (List.assoc "bytes" (RSt.stats st))
+
+let test_locked_reader_across_replace () =
+  (* Locked gets (optimistic reads off) take a reference, then copy the
+     value with the stripe released; overwriters replace the item in
+     place meanwhile. The copy must be intact (poisoning faults a read
+     of a freed block), and the reader's release must free the old
+     block: 20 KB values take whole superblocks, which Ralloc returns
+     at once, so the heap ends exactly where one item left it. *)
+  let cfg = { sweep_cfg with optimistic_reads = false } in
+  let overlaps = ref 0 in
+  for seed = 0 to 19 do
+    run_seed ~seed ~heap_bytes:(4 lsl 20) ~cfg (fun st ->
+      let value tag = String.make 20_000 (Char.chr (Char.code 'a' + tag)) in
+      ignore (RSt.set st "hot" (value 0));
+      let used0 = used_bytes st in
+      let stores = ref 0 in
+      let writers =
+        List.init 2 (fun w ->
+          LVm.spawn ~name:(Printf.sprintf "w%d" w) (fun () ->
+            for i = 0 to 11 do
+              let tag = 1 + (w * 12) + i in
+              ignore (RSt.set st ~flags:tag "hot" (value tag));
+              incr stores;
+              LVm.advance 300
+            done))
+      in
+      let readers =
+        List.init 2 (fun r ->
+          LVm.spawn ~name:(Printf.sprintf "r%d" r) (fun () ->
+            for _ = 0 to 15 do
+              let before = !stores in
+              (match RSt.get st "hot" with
+               | None -> Alcotest.fail "hot key missing"
+               | Some g ->
+                 Alcotest.(check bool) "intact value" true
+                   (g.Store.value = value g.Store.flags));
+              if !stores > before then incr overlaps;
+              LVm.advance 200
+            done))
+      in
+      List.iter LVm.join (writers @ readers);
+      Alcotest.(check int) "every replaced block freed" used0 (used_bytes st);
+      Alcotest.(check int) "one item" 1 (RSt.curr_items st))
+  done;
+  Alcotest.(check bool) "stores landed during gets" true (!overlaps > 0)
+
+let test_overwriters_vs_optimistic_readers () =
+  (* Overwriters on three hot keys against optimistic readers: every
+     hit is one writer's whole (value, flags) pair, never a snapshot
+     stitched from an item and its heir. *)
+  let payload tag =
+    let fill = Char.chr (Char.code 'a' + (tag mod 26)) in
+    Printf.sprintf "%03d%s" tag (String.make (40 + (tag mod 60)) fill)
+  in
+  for seed = 0 to 29 do
+    run_seed ~seed ~heap_bytes:(1 lsl 20) ~cfg:sweep_cfg (fun st ->
+      let key i = Printf.sprintf "h%d" (i mod 3) in
+      let writers =
+        List.init 3 (fun w ->
+          LVm.spawn ~name:(Printf.sprintf "w%d" w) (fun () ->
+            for i = 0 to 59 do
+              let tag = (w * 100) + (i mod 97) in
+              ignore (RSt.set st ~flags:tag (key (i + w)) (payload tag));
+              LVm.advance 30
+            done))
+      in
+      let readers =
+        List.init 3 (fun r ->
+          LVm.spawn ~name:(Printf.sprintf "r%d" r) (fun () ->
+            for i = 0 to 79 do
+              (match RSt.get st (key (i + r)) with
+               | None -> ()
+               | Some g ->
+                 Alcotest.(check string) "untorn hit" (payload g.Store.flags)
+                   g.Store.value);
+              LVm.advance 20
+            done))
+      in
+      List.iter LVm.join (writers @ readers))
+  done
 
 let () =
   Alcotest.run "race"
@@ -359,4 +442,9 @@ let () =
         [ Alcotest.test_case "grouped acquisition is clean" `Quick
             test_stripe_groups_lockdep_clean;
           Alcotest.test_case "order inversion goes red" `Quick
-            test_stripe_group_inversion_goes_red ] ) ]
+            test_stripe_group_inversion_goes_red ] );
+      ( "replace in place",
+        [ Alcotest.test_case "locked reader across a replace" `Quick
+            test_locked_reader_across_replace;
+          Alcotest.test_case "overwriters vs optimistic readers" `Quick
+            test_overwriters_vs_optimistic_readers ] ) ]

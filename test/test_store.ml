@@ -909,6 +909,107 @@ let test_seeded_optimistic_torn_triple () =
       List.iter Vm.Sync.join ((writers @ readers) @ [ filler ]))
   done
 
+(* ---- Replace in place ------------------------------------------------
+   An overwrite of an item that took its LRU place within the move
+   interval takes over that place; one past the interval goes to the
+   head. One list and one-item eviction passes make the cold end
+   observable: [evict st n] reclaims exactly [n] items from it. *)
+
+let replace_cfg =
+  { Store.default_config with hashpower = 6; lock_count = 4; lru_count = 1;
+    stats_slots = 2; evict_batch = 1 }
+
+let in_vm body =
+  run_seeded_vm ~seed:0 ~heap_bytes:(1 lsl 20) ~cfg:replace_cfg body
+
+let past_interval () =
+  Vm.Sync.sleep_ns ((replace_cfg.Store.bump_interval_s + 1) * 1_000_000_000)
+
+let evict st n =
+  for _ = 1 to n do
+    Alcotest.(check int) "one item evicted" 1 (VSt.evict_some st ~hint:0)
+  done
+
+let live st keys = List.filter (fun k -> VSt.get st k <> None) keys
+
+let set_all st keys = List.iter (fun k -> ignore (VSt.set st k "v1")) keys
+
+let test_overwrite_keeps_lru_place () =
+  in_vm (fun st ->
+    set_all st [ "a"; "b"; "c" ];
+    Alcotest.(check bool) "overwrite" true (VSt.set st "a" "v2" = Store.Stored);
+    Alcotest.(check int) "replace is net zero" 3 (VSt.curr_items st);
+    evict st 1;
+    Alcotest.(check (list string)) "the cold overwritten item goes first"
+      [ "b"; "c" ] (live st [ "a"; "b"; "c" ]))
+
+let test_overwrite_past_interval_moves () =
+  in_vm (fun st ->
+    set_all st [ "a"; "b"; "c" ];
+    past_interval ();
+    ignore (VSt.set st "a" "v2");
+    evict st 1;
+    Alcotest.(check (list string)) "the overwrite moved to the head"
+      [ "a"; "c" ] (live st [ "a"; "b"; "c" ]);
+    match VSt.get st "a" with
+    | Some r -> Alcotest.(check string) "new value" "v2" r.Store.value
+    | None -> Alcotest.fail "hit expected")
+
+let test_touch_follows_move_rule () =
+  in_vm (fun st ->
+    set_all st [ "a"; "b" ];
+    Alcotest.(check bool) "touch" true (VSt.touch st "a" 0);
+    evict st 1;
+    Alcotest.(check (list string)) "a recent touch does not move" [ "b" ]
+      (live st [ "a"; "b" ]));
+  (* Past the interval a touch moves the item and restamps it, so a get
+     right after it leaves the item where the touch put it. *)
+  in_vm (fun st ->
+    set_all st [ "a"; "b" ];
+    past_interval ();
+    ignore (VSt.touch st "a" 0);
+    set_all st [ "c" ];
+    ignore (VSt.get st "a");
+    evict st 2;
+    Alcotest.(check (list string)) "the get did not move a again" [ "c" ]
+      (live st [ "a"; "b"; "c" ]))
+
+let test_overwrite_and_flush_all () =
+  in_vm (fun st ->
+    set_all st [ "x"; "y" ];
+    ignore (VSt.set st "x" "v2");
+    VSt.flush_all st;
+    ignore (VSt.set st "y" "v3");
+    set_all st [ "z" ];
+    Alcotest.(check (list string)) "the heir dies with the flush" [ "y"; "z" ]
+      (live st [ "x"; "y"; "z" ]);
+    match VSt.get st "y" with
+    | Some r -> Alcotest.(check string) "set after flush" "v3" r.Store.value
+    | None -> Alcotest.fail "hit expected")
+
+(* Stripe pins are keyed by store id: two attaches of one heap hold the
+   same stripe index independently. *)
+let test_two_attaches_do_not_alias () =
+  let module C = Telemetry.Counters in
+  let reg =
+    Shm.Region.create ~name:"attach-twice" ~size:(4 lsl 20) ~pkey:0 ()
+  in
+  let mem = Mc_core.Shared_memory.of_region reg in
+  let alloc = Mc_core.Ralloc_alloc.of_heap (Ralloc.create reg) in
+  let cfg = Shared_suite.small_cfg in
+  let st1 = SSt.create ~mem ~alloc cfg in
+  let st2 = SSt.attach ~mem ~alloc cfg ~ctrl:(SSt.ctrl_off st1) in
+  ignore (SSt.set st1 "k" "v");
+  let s = SSt.stripe_of st1 "k" in
+  SSt.with_stripes st1 ~stripes:[ s ] (fun () ->
+    SSt.with_stripes st2 ~stripes:[ s ] ignore;
+    let tried () = C.read C.Id.opt_fallbacks + C.read C.Id.opt_retries in
+    let t0 = tried () in
+    (match SSt.get st1 "k" with
+     | Some r -> Alcotest.(check string) "value" "v" r.Store.value
+     | None -> Alcotest.fail "hit expected");
+    Alcotest.(check int) "st1 still holds its stripe" t0 (tried ()))
+
 let () =
   Alcotest.run "store"
     [ ("private+slab", Private_suite.suite);
@@ -925,7 +1026,18 @@ let () =
           Alcotest.test_case "seeded eviction vs set" `Quick
             test_seeded_eviction_vs_set;
           Alcotest.test_case "seeded incr overflow" `Quick
-            test_seeded_incr_overflow ] );
+            test_seeded_incr_overflow;
+          Alcotest.test_case "two attaches do not alias" `Quick
+            test_two_attaches_do_not_alias ] );
+      ( "replace in place",
+        [ Alcotest.test_case "overwrite keeps its lru place" `Quick
+            test_overwrite_keeps_lru_place;
+          Alcotest.test_case "overwrite past the interval moves" `Quick
+            test_overwrite_past_interval_moves;
+          Alcotest.test_case "touch follows the move rule" `Quick
+            test_touch_follows_move_rule;
+          Alcotest.test_case "overwrite and flush_all" `Quick
+            test_overwrite_and_flush_all ] );
       ( "seqlock & int64",
         [ Alcotest.test_case "cas above 2^62" `Quick
             test_cas_above_two_pow_62;

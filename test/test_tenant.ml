@@ -1108,6 +1108,30 @@ let run_writers_race ~seed how =
           truth usage
       | None -> Alcotest.fail (Printf.sprintf "seed %d: run did not finish" seed))
 
+(* Overwrites within the move interval replace the item in place; the
+   tenant's usage must still follow each replace's size delta exactly,
+   growing or shrinking, and through a growth that only tenant-local
+   eviction can make fit. *)
+let test_replace_usage_matches_recount () =
+  with_plib @@ fun p ~owner:_ ->
+  let a = Plib.create_tenant p ~name:"ra" ~uid:4401 ~byte_quota:4096 () in
+  as_uid 4401 (fun () ->
+    ignore (Plib.tenant_set p a "other" (String.make 300 'o'));
+    List.iteri
+      (fun i n ->
+        let v = String.make n (Char.chr (Char.code 'a' + i)) in
+        Alcotest.(check bool) (Printf.sprintf "replace to %d B" n) true
+          (Plib.tenant_set p a "k" v = Store.Stored);
+        (match Plib.tenant_get p a "k" with
+         | Some r -> Alcotest.(check string) "latest value" v r.Store.value
+         | None -> Alcotest.fail "replaced key missing");
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "usage = recount after %d B" n)
+          (Region.kernel_mode (fun () -> Plib.tenant_recount p)).(a)
+          (Plib.tenant_usage p a))
+      [ 10; 300; 50; 1000; 5; 2000; 100; 3900; 20 ]);
+  Region.kernel_mode (fun () -> Plib.Store.check_invariants (Plib.store p))
+
 let test_writers_race_plib () =
   for seed = 1 to 6 do
     run_writers_race ~seed `Plib
@@ -1138,7 +1162,9 @@ let () =
             test_quota_eviction_is_tenant_local;
           Alcotest.test_case "flush + mget" `Quick test_tenant_flush_and_mget;
           Alcotest.test_case "stats tenants rollup" `Quick
-            test_stats_tenants_rollup ] );
+            test_stats_tenants_rollup;
+          Alcotest.test_case "replaces keep usage exact" `Quick
+            test_replace_usage_matches_recount ] );
       ( "server",
         [ Alcotest.test_case "ascii codec" `Quick test_server_ascii_tenants;
           Alcotest.test_case "binary codec" `Quick test_server_binary_tenants;
