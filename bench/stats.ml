@@ -123,8 +123,7 @@ let run ~ops () =
 
   pf "\nstats snapshot (last workload window):\n";
   let kvs =
-    in_vm (fun () -> Plib.stats plib) @ C.boundary_kvs ()
-    @ Telemetry.Timers.kvs ()
+    in_vm (fun () -> Plib.stats plib) @ Telemetry.Timers.kvs ()
   in
   List.iter (fun (k, v) -> pf "STAT %s %s\n" k v) kvs;
 

@@ -60,30 +60,24 @@ module Make (S : Platform.Sync_intf.S) = struct
   let memcached_behavior_get st behavior =
     match Hashtbl.find_opt st.behaviors behavior with Some v -> v | None -> 0
 
+  (* The backend's exchange: one crossing into the library's executor,
+     rooted at span [plib.<name>], or one socket round trip. {!Typed}
+     decodes either reply, so no call below looks at the backend. *)
+  let rt st name : Typed.rt =
+    match st.backend with
+    | Plib_backend p -> Plib.one name p
+    | Socket_backend s -> Sock.roundtrip s
+
   (* ---- Retrieval ------------------------------------------------------ *)
 
-  let memcached_get st key :
-    (string * int, Errors.t) result =
-    let r =
-      match st.backend with
-      | Plib_backend p -> Plib.get p key
-      | Socket_backend s -> Sock.get s key
-    in
-    match r with
-    | Some g -> Ok (g.Mc_core.Store.value, g.Mc_core.Store.flags)
-    | None -> Error MEMCACHED_NOTFOUND
-
-  let memcached_gets st key :
-    (string * int * int64, Errors.t) result =
-    let r =
-      match st.backend with
-      | Plib_backend p -> Plib.get p key
-      | Socket_backend s -> Sock.get s key
-    in
-    match r with
+  let memcached_gets st key : (string * int * int64, Errors.t) result =
+    match Typed.get (rt st "get") key with
     | Some g ->
       Ok (g.Mc_core.Store.value, g.Mc_core.Store.flags, g.Mc_core.Store.cas)
     | None -> Error MEMCACHED_NOTFOUND
+
+  let memcached_get st key : (string * int, Errors.t) result =
+    Result.map (fun (v, f, _) -> (v, f)) (memcached_gets st key)
 
   (* ---- Storage --------------------------------------------------------- *)
 
@@ -94,51 +88,29 @@ module Make (S : Platform.Sync_intf.S) = struct
     | Mc_core.Store.Not_found -> MEMCACHED_NOTFOUND
     | Mc_core.Store.No_memory -> MEMCACHED_MEMORY_ALLOCATION_FAILURE
 
-  let memcached_set st ?(flags = 0) ?(exptime = 0) key data =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.set p ~flags ~exptime key data
-       | Socket_backend s -> Sock.set s ~flags ~exptime key data)
+  let memcached_set st ?flags ?exptime key data =
+    of_store_result (Typed.set (rt st "set") ?flags ?exptime key data)
 
-  let memcached_add st ?(flags = 0) ?(exptime = 0) key data =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.add p ~flags ~exptime key data
-       | Socket_backend s -> Sock.add s ~flags ~exptime key data)
+  let memcached_add st ?flags ?exptime key data =
+    of_store_result (Typed.add (rt st "add") ?flags ?exptime key data)
 
-  let memcached_replace st ?(flags = 0) ?(exptime = 0) key data =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.replace p ~flags ~exptime key data
-       | Socket_backend s -> Sock.replace s ~flags ~exptime key data)
+  let memcached_replace st ?flags ?exptime key data =
+    of_store_result (Typed.replace (rt st "replace") ?flags ?exptime key data)
 
   let memcached_append st key extra =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.append p key extra
-       | Socket_backend s -> Sock.append s key extra)
+    of_store_result (Typed.append (rt st "append") key extra)
 
   let memcached_prepend st key extra =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.prepend p key extra
-       | Socket_backend s -> Sock.prepend s key extra)
+    of_store_result (Typed.prepend (rt st "prepend") key extra)
 
-  let memcached_cas st ?(flags = 0) ?(exptime = 0) ~cas key data =
-    of_store_result
-      (match st.backend with
-       | Plib_backend p -> Plib.cas p ~flags ~exptime ~cas key data
-       | Socket_backend s -> Sock.cas s ~flags ~exptime ~cas key data)
+  let memcached_cas st ?flags ?exptime ~cas key data =
+    of_store_result (Typed.cas (rt st "cas") ?flags ?exptime ~cas key data)
 
   (* ---- Delete / counters / touch ----------------------------------------- *)
 
-  let memcached_delete st key =
-    let ok =
-      match st.backend with
-      | Plib_backend p -> Plib.delete p key
-      | Socket_backend s -> Sock.delete s key
-    in
-    if ok then MEMCACHED_SUCCESS else MEMCACHED_NOTFOUND
+  let found b = if b then MEMCACHED_SUCCESS else MEMCACHED_NOTFOUND
+
+  let memcached_delete st key = found (Typed.delete (rt st "delete") key)
 
   let counter_result = function
     | Mc_core.Store.Counter v -> Ok v
@@ -147,36 +119,20 @@ module Make (S : Platform.Sync_intf.S) = struct
       Error (MEMCACHED_CLIENT_ERROR "cannot increment or decrement non-numeric value")
 
   let memcached_increment st key delta =
-    counter_result
-      (match st.backend with
-       | Plib_backend p -> Plib.incr p key delta
-       | Socket_backend s -> Sock.incr s key delta)
+    counter_result (Typed.incr (rt st "incr") key delta)
 
   let memcached_decrement st key delta =
-    counter_result
-      (match st.backend with
-       | Plib_backend p -> Plib.decr p key delta
-       | Socket_backend s -> Sock.decr s key delta)
+    counter_result (Typed.decr (rt st "decr") key delta)
 
   let memcached_touch st key exptime =
-    let ok =
-      match st.backend with
-      | Plib_backend p -> Plib.touch p key exptime
-      | Socket_backend s -> Sock.touch s key exptime
-    in
-    if ok then MEMCACHED_SUCCESS else MEMCACHED_NOTFOUND
+    found (Typed.touch (rt st "touch") key exptime)
 
   (* ---- Admin --------------------------------------------------------------- *)
 
-  let memcached_stat st =
-    match st.backend with
-    | Plib_backend p -> Plib.stats p
-    | Socket_backend s -> Sock.stats s
+  let memcached_stat st = Typed.stats (rt st "stats")
 
   let memcached_flush st =
-    (match st.backend with
-     | Plib_backend p -> Plib.flush_all p
-     | Socket_backend s -> Sock.flush_all s);
+    ignore (rt st "flush_all" Mc_protocol.Types.Flush_all);
     MEMCACHED_SUCCESS
 
   (* ---- Async (callback) interface -------------------------------------------- *)

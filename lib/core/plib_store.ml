@@ -25,6 +25,7 @@
 
 module CM = Platform.Cost_model
 module P = Mc_protocol.Types
+module Ex = Mc_server.Executor
 module Region = Shm.Region
 module Process = Simos.Process
 
@@ -116,6 +117,8 @@ module Make (S : Platform.Sync_intf.S) = struct
        flight recorder at the end of [Library.recover]; [None] until a
        recovery has run. Served by [doctor]/[forensics]. *)
     mutable last_forensics : Telemetry.Forensics.report option;
+    (* The `stats` surfaces this handle serves, built once with it. *)
+    surfaces : Ex.surfaces Lazy.t;
   }
 
   type protection = Hodor.Library.protection = Protected | Unprotected
@@ -224,12 +227,56 @@ module Make (S : Platform.Sync_intf.S) = struct
       ();
     usage
 
+  (* ---- Post-crash forensics surface ----------------------------------
+
+     [forensics] hands back the report stashed by the last recovery —
+     or, when no recovery has run, a live analysis of the recorder
+     (useful for inspecting a healthy store's recent activity).
+     [doctor] renders it for humans, resolving tenant slots to names
+     through the registry. *)
+
+  let forensics t =
+    match t.last_forensics with
+    | Some r -> r
+    | None -> Telemetry.Forensics.analyze ()
+
+  let doctor t =
+    let tenant_name slot =
+      if slot >= 0 && slot < Tenant.max_tenants t.tenants
+         && Region.kernel_mode (fun () -> Tenant.active t.tenants slot)
+      then
+        Printf.sprintf "%s (slot %d)"
+          (Region.kernel_mode (fun () -> Tenant.name_of t.tenants slot))
+          slot
+      else Printf.sprintf "slot %d" slot
+    in
+    Telemetry.Forensics.render ~tenant_name (forensics t)
+
+  (* This handle's `stats` surfaces, for its own batches and for the
+     servers it starts: `stats heap` maps the allocator plus the hot
+     tier's and the store's slab accounting, `stats forensics` serves
+     {!forensics}, and `stats settings` adds the registry's size. *)
+  let surfaces t =
+    { Ex.heap =
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            Ralloc.heap_kvs t.heap
+            @ Mc_core.Bump_arena.stats_kvs t.arena
+            @ Store.stats_slabs t.store));
+      forensics = (fun () -> Telemetry.Forensics.kvs (forensics t));
+      settings =
+        (fun () ->
+          Region.kernel_mode (fun () ->
+            [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
+              ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
+      rings = (fun () -> []) }
+
   let build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner =
-    let t =
+    let rec t =
       { lib; region; heap; arena; store; tenants;
         vaults = Hashtbl.create 8; path; owner;
         stop_cleaner = Atomic.make false; cleaner = None;
-        last_forensics = None }
+        last_forensics = None; surfaces = lazy (surfaces t) }
     in
     attach_telemetry ~region ~heap;
     attach_flight ~region ~heap;
@@ -500,52 +547,8 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let region t = t.region
 
-  (* ---- Post-crash forensics surface ----------------------------------
-
-     [forensics] hands back the report stashed by the last recovery —
-     or, when no recovery has run, a live analysis of the recorder
-     (useful for inspecting a healthy store's recent activity).
-     [doctor] renders it for humans, resolving tenant slots to names
-     through the registry. *)
-
-  let forensics t =
-    match t.last_forensics with
-    | Some r -> r
-    | None -> Telemetry.Forensics.analyze ()
-
-  let doctor t =
-    let tenant_name slot =
-      if slot >= 0 && slot < Tenant.max_tenants t.tenants
-         && Region.kernel_mode (fun () -> Tenant.active t.tenants slot)
-      then
-        Printf.sprintf "%s (slot %d)"
-          (Region.kernel_mode (fun () -> Tenant.name_of t.tenants slot))
-          slot
-      else Printf.sprintf "slot %d" slot
-    in
-    Telemetry.Forensics.render ~tenant_name (forensics t)
-
   let heap_report t =
     Region.kernel_mode (fun () -> Ralloc.render_heap_map t.heap)
-
-  (* This handle's `stats` surfaces, for its own batches and for the
-     servers it starts: `stats heap` maps the allocator plus the hot
-     tier's and the store's slab accounting, `stats forensics` serves
-     {!forensics}, and `stats settings` adds the registry's size. *)
-  let surfaces t =
-    { Mc_server.Executor.heap =
-        (fun () ->
-          Region.kernel_mode (fun () ->
-            Ralloc.heap_kvs t.heap
-            @ Mc_core.Bump_arena.stats_kvs t.arena
-            @ Store.stats_slabs t.store));
-      forensics = (fun () -> Telemetry.Forensics.kvs (forensics t));
-      settings =
-        (fun () ->
-          Region.kernel_mode (fun () ->
-            [ ("tenants_active", string_of_int (Tenant.count_active t.tenants));
-              ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
-      rings = (fun () -> []) }
 
   (* ---- Figure 4's copy-in idiom ------------------------------------- *)
 
@@ -578,96 +581,60 @@ module Make (S : Platform.Sync_intf.S) = struct
       Telemetry.Span.drop r;
       raise e
 
-  (* ---- Raw (bytes-keyed) operations: the real protection boundary --- *)
+  (* ---- One command core -----------------------------------------------
 
-  let get_raw t (key : bytes) =
-    span_root "get" @@ fun () ->
-    Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
-      let key_prot = copy_in t key in
-      Store.get t.store key_prot)
+     Every library op is executor commands behind one crossing: the
+     engine a server drain runs maps each command to its store call,
+     tenant admission and per-tenant stats included, and {!Typed}
+     decodes the replies exactly as it decodes the socket client's. *)
 
-  let set_raw t ?(flags = 0) ?(exptime = 0) (key : bytes) (data : bytes) =
-    span_root "set" @@ fun () ->
-    Hodor.Trampoline.call_with_args t.lib ~args:[ key; data ] (fun args ->
-      match args with
-      | [ key; data ] ->
-        let key_prot = copy_in t key in
-        let data_prot = copy_in t data in
-        Store.set t.store ~flags ~exptime key_prot data_prot
-      | _ -> assert false)
+  (* The executor as this handle runs it: the registry serves `stats
+     tenants`, and [slot] binds the command to that tenant. *)
+  let exec ?slot t cmd =
+    E.execute ~tenants:t.tenants ?slot ~surfaces:(Lazy.force t.surfaces)
+      t.store cmd
 
-  let delete_raw t (key : bytes) =
-    span_root "delete" @@ fun () ->
-    Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
-      let key_prot = copy_in t key in
-      Store.delete t.store key_prot)
+  (* The library's door. Library keys are length-framed, like binary
+     ones, so the binary codec's rules apply: a key of 1 to 250 bytes
+     and a value of at most [max_data_bytes]. A refused command reaches
+     the executor as [Invalid], which answers it as a server does, so
+     both backends give the same typed result. *)
+  let door (cmd : P.command) =
+    match cmd with
+    | P.Set p | P.Add p | P.Replace p | P.Append p | P.Prepend p | P.Cas (p, _)
+      when String.length p.P.data > P.max_data_bytes ->
+      P.Invalid "object too large for cache"
+    | _ when List.for_all P.validate_key_binary (Ex.keys_of cmd) -> cmd
+    | _ -> P.Invalid P.bad_key_error
 
-  (* ---- String-keyed operations (OCaml strings are immutable, so the
-     copy is for cost and idiom fidelity) -------------------------------- *)
+  (* Breadcrumb bracket for tenant-scoped bodies: a kill inside the op
+     leaves [Tenant_scope slot] as the lane's last tenant record, so
+     the forensic report names the tenant; on normal completion the
+     unscope crumb clears the attribution. (An abrupt kill abandons the
+     thread at a sync point — the finally never runs, which is the
+     point.) *)
+  let t_crumb slot f =
+    Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:slot;
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Flight.record Telemetry.Flight.Tenant_unscope ~a:slot)
+      f
 
-  let get t key =
-    span_root "get" @@ fun () ->
-    enter t (fun () -> Store.get t.store (copy_in t (Bytes.unsafe_of_string key)))
-
-  let set t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "set" @@ fun () ->
-    enter t (fun () ->
-      let key_prot = copy_in t (Bytes.unsafe_of_string key) in
-      Store.set t.store ~flags ~exptime key_prot data)
-
-  let add t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "add" @@ fun () ->
-    enter t (fun () ->
-      Store.add t.store ~flags ~exptime
-        (copy_in t (Bytes.unsafe_of_string key))
-        data)
-
-  let replace t ?(flags = 0) ?(exptime = 0) key data =
-    span_root "replace" @@ fun () ->
-    enter t (fun () ->
-      Store.replace t.store ~flags ~exptime
-        (copy_in t (Bytes.unsafe_of_string key))
-        data)
-
-  let append t key extra =
-    span_root "append" @@ fun () ->
-    enter t (fun () ->
-      Store.append t.store (copy_in t (Bytes.unsafe_of_string key)) extra)
-
-  let prepend t key extra =
-    span_root "prepend" @@ fun () ->
-    enter t (fun () ->
-      Store.prepend t.store (copy_in t (Bytes.unsafe_of_string key)) extra)
-
-  let cas t ?(flags = 0) ?(exptime = 0) ~cas key data =
-    span_root "cas" @@ fun () ->
-    enter t (fun () ->
-      Store.cas t.store ~flags ~exptime ~cas
-        (copy_in t (Bytes.unsafe_of_string key))
-        data)
-
-  let delete t key =
-    span_root "delete" @@ fun () ->
-    enter t (fun () -> Store.delete t.store (copy_in t (Bytes.unsafe_of_string key)))
-
-  let incr t key delta =
-    span_root "incr" @@ fun () ->
-    enter t (fun () ->
-      Store.incr t.store (copy_in t (Bytes.unsafe_of_string key)) delta)
-
-  let decr t key delta =
-    span_root "decr" @@ fun () ->
-    enter t (fun () ->
-      Store.decr t.store (copy_in t (Bytes.unsafe_of_string key)) delta)
-
-  let touch t key exptime =
-    span_root "touch" @@ fun () ->
-    enter t (fun () ->
-      Store.touch t.store (copy_in t (Bytes.unsafe_of_string key)) exptime)
-
-  let flush_all t = enter t (fun () -> Store.flush_all t.store)
-
-  let stats t = enter t (fun () -> Store.stats t.store)
+  (* Inside the crossing, in one order for every front end: the door,
+     the tenant's crumb and namespace, then Figure 4's copy-in of each
+     key the store will see, before any lock. [body admit unscope] runs
+     the commands through [admit] and its replies through [unscope],
+     which strips the namespace back off. *)
+  let inside ?slot t body =
+    let copy = Ex.map_keys (fun k -> copy_in t (Bytes.unsafe_of_string k)) in
+    match slot with
+    | None -> body (fun c -> copy (door c)) Fun.id
+    | Some slot ->
+      let prefix = Tenant.prefix t.tenants slot in
+      t_crumb slot (fun () ->
+        body
+          (fun c -> copy (Ex.scope_command ~prefix (door c)))
+          (Ex.unscope_response ~prefix))
 
   (* ---- Multi-tenant surface ------------------------------------------- *)
 
@@ -724,155 +691,140 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let find_tenant t name = enter t (fun () -> Tenant.find t.tenants name)
 
-  (* In-library bodies: callers hold the crossing and have bound the
-     capability. [t_key] is the scoped key, copied into the library. *)
+  (* One op, one plain crossing: not a batch, so the batch counters and
+     crossings/op do not move. Bound to tenant [slot], the capability is
+     bound at the door first. *)
+  let one ?slot name t : Typed.rt =
+   fun cmd ->
+    span_root name @@ fun () ->
+    (match slot with Some slot -> bind_capability t slot | None -> ());
+    enter t (fun () ->
+      inside ?slot t (fun admit unscope -> unscope (exec ?slot t (admit cmd))))
 
-  let t_key t slot key =
-    copy_in t (Bytes.unsafe_of_string (Tenant.scope t.tenants slot key))
+  (* ---- String-keyed operations (OCaml strings are immutable, so the
+     copy is for cost and idiom fidelity) -------------------------------- *)
 
-  (* Breadcrumb bracket for tenant-scoped bodies: a kill inside the op
-     leaves [Tenant_scope slot] as the lane's last tenant record, so
-     the forensic report names the tenant; on normal completion the
-     unscope crumb clears the attribution. (An abrupt kill abandons the
-     thread at a sync point — the finally never runs, which is the
-     point.) *)
-  let t_crumb slot f =
-    Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:slot;
-    Fun.protect
-      ~finally:(fun () ->
-        Telemetry.Flight.record Telemetry.Flight.Tenant_unscope ~a:slot)
-      f
+  let get t = Typed.get (one "get" t)
 
-  let t_get_in t slot key =
-    let k = t_key t slot key in
-    Tenant.bump t.tenants slot Tenant.Cmd_get;
-    match Store.get t.store k with
-    | Some r ->
-      Tenant.bump t.tenants slot Tenant.Get_hits;
-      Some r
-    | None -> None
+  let set t = Typed.set (one "set" t)
 
-  (* Writes run under the tenant's quota rule ({!Tenant.admit}) — the
-     same admission the server's executor runs for a tenant-bound
-     connection. *)
-  let t_set_in t slot ?(flags = 0) ?(exptime = 0) key data =
-    let k = t_key t slot key in
-    Tenant.bump t.tenants slot Tenant.Cmd_set;
-    Tenant.admit t.tenants slot ~evict:(Store.evict_some_matching t.store)
-      (fun quota -> Store.set t.store ~quota ~flags ~exptime k data)
-    |> Option.value ~default:Mc_core.Store.No_memory
+  let add t = Typed.add (one "add" t)
 
-  (* [k] is already scoped: the flush below deletes store keys. *)
-  let t_delete_in t slot k =
-    Tenant.admit t.tenants slot ~evict:(Store.evict_some_matching t.store)
-      (fun quota -> Store.delete t.store ~quota k)
-    |> Option.value ~default:false
+  let replace t = Typed.replace (one "replace" t)
+
+  let append t = Typed.append (one "append" t)
+
+  let prepend t = Typed.prepend (one "prepend" t)
+
+  let cas t = Typed.cas (one "cas" t)
+
+  let delete t = Typed.delete (one "delete" t)
+
+  let incr t = Typed.incr (one "incr" t)
+
+  let decr t = Typed.decr (one "decr" t)
+
+  let touch t = Typed.touch (one "touch" t)
+
+  let flush_all t = ignore (one "flush_all" t P.Flush_all)
+
+  (* The store counters plus the boundary counters, as a server's
+     `stats` answers. *)
+  let stats ?arg t = Typed.stats ?arg (one "stats" t)
+
+  (* ---- Raw (bytes-keyed) operations: the real protection boundary ---
+
+     The trampoline hands the body its snapshot of the argument bytes
+     (with [copy_args]); the body copies them in and runs the command
+     as every op does. *)
+
+  let raw t cmd = exec t (door cmd)
+
+  let get_raw t (key : bytes) =
+    span_root "get" @@ fun () ->
+    Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
+      Typed.get (raw t) (copy_in t key))
+
+  let set_raw t ?flags ?exptime (key : bytes) (data : bytes) =
+    span_root "set" @@ fun () ->
+    Hodor.Trampoline.call_with_args t.lib ~args:[ key; data ] (function
+      | [ key; data ] ->
+        let key_prot = copy_in t key in
+        Typed.set (raw t) ?flags ?exptime key_prot (copy_in t data)
+      | _ -> assert false)
+
+  (* ---- Tenant-scoped operations ---------------------------------------- *)
+
+  let tenant_get t slot = Typed.get (one ~slot "tenant_get" t)
+
+  let tenant_set t slot = Typed.set (one ~slot "tenant_set" t)
+
+  let tenant_delete t slot = Typed.delete (one ~slot "tenant_delete" t)
+
+  let tenant_touch t slot = Typed.touch (one ~slot "tenant_touch" t)
 
   (* Tenant-scoped flush: only the tenant's own namespace is swept —
-     tenant A's flush storm cannot take tenant B's acked writes. *)
-  let t_flush_in t slot =
-    let pred = String.starts_with ~prefix:(Tenant.prefix t.tenants slot) in
-    let keys =
-      Store.fold_keys t.store
-        (fun acc key ~nbytes:_ ~exptime:_ ->
-          if pred key then key :: acc else acc)
-        []
-    in
-    List.iter (fun k -> ignore (t_delete_in t slot k)) keys;
-    List.length keys
-
-  (* A tenant-scoped call: the capability is bound at the door, then
-     the body runs inside one crossing under the tenant's breadcrumb. *)
-  let scoped name t slot body =
-    span_root name @@ fun () ->
-    bind_capability t slot;
-    enter t (fun () -> t_crumb slot body)
-
-  let tenant_get t slot key =
-    scoped "tenant_get" t slot (fun () -> t_get_in t slot key)
-
-  let tenant_set t slot ?flags ?exptime key data =
-    scoped "tenant_set" t slot (fun () ->
-      t_set_in t slot ?flags ?exptime key data)
-
-  let tenant_delete t slot key =
-    scoped "tenant_delete" t slot (fun () ->
-      t_delete_in t slot (t_key t slot key))
-
-  let tenant_touch t slot key exptime =
-    scoped "tenant_touch" t slot (fun () ->
-      Store.touch t.store (t_key t slot key) exptime)
-
+     tenant A's flush storm cannot take tenant B's acked writes. The
+     keys are store keys already, so each delete runs as is, under the
+     tenant's admission. *)
   let tenant_flush t slot =
-    scoped "tenant_flush" t slot (fun () -> t_flush_in t slot)
+    span_root "tenant_flush" @@ fun () ->
+    bind_capability t slot;
+    enter t (fun () ->
+      t_crumb slot (fun () ->
+        let pred = String.starts_with ~prefix:(Tenant.prefix t.tenants slot) in
+        let keys =
+          Store.fold_keys t.store
+            (fun acc key ~nbytes:_ ~exptime:_ ->
+              if pred key then key :: acc else acc)
+            []
+        in
+        List.iter (fun k -> ignore (exec ~slot t (P.Delete (k, false)))) keys;
+        List.length keys))
 
   let tenant_usage t slot =
     enter t (fun () ->
       (Tenant.bytes_used t.tenants slot, Tenant.items_used t.tenants slot))
 
-  let stats_tenants t = enter t (fun () -> Tenant.stats_kvs t.tenants)
+  let stats_tenants t = stats ~arg:"tenants" t
 
   (* ---- Batch plane: many operations, one crossing --------------------- *)
 
   (* The whole command list rides one trampoline crossing (one pkru
-     swap pair, one stack note). Every key is copied into the library
-     domain first (Figure 4 idiom, before any lock); then [run] — the
-     executor — takes the list exactly as a server drain does: groupable
-     runs take their distinct stripes once, ascending, and storage ops
-     keep their own locking. Bound to tenant [slot], the capability is
-     bound at the door and the body runs under the tenant's crumb. *)
-  let crossing ?slot name t (cmds : P.command list) run =
+     swap pair, one stack note), through the same door, scope and
+     copy-in as a single op; then the executor takes the list exactly as
+     a server drain does: groupable runs take their distinct stripes
+     once, ascending, and storage ops keep their own locking. [on_op i
+     r] fires after op [i] fully completed inside the library — an
+     application-level ack: if the calling thread dies mid-batch, every
+     op acked before the kill is still readable after recovery, while
+     the op in flight may have been torn and dropped. *)
+  let crossing ?slot ?on_op name t (cmds : P.command list) =
     match cmds with
     | [] -> []
     | cmds ->
       span_root name @@ fun () ->
       Option.iter (bind_capability t) slot;
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length cmds) (fun () ->
-        let body () =
-          List.map snd
-            (run
-               (List.map
-                  (Mc_server.Executor.map_keys (fun k ->
-                     copy_in t (Bytes.unsafe_of_string k)))
-                  cmds))
-        in
-        match slot with Some slot -> t_crumb slot body | None -> body ())
+        inside ?slot t (fun admit unscope ->
+          List.map
+            (fun (_, r) -> unscope r)
+            (E.run_batch ?on_op ~tenants:t.tenants ?slot
+               ~surfaces:(Lazy.force t.surfaces) t.store
+               (List.map admit cmds))))
 
-  (* [on_op i r] fires after op [i] fully completed inside the library
-     — an application-level ack: if the calling thread dies mid-batch,
-     every op acked before the kill is still readable after recovery,
-     while the op in flight may have been torn and dropped. *)
-  let batch ?on_op t cmds =
-    crossing "batch" t cmds
-      (E.run_batch ?on_op ~tenants:t.tenants ~surfaces:(surfaces t) t.store)
-
-  let hits =
-    List.concat_map (function
-      | P.Values { vals; _ } ->
-        List.map
-          (fun (v : P.value) ->
-            ( v.v_key,
-              { Mc_core.Store.value = v.v_data; flags = v.v_flags;
-                cas = v.v_cas } ))
-          vals
-      | _ -> [])
-
-  let get_each keys = List.map (fun k -> P.Get [ k ]) keys
+  let batch ?on_op t cmds = crossing ?on_op "batch" t cmds
 
   (* Multi-get is a batch of one-key gets: an all-get run, so with the
      seqlock read path on it holds no stripes at all. *)
   let mget t keys : (string * Mc_core.Store.get_result) list =
-    hits
-      (crossing "mget" t (get_each keys)
-         (E.run_batch ~tenants:t.tenants ~surfaces:(surfaces t) t.store))
+    Typed.hits (crossing "mget" t (List.map (fun k -> P.Get [ k ]) keys))
 
   (* Scoped keys are the lookup keys, so the optimistic read path stays
      inside the namespace; hits come back under their unscoped names. *)
   let tenant_mget t slot keys =
-    hits
-      (crossing ~slot "tenant_mget" t (get_each keys)
-         (E.execute_batch ~tenants:t.tenants ~slot ~surfaces:(surfaces t)
-            t.store))
+    Typed.hits
+      (crossing ~slot "tenant_mget" t (List.map (fun k -> P.Get [ k ]) keys))
 
   (* ---- Bookkeeping process duties ------------------------------------ *)
 
@@ -1040,7 +992,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     in
     let ring_ctx = Option.map (ring_ctx t) rings in
     Remote.start_with ~cfg:{ cfg with store = Store.config t.store } ~wrap
-      ~tenants:t.tenants ?assign_tenant ~surfaces:(surfaces t) ?ring_ctx
+      ~tenants:t.tenants ?assign_tenant ~surfaces:(Lazy.force t.surfaces) ?ring_ctx
       ~store:t.store ~name ()
 
   let stop_remote srv = Remote.stop srv

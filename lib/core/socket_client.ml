@@ -16,11 +16,14 @@ module Make (S : Platform.Sync_intf.S) = struct
   let connect ?(protocol = Binary) ~name () =
     { conn = T.connect ~name; protocol }
 
-  let encode t cmd =
-    S.advance CM.current.client_pack;
+  let encode_only t cmd =
     match t.protocol with
     | Ascii -> Mc_protocol.Ascii.encode_command cmd
     | Binary -> Mc_protocol.Binary.encode_command cmd
+
+  let encode t cmd =
+    S.advance CM.current.client_pack;
+    encode_only t cmd
 
   let decode t cmd payload =
     S.advance CM.current.client_unpack;
@@ -29,28 +32,19 @@ module Make (S : Platform.Sync_intf.S) = struct
     | Binary -> Mc_protocol.Binary.parse_response ~for_cmd:cmd payload
 
   let roundtrip t cmd =
+    (match cmd with
+     | P.Incr _ | P.Decr _ ->
+       (* libmemcached's incr/decr path is substantially slower than
+          its get/set path (Figure 5 reports 54 us vs 13 us); charge
+          the measured client-side overhead. *)
+       S.advance CM.current.client_incr_extra
+     | _ -> ());
     let req = encode t cmd in
     T.client_send t.conn req;
     let reply = T.client_recv t.conn in
     decode t cmd reply
 
-  let get t key : Mc_core.Store.get_result option =
-    (* gets, not get: the result type exposes the CAS unique, and over
-       ASCII only a gets reply carries it *)
-    match roundtrip t (P.Gets [ key ]) with
-    | P.Values { vals = []; _ } -> None
-    | P.Values { vals = v :: _; _ } ->
-      Some
-        { Mc_core.Store.value = v.P.v_data; flags = v.P.v_flags;
-          cas = v.P.v_cas }
-    | _ -> None
-
   (* ---- Batch plane ---------------------------------------------------- *)
-
-  let encode_only t cmd =
-    match t.protocol with
-    | Ascii -> Mc_protocol.Ascii.encode_command cmd
-    | Binary -> Mc_protocol.Binary.encode_command cmd
 
   (* Parse the reply that starts at [at] in the accumulation buffer,
      receiving more bytes whenever only a prefix has arrived. Only the
@@ -102,16 +96,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     | [] -> []
     | keys ->
       (match t.protocol with
-       | Ascii ->
-         (match roundtrip t (P.Gets keys) with
-          | P.Values { vals; _ } ->
-            List.map
-              (fun v ->
-                ( v.P.v_key,
-                  { Mc_core.Store.value = v.P.v_data; flags = v.P.v_flags;
-                    cas = v.P.v_cas } ))
-              vals
-          | _ -> [])
+       | Ascii -> Typed.hits [ roundtrip t (P.Gets keys) ]
        | Binary ->
          (* The binary protocol's pipelined multi-get: a run of GetKQ
             frames closed by a Noop. Misses are suppressed; each hit
@@ -145,21 +130,10 @@ module Make (S : Platform.Sync_intf.S) = struct
              Char.code (Buffer.nth buf (at + 1)) = Mc_protocol.Binary.Op.noop
            then List.rev acc
            else
-             match parse_at t buf quiet_get at with
-             | P.Values { vals; _ }, used ->
-               let acc =
-                 List.fold_left
-                   (fun acc v ->
-                     ( v.P.v_key,
-                       { Mc_core.Store.value = v.P.v_data;
-                         flags = v.P.v_flags; cas = v.P.v_cas } )
-                     :: acc)
-                   acc vals
-               in
-               collect (at + used) acc
-             | _, used -> collect (at + used) acc
+             let resp, used = parse_at t buf quiet_get at in
+             collect (at + used) (resp :: acc)
          in
-         collect 0 [])
+         Typed.hits (collect 0 []))
 
   (* ---- Open-loop plane -------------------------------------------------
 
@@ -189,74 +163,30 @@ module Make (S : Platform.Sync_intf.S) = struct
     Buffer.add_string st.sbuf rest;
     resp
 
-  let store_result_of_response : P.response -> Mc_core.Store.store_result =
-    function
-    | P.Stored -> Mc_core.Store.Stored
-    | P.Not_stored -> Mc_core.Store.Not_stored
-    | P.Exists -> Mc_core.Store.Exists
-    | P.Not_found -> Mc_core.Store.Not_found
-    | P.Server_error _ -> Mc_core.Store.No_memory
-    | _ -> Mc_core.Store.Not_stored
+  (* The typed ops: each is one {!Typed} command over [roundtrip]. *)
+  let get t = Typed.get (roundtrip t)
 
-  let set t ?(flags = 0) ?(exptime = 0) key data =
-    store_result_of_response
-      (roundtrip t (P.Set { P.key; flags; exptime; data; noreply = false }))
+  let set t = Typed.set (roundtrip t)
 
-  let add t ?(flags = 0) ?(exptime = 0) key data =
-    store_result_of_response
-      (roundtrip t (P.Add { P.key; flags; exptime; data; noreply = false }))
+  let add t = Typed.add (roundtrip t)
 
-  let replace t ?(flags = 0) ?(exptime = 0) key data =
-    store_result_of_response
-      (roundtrip t (P.Replace { P.key; flags; exptime; data; noreply = false }))
+  let replace t = Typed.replace (roundtrip t)
 
-  let append t key extra =
-    store_result_of_response
-      (roundtrip t
-         (P.Append { P.key; flags = 0; exptime = 0; data = extra;
-                     noreply = false }))
+  let append t = Typed.append (roundtrip t)
 
-  let prepend t key extra =
-    store_result_of_response
-      (roundtrip t
-         (P.Prepend { P.key; flags = 0; exptime = 0; data = extra;
-                      noreply = false }))
+  let prepend t = Typed.prepend (roundtrip t)
 
-  let cas t ?(flags = 0) ?(exptime = 0) ~cas key data =
-    store_result_of_response
-      (roundtrip t
-         (P.Cas ({ P.key; flags; exptime; data; noreply = false }, cas)))
+  let cas t = Typed.cas (roundtrip t)
 
-  let delete t key =
-    match roundtrip t (P.Delete (key, false)) with
-    | P.Deleted -> true
-    | _ -> false
+  let delete t = Typed.delete (roundtrip t)
 
-  let counter t ~decr key delta : Mc_core.Store.counter_result =
-    (* libmemcached's incr/decr path is substantially slower than its
-       get/set path (Figure 5 reports 54 us vs 13 us); charge the
-       measured client-side overhead. *)
-    S.advance CM.current.client_incr_extra;
-    let cmd = if decr then P.Decr (key, delta, false) else P.Incr (key, delta, false) in
-    match roundtrip t cmd with
-    | P.Number v -> Mc_core.Store.Counter v
-    | P.Client_error _ -> Mc_core.Store.Non_numeric
-    | _ -> Mc_core.Store.Counter_not_found
+  let incr t = Typed.incr (roundtrip t)
 
-  let incr t key delta = counter t ~decr:false key delta
+  let decr t = Typed.decr (roundtrip t)
 
-  let decr t key delta = counter t ~decr:true key delta
+  let touch t = Typed.touch (roundtrip t)
 
-  let touch t key exptime =
-    match roundtrip t (P.Touch (key, exptime, false)) with
-    | P.Touched -> true
-    | _ -> false
-
-  let stats ?arg t =
-    match roundtrip t (P.Stats arg) with
-    | P.Stats_reply kvs -> kvs
-    | P.Reset -> []
-    | _ -> []
+  let stats ?arg t = Typed.stats ?arg (roundtrip t)
 
   let stats_reset t =
     match roundtrip t (P.Stats (Some "reset")) with

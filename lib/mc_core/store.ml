@@ -561,18 +561,15 @@ struct
   let lru_tail t l = t.lru + (16 * l) + 8
 
   let lru_of t ~h ~key ~size =
-    match t.lru_selector with
-    | Some f ->
-      (match f key with
-       | Some l -> l mod t.cfg.lru_count
-       | None ->
-         if t.cfg.lru_by_size_class then
-           Slab.class_of_size size mod t.cfg.lru_count
-         else h mod t.cfg.lru_count)
-    | None ->
-      if t.cfg.lru_by_size_class then
-        Slab.class_of_size size mod t.cfg.lru_count
-      else h mod t.cfg.lru_count
+    let selected = match t.lru_selector with Some f -> f key | None -> None in
+    match selected with
+    | Some l -> l mod t.cfg.lru_count
+    | None when t.cfg.lru_by_size_class ->
+      (* an item past the largest chunk is a big allocation; it shares
+         the largest class's list rather than indexing list -1 *)
+      let c = Slab.class_of_size size in
+      (if c < 0 then Slab.n_classes - 1 else c) mod t.cfg.lru_count
+    | None -> h mod t.cfg.lru_count
 
   let set_lru_selector t f = t.lru_selector <- f
 

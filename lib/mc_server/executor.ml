@@ -37,6 +37,17 @@ let map_keys f (cmd : P.command) : P.command =
   | (P.Flush_all | P.Stats _ | P.Version | P.Quit | P.Noop | P.Invalid _) as c
     -> c
 
+(* Every key a command carries. *)
+let keys_of (cmd : P.command) =
+  match cmd with
+  | P.Get keys | P.Gets keys -> keys
+  | P.Getx { g_key; _ } -> [ g_key ]
+  | P.Set p | P.Add p | P.Replace p | P.Append p | P.Prepend p | P.Cas (p, _) ->
+    [ p.P.key ]
+  | P.Delete (k, _) | P.Incr (k, _, _) | P.Decr (k, _, _) | P.Touch (k, _, _) ->
+    [ k ]
+  | P.Flush_all | P.Stats _ | P.Version | P.Quit | P.Noop | P.Invalid _ -> []
+
 let scope_command ~prefix (cmd : P.command) : P.command =
   if not !Mc_core.Tenant.namespace_enforced then cmd
   else
@@ -55,7 +66,7 @@ let unscope_response ~prefix (resp : P.response) : P.response =
       let pl = String.length prefix in
       let strip v =
         let k = v.P.v_key in
-        if String.length k >= pl && String.sub k 0 pl = prefix then
+        if String.starts_with ~prefix k then
           { v with P.v_key = String.sub k pl (String.length k - pl) }
         else v
       in
@@ -145,7 +156,7 @@ struct
      `stats` arms. *)
   let execute ?tenants ?slot ?(surfaces = baseline_surfaces) store
       (cmd : P.command) : P.response =
-    let admit = admit ?tenants ?slot store in
+    let admit op = admit ?tenants ?slot store op in
     (* a storage command counts as one [Cmd_set], admitted or refused *)
     let storage op =
       (match (tenants, slot) with
@@ -263,12 +274,13 @@ struct
     | P.Invalid m -> P.Client_error m
 
   (* Per-protocol-op latency, in virtual time, recorded host-side only
-     (no [advance]): with telemetry off this is one ref read. *)
+     (no [advance]): with telemetry off this is one ref read, and no
+     span is opened — no trace is live then. *)
   let execute ?tenants ?slot ?surfaces store (cmd : P.command) : P.response =
-    Telemetry.Span.around ~phase:"exec" @@ fun () ->
     if not (Telemetry.Control.on ()) then
       execute ?tenants ?slot ?surfaces store cmd
-    else begin
+    else
+      Telemetry.Span.around ~phase:"exec" @@ fun () ->
       (* Tenant and conn ride on Tenant_scope / ring-drain records;
          the dispatch crumb names the op (interned against the
          forensics table — one word). An info record: its publish
@@ -280,7 +292,6 @@ struct
       let resp = execute ?tenants ?slot ?surfaces store cmd in
       Telemetry.Timers.record ~op:(P.command_name cmd) (S.now_ns () - t0);
       resp
-    end
 
   (* ---- Batch execution ------------------------------------------------- *)
 
@@ -293,13 +304,6 @@ struct
   let groupable = function
     | P.Get _ | P.Gets _ | P.Getx _ | P.Delete _ | P.Touch _ -> true
     | _ -> false
-
-  let cmd_keys = function
-    | P.Get keys | P.Gets keys -> keys
-    | P.Getx { g_key; _ } -> [ g_key ]
-    | P.Delete (k, _) -> [ k ]
-    | P.Touch (k, _, _) -> [ k ]
-    | _ -> []
 
   (* Execute a pipelined batch. Groupable runs acquire their distinct
      stripes once, sorted ascending (creation-rank order — the lockdep
@@ -338,7 +342,7 @@ struct
                (fun c ->
                  match c with
                  | (P.Get _ | P.Gets _ | P.Getx _) when optimistic -> []
-                 | c -> List.map (Store.stripe_of store) (cmd_keys c))
+                 | c -> List.map (Store.stripe_of store) (keys_of c))
                group)
         in
         let resps =

@@ -96,7 +96,26 @@ let test_full_api_equivalence () =
     Alcotest.(check bool) "flush" true
       (Cl.memcached_flush st = MEMCACHED_SUCCESS);
     Alcotest.(check bool) "flushed" true
-      (Cl.memcached_get st "k2" = Error MEMCACHED_NOTFOUND))
+      (Cl.memcached_get st "k2" = Error MEMCACHED_NOTFOUND);
+    (* what the codecs refuse, the library refuses too: keys of 1 to
+       250 bytes, values of at most 1 MiB *)
+    let long_key = String.make 251 'k' in
+    Alcotest.(check bool) "251-byte key refused" true
+      (Cl.memcached_set st long_key "v" = MEMCACHED_NOTSTORED);
+    Alcotest.(check bool) "251-byte key misses" true
+      (Cl.memcached_get st long_key = Error MEMCACHED_NOTFOUND);
+    Alcotest.(check bool) "empty key refused" true
+      (Cl.memcached_set st "" "v" = MEMCACHED_NOTSTORED);
+    Alcotest.(check bool) "empty key cannot be deleted" true
+      (Cl.memcached_delete st "" = MEMCACHED_NOTFOUND);
+    Alcotest.(check bool) "250-byte key stored" true
+      (Cl.memcached_set st (String.make 250 'k') "v" = MEMCACHED_SUCCESS);
+    Alcotest.(check bool) "oversize value refused" true
+      (Cl.memcached_set st "big"
+         (String.make (Mc_protocol.Types.max_data_bytes + 1) 'b')
+       = MEMCACHED_NOTSTORED);
+    Alcotest.(check bool) "oversize value left nothing" true
+      (Cl.memcached_get st "big" = Error MEMCACHED_NOTFOUND))
 
 let test_behaviors_nop_vs_strict () =
   on_both_backends (fun st ->

@@ -514,6 +514,46 @@ let test_batch_matches_scalar () =
         want_contents got_contents)
     [ 1; 8; 64 ]
 
+(* A scalar op is one plain crossing: it pays for no batching, so the
+   batch counters stay put and crossings/op stays at one, tenant-bound
+   or not. *)
+let test_scalar_path_pays_no_batching () =
+  let module C = Telemetry.Counters in
+  with_plib (fun p ~owner:_ ->
+    ignore (Plib.set p "k" "v");
+    let slot = Plib.create_tenant p ~name:"sc" ~uid:4242 () in
+    let one_crossing what f =
+      let e0 = C.read C.Id.hodor_enter and b0 = C.read C.Id.hodor_batch_calls in
+      f ();
+      Alcotest.(check int) (what ^ ": one crossing") 1
+        (C.read C.Id.hodor_enter - e0);
+      Alcotest.(check int) (what ^ ": no batch call") 0
+        (C.read C.Id.hodor_batch_calls - b0)
+    in
+    one_crossing "get" (fun () -> ignore (Plib.get p "k"));
+    one_crossing "set" (fun () -> ignore (Plib.set p "k" "w"));
+    Process.with_process (Process.make ~uid:4242 "sc-client") (fun () ->
+      one_crossing "tenant_get" (fun () -> ignore (Plib.tenant_get p slot "k"))))
+
+(* With the seqlock read path on, a scalar get validates against the
+   version words and takes no stripe at all. *)
+let test_optimistic_get_takes_no_stripe () =
+  let module C = Telemetry.Counters in
+  with_plib (fun p ~owner:_ ->
+    Alcotest.(check bool) "seqlock reads on" true
+      (Plib.Store.config (Plib.store p)).Store.optimistic_reads;
+    ignore (Plib.set p "k" "v");
+    let acqs () =
+      let _, n, _ = Telemetry.Contention.totals () in
+      n
+    in
+    let a0 = acqs () and h0 = C.read C.Id.opt_hits in
+    (match Plib.get p "k" with
+     | Some r -> Alcotest.(check string) "value" "v" r.Store.value
+     | None -> Alcotest.fail "hit expected");
+    Alcotest.(check int) "retired optimistically" 1 (C.read C.Id.opt_hits - h0);
+    Alcotest.(check int) "no stripe acquired" 0 (acqs () - a0))
+
 let () =
   Alcotest.run "plib"
     [ ( "operation",
@@ -549,4 +589,8 @@ let () =
             test_hybrid_socket_and_local_share;
           Alcotest.test_case "resize through plib" `Quick test_plib_resize;
           Alcotest.test_case "batch matches scalar ops" `Quick
-            test_batch_matches_scalar ] ) ]
+            test_batch_matches_scalar;
+          Alcotest.test_case "scalar path pays no batching" `Quick
+            test_scalar_path_pays_no_batching;
+          Alcotest.test_case "optimistic get takes no stripe" `Quick
+            test_optimistic_get_takes_no_stripe ] ) ]

@@ -412,6 +412,27 @@ let test_lru_by_size_class_mode () =
   Alcotest.(check int) "all items live" 200 (SSt.curr_items st);
   SSt.check_invariants st
 
+(* The baseline's slab build picks an item's list by its size class,
+   and a value of the codecs' largest size (1 MiB) makes an item past
+   the largest chunk: a big allocation with no class. It must still
+   land on a list, with no exception raised while the stripe is held. *)
+let test_item_past_largest_chunk () =
+  let module PSt = Private_suite.St in
+  let cfg =
+    { Store.default_config with hashpower = 8; lock_count = 8; lru_count = 8;
+      stats_slots = 2; lru_by_size_class = true }
+  in
+  let mem, alloc = Private_env.fresh () in
+  let st = PSt.create ~mem ~alloc cfg in
+  let big = String.make Mc_protocol.Types.max_data_bytes 'b' in
+  Alcotest.(check bool) "stored" true (PSt.set st "big" big = Store.Stored);
+  PSt.check_invariants st;
+  (match PSt.get st "big" with
+   | Some r -> Alcotest.(check bool) "value intact" true (r.Store.value = big)
+   | None -> Alcotest.fail "hit expected");
+  Alcotest.(check bool) "deleted" true (PSt.delete st "big");
+  PSt.check_invariants st
+
 let test_single_stats_lock_mode_functional () =
   let cfg =
     { Store.default_config with hashpower = 6; lock_count = 4; lru_count = 2;
@@ -1057,6 +1078,8 @@ let () =
             test_relative_expiry_in_future;
           Alcotest.test_case "lru by size class" `Quick
             test_lru_by_size_class_mode;
+          Alcotest.test_case "item past the largest chunk" `Quick
+            test_item_past_largest_chunk;
           Alcotest.test_case "single stats lock mode" `Quick
             test_single_stats_lock_mode_functional;
           Alcotest.test_case "eviction bookkeeping" `Quick

@@ -737,29 +737,48 @@ let test_server_command_accounting () =
 
 (* ---- one op stream through every tenant front end --------------------- *)
 
-type dop = D_set of string * string | D_get of string | D_delete of string
+type dop =
+  | D_set of string * string
+  | D_get of string
+  | D_delete of string
+  | D_touch of string
 
 (* Sets of 100-400 B over 24 keys against a 4096 B quota force
    tenant-local eviction throughout; one item larger than the whole
-   quota must be refused on every front end. *)
+   quota must be refused on every front end. A tail then touches keys
+   between evicting sets, so a touch's hit or miss, and the LRU place
+   it leaves, must agree too. *)
 let diff_stream ~seed =
   let rng = Random.State.make [| seed |] in
-  List.init 160 (fun i ->
-    if i = 80 then D_set ("huge", String.make 5000 'h')
-    else
-      let k = Printf.sprintf "k%d" (Random.State.int rng 24) in
-      match Random.State.int rng 10 with
-      | 0 | 1 | 2 | 3 | 4 ->
-        D_set
-          (k, String.make (100 + Random.State.int rng 300)
-                (Char.chr (Char.code 'a' + (i mod 26))))
-      | 5 | 6 | 7 | 8 -> D_get k
-      | _ -> D_delete k)
+  let key () = Printf.sprintf "k%d" (Random.State.int rng 24) in
+  let body =
+    List.init 160 (fun i ->
+      if i = 80 then D_set ("huge", String.make 5000 'h')
+      else
+        let k = key () in
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 | 3 | 4 ->
+          D_set
+            (k, String.make (100 + Random.State.int rng 300)
+                  (Char.chr (Char.code 'a' + (i mod 26))))
+        | 5 | 6 | 7 | 8 -> D_get k
+        | _ -> D_delete k)
+  in
+  let tail =
+    List.init 40 (fun i ->
+      let k = key () in
+      match i mod 4 with
+      | 0 | 1 -> D_touch k
+      | 2 -> D_set (k, String.make 300 't')
+      | _ -> D_get k)
+  in
+  body @ tail
 
 type front = {
   f_set : string -> string -> Store.store_result;
   f_get : string -> string option;
   f_delete : string -> bool;
+  f_touch : string -> int -> bool;
 }
 
 (* A refused set is "not stored" on every front end: the binary codec
@@ -770,6 +789,7 @@ let outcome f = function
   | D_get k ->
     (match f.f_get k with Some v -> "hit " ^ v | None -> "miss")
   | D_delete k -> if f.f_delete k then "deleted" else "not found"
+  | D_touch k -> if f.f_touch k 3600 then "touched" else "not found"
 
 (* Each front end gets a fresh handle and runs the whole stream as
    tenant "dt"; the result is the per-op outcomes, the tenant's usage
@@ -787,7 +807,8 @@ let run_front ~seed how =
             f_get =
               (fun k -> Option.map (fun r -> r.Store.value)
                           (Plib.tenant_get p slot k));
-            f_delete = (fun k -> Plib.tenant_delete p slot k) })
+            f_delete = (fun k -> Plib.tenant_delete p slot k);
+            f_touch = (fun k e -> Plib.tenant_touch p slot k e) })
     | `Socket (protocol, rings) ->
       let name = Printf.sprintf "tenant-diff-srv-%d" !fresh_id in
       let srv =
@@ -805,7 +826,8 @@ let run_front ~seed how =
       run
         { f_set = (fun k v -> Cl.Sock.set c k v);
           f_get = (fun k -> Option.map (fun r -> r.Store.value) (Cl.Sock.get c k));
-          f_delete = (fun k -> Cl.Sock.delete c k) }
+          f_delete = (fun k -> Cl.Sock.delete c k);
+          f_touch = (fun k e -> Cl.Sock.touch c k e) }
   in
   let rows =
     List.filter
@@ -823,6 +845,8 @@ let test_differential_front_ends () =
        ref_rows);
   Alcotest.(check string) "the oversize set is refused" "not stored"
     (List.nth ref_outcomes 80);
+  Alcotest.(check bool) "the tail touches live keys" true
+    (List.mem "touched" ref_outcomes);
   List.iter
     (fun (label, how) ->
       let outcomes, usage, rows = run_front ~seed how in
@@ -1058,8 +1082,8 @@ let run_writers_race ~seed how =
                      (fun k v -> as_uid 5101 (fun () -> VPlib.tenant_set p slot k v));
                    f_get = (fun _ -> None);
                    f_delete =
-                     (fun k -> as_uid 5101 (fun () -> VPlib.tenant_delete p slot k))
-                 }
+                     (fun k -> as_uid 5101 (fun () -> VPlib.tenant_delete p slot k));
+                   f_touch = (fun _ _ -> false) }
                in
                (List.init 4 (fun _ -> front), ignore)
              | `Socket ->
@@ -1076,7 +1100,8 @@ let run_writers_race ~seed how =
                    let c = VCl.Sock.connect ~name () in
                    { f_set = VCl.Sock.set c;
                      f_get = (fun _ -> None);
-                     f_delete = VCl.Sock.delete c }),
+                     f_delete = VCl.Sock.delete c;
+                     f_touch = (fun _ _ -> false) }),
                  fun () -> VPlib.stop_remote srv )
            in
            let threads =

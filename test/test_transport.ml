@@ -115,6 +115,30 @@ let test_server_ascii_ops () =
      | None -> Alcotest.fail "hit");
     Cl.Sock.quit c))
 
+(* A value of the codecs' largest size makes an item past the slab's
+   largest chunk; over either codec the set gets a reply and the item
+   reads back, rather than the server wedging its stripe. *)
+let test_server_largest_value () =
+  List.iter
+    (fun (label, protocol, cprotocol) ->
+      let cfg =
+        { Mc_server.Server.default_config with workers = 1; protocol }
+      in
+      let name = "srv-big-" ^ label in
+      ignore (with_server ~cfg name (fun () ->
+        let c = Cl.Sock.connect ~protocol:cprotocol ~name () in
+        let big = String.make P.max_data_bytes 'b' in
+        Alcotest.(check bool) (label ^ ": stored") true
+          (Cl.Sock.set c "big" big = Mc_core.Store.Stored);
+        (match Cl.Sock.get c "big" with
+         | Some r ->
+           Alcotest.(check bool) (label ^ ": value intact") true
+             (r.Mc_core.Store.value = big)
+         | None -> Alcotest.fail (label ^ ": hit expected"));
+        Cl.Sock.quit c)))
+    [ ("ascii", Mc_server.Server.Ascii, Cl.Sock.Ascii);
+      ("binary", Mc_server.Server.Binary, Cl.Sock.Binary) ]
+
 let test_server_parse_error_keeps_connection () =
   let cfg =
     { Mc_server.Server.default_config with workers = 1;
@@ -916,7 +940,9 @@ let () =
           Alcotest.test_case "8 clients, 2 workers" `Quick
             test_many_clients_two_workers;
           Alcotest.test_case "noreply suppression" `Quick
-            test_noreply_suppresses_response ] );
+            test_noreply_suppresses_response;
+          Alcotest.test_case "largest value over both codecs" `Quick
+            test_server_largest_value ] );
       ( "byte-stream semantics",
         [ Alcotest.test_case "fragmented request" `Quick
             test_fragmented_request_reassembled;
