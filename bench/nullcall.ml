@@ -12,7 +12,6 @@ let empty_hodor ~protection () =
   let lib =
     Hodor.Library.create ~protection ~name:"null" ~owner_uid:0 ()
   in
-  Hodor.Runtime.configure ~advance:S.advance ~now:S.now_ns;
   let r =
     in_vm (fun () ->
       let t0 = S.now_ns () in
@@ -76,7 +75,6 @@ let tenant_point ~tenants =
       ~store_cfg:(store_cfg ~hashpower:12) ~path
       ~size:(8 * 1024 * 1024) ~owner ()
   in
-  Hodor.Runtime.configure ~advance:S.advance ~now:S.now_ns;
   let res =
     in_vm (fun () ->
       Simos.Process.with_process owner (fun () ->

@@ -168,11 +168,6 @@ let shell plib image =
   | None -> ()
 
 let run image size_mb =
-  (* Real wall clock for span/trace stamps: the shell runs on real
-     threads, so no Vm ever installs a virtual clock here. *)
-  let (_prev : unit -> int) =
-    Telemetry.Control.install_now Platform.Real_sync.now_ns
-  in
   let owner = Simos.Process.make ~uid:1000 "kv-shell-bookkeeper" in
   let plib =
     match image with

@@ -45,7 +45,7 @@ let () =
           if i = 0 && j = ops_per_tenant / 2
              && not (Atomic.exchange kill_flag true)
           then
-            Process.kill ~now_ns:(Hodor.Runtime.now_ns ()) proc;
+            Process.kill ~now_ns:(Telemetry.Control.now_ns ()) proc;
           completed.(i) <- j + 1
         done
       with Process.Process_killed _ ->

@@ -123,11 +123,6 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   type protection = Hodor.Library.protection = Protected | Unprotected
 
-  let wire_runtime () =
-    (* Hodor charges trampoline costs through these hooks; bind them to
-       whichever substrate this instance runs on. *)
-    Hodor.Runtime.configure ~advance:S.advance ~now:S.now_ns
-
   (* Find (restart) or allocate (first boot) the shared-heap telemetry
      block and point the process-wide counter store at it. Counter
      bumps are host-side bookkeeping: they run in kernel mode (a bump
@@ -439,7 +434,6 @@ module Make (S : Platform.Sync_intf.S) = struct
   let create ?(protection = Protected) ?(copy_args = false)
       ?(store_cfg = Mc_core.Store.default_config) ~path ~size
       ~(owner : Process.t) () =
-    wire_runtime ();
     let lib =
       Hodor.Library.create ~protection ~copy_args ~name:("libmemcached:" ^ path)
         ~owner_uid:(Process.uid owner) ()
@@ -480,7 +474,6 @@ module Make (S : Platform.Sync_intf.S) = struct
   let restart ?(protection = Protected) ?(copy_args = false)
       ?(store_cfg = Mc_core.Store.default_config) ~disk_path ~path
       ~(owner : Process.t) () =
-    wire_runtime ();
     let region = Region.load ~path:disk_path in
     let lib =
       Hodor.Library.create ~protection ~copy_args ~name:("libmemcached:" ^ path)

@@ -156,7 +156,7 @@ let exec (dr : Pku.Debug_regs.t) (lib : Library.t) (b : Pku.Insn.binary) =
   Array.iteri
     (fun addr insn ->
       match insn with
-      | Pku.Insn.Compute n -> Runtime.advance n
+      | Pku.Insn.Compute n -> Telemetry.Control.advance n
       | Pku.Insn.Ret -> ()
       | Pku.Insn.Data _ ->
         (* a data island is never reached by straight-line execution;

@@ -15,6 +15,7 @@
       and every subsequent call fails, since invariants may be broken. *)
 
 module Process = Simos.Process
+module Control = Telemetry.Control
 
 exception Library_call_failed of string * exn
 (** Wraps the exception that poisoned the library, for the caller that
@@ -52,7 +53,7 @@ let gate_violation (lib : Library.t) (p : Process.t) msg =
        (Process.name p) msg);
   if Process.alive p then
     Shm.Region.kernel_mode (fun () ->
-      Process.kill ~signal:"SIGSYS" ~now_ns:(Runtime.now_ns ()) p);
+      Process.kill ~signal:"SIGSYS" ~now_ns:(Control.now_ns ()) p);
   raise (Gate_violation (Printf.sprintf "%s: %s" (Library.name lib) msg))
 
 let call (lib : Library.t) (f : unit -> 'a) : 'a =
@@ -86,7 +87,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
    | Library.Protected | Library.Unprotected -> ());
   Process.enter_library p;
   Telemetry.Counters.incr Telemetry.Counters.Id.hodor_enter;
-  let entry_ns = Runtime.now_ns () in
+  let entry_ns = Control.now_ns () in
   (* The crossing is its own trace phase: it covers wrpkru-in to
      wrpkru-out, so its self time (minus store/alloc children) is the
      per-call gate cost the paper's section 2 argues about. *)
@@ -106,7 +107,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
       Some v
     | Library.Unprotected -> None
   in
-  Runtime.advance (cost lib);
+  Control.advance (cost lib);
   let finish () =
     (* Exit gate check, before the restore erases the evidence: the
        register must still hold exactly the value the trampoline wrote
@@ -127,8 +128,8 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
     Process.leave_library p;
     Telemetry.Counters.incr Telemetry.Counters.Id.hodor_exit;
     Telemetry.Span.finish span;
-    if Telemetry.Control.on () then
-      Telemetry.Timers.record ~op:"hodor_call" (Runtime.now_ns () - entry_ns);
+    if Control.on () then
+      Telemetry.Timers.record ~op:"hodor_call" (Control.now_ns () - entry_ns);
     tampered
   in
   let result =
@@ -141,7 +142,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
          recovery semantics take over for everyone else. *)
       if Process.alive p then
         Shm.Region.kernel_mode (fun () ->
-          Process.kill ~signal:"SIGSYS" ~now_ns:(Runtime.now_ns ()) p);
+          Process.kill ~signal:"SIGSYS" ~now_ns:(Control.now_ns ()) p);
       ignore (finish ());
       raise e
     | e ->
@@ -172,7 +173,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
      bookkeeping process runs [Library.recover]. *)
   (match Process.killed_at p with
    | Some kill_ns ->
-     let end_ns = max (Runtime.now_ns ()) entry_ns in
+     let end_ns = max (Control.now_ns ()) entry_ns in
      if end_ns - kill_ns > Library.grace_ns lib then begin
        Telemetry.Counters.incr Telemetry.Counters.Id.hodor_kill_in_call;
        Telemetry.Trace.emit ~sev:Telemetry.Trace.Warn ~subsys:"hodor"
@@ -208,7 +209,7 @@ let call_batch (lib : Library.t) ~(ops : int) (f : unit -> 'a) : 'a =
   if ops < 1 then invalid_arg "Trampoline.call_batch: ops < 1";
   Telemetry.Counters.incr Telemetry.Counters.Id.hodor_batch_calls;
   Telemetry.Counters.add ~n:ops Telemetry.Counters.Id.hodor_batch_ops;
-  if Telemetry.Control.on () then
+  if Control.on () then
     Telemetry.Timers.record ~op:"batch_size" ops;
   call lib f
 
@@ -219,7 +220,7 @@ let call_batch (lib : Library.t) ~(ops : int) (f : unit -> 'a) : 'a =
 let call_with_arg (lib : Library.t) ~(arg : bytes) (f : bytes -> 'a) : 'a =
   if Library.copy_args lib then begin
     let snapshot = Bytes.copy arg in
-    Runtime.advance (Platform.Cost_model.memcpy_cost (Bytes.length arg));
+    Control.advance (Platform.Cost_model.memcpy_cost (Bytes.length arg));
     call lib (fun () -> f snapshot)
   end
   else call lib (fun () -> f arg)
@@ -231,7 +232,8 @@ let call_with_args (lib : Library.t) ~(args : bytes list) (f : bytes list -> 'a)
   if Library.copy_args lib then begin
     let snapshots = List.map Bytes.copy args in
     List.iter
-      (fun b -> Runtime.advance (Platform.Cost_model.memcpy_cost (Bytes.length b)))
+      (fun b ->
+        Control.advance (Platform.Cost_model.memcpy_cost (Bytes.length b)))
       args;
     call lib (fun () -> f snapshots)
   end

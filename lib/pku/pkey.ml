@@ -18,16 +18,18 @@ let () = allocated.(0) <- true
 
 let alloc_lock = Mutex.create ()
 
-(* Syscall gate, installed by Simos.Process at startup: pkey_alloc(2)
-   and pkey_free(2) are real syscalls, so a seccomp-style filter must
-   see them. A hook (rather than a direct call) keeps the dependency
-   arrow pointing simos -> pku. *)
-let syscall_gate : ([ `Alloc | `Free ] -> unit) ref = ref (fun _ -> ())
+(* Syscall gate, installed by Simos.Process at startup: pkey_alloc(2),
+   pkey_free(2) and pkey_mprotect(2) are real syscalls, so a
+   seccomp-style filter must see them. A hook (rather than a direct
+   call) keeps the dependency arrow pointing simos -> pku. *)
+let syscall_gate = ref (fun (_ : [ `Alloc | `Free | `Mprotect ]) -> ())
 
 let set_syscall_gate f = syscall_gate := f
 
+let gate sc = !syscall_gate sc
+
 let alloc () : t =
-  !syscall_gate `Alloc;
+  gate `Alloc;
   Mutex.lock alloc_lock;
   let rec find i =
     if i >= count then begin
@@ -49,7 +51,7 @@ let alloc () : t =
    domains (the double-admission attack in lib/redteam). *)
 let free (k : t) =
   if k <= 0 || k >= count then invalid_arg "Pkey.free";
-  !syscall_gate `Free;
+  gate `Free;
   Mutex.lock alloc_lock;
   let was = allocated.(k) in
   allocated.(k) <- false;

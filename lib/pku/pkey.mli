@@ -20,10 +20,13 @@ val free : t -> unit
     currently allocated} — a silent double-free would hand an already
     recycled key back to the pool, merging two protection domains. *)
 
-val set_syscall_gate : ([ `Alloc | `Free ] -> unit) -> unit
-(** Install the seccomp-style gate consulted before [pkey_alloc] /
-    [pkey_free] (wired up by [Simos.Process]; identity function by
-    default). *)
+val set_syscall_gate : ([ `Alloc | `Free | `Mprotect ] -> unit) -> unit
+(** Install the seccomp-style gate consulted before [pkey_alloc],
+    [pkey_free] and a user-mode [pkey_mprotect] (wired up by
+    [Simos.Process]; no-op by default). *)
+
+val gate : [ `Alloc | `Free | `Mprotect ] -> unit
+(** Consult the installed gate for one syscall. *)
 
 val is_valid : t -> bool
 

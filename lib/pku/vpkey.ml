@@ -40,39 +40,30 @@ let n_binds = ref 0
 let n_misses = ref 0
 let n_evictions = ref 0
 
-(* Charged with the number of ranges walked whenever eviction, rebind
-   or free re-tags a vkey's memory — the seat of libmpk's
-   pkey_mprotect cost. Installed by Hodor.Runtime so the virtual-time
-   benchmarks see slot misses as the page-table work they are.
-
-   The hook may advance virtual time — a scheduler sync point where a
-   crash kill can switch fibers — so it must never run while [lock] is
-   held: re-tag walks accumulate into [pending_retags] under the lock
-   and [locked] drains the total into the hook after unlocking. *)
-let retag_cost_hook : (int -> unit) ref = ref (fun _ -> ())
-
-let pending_retags = ref 0
-
-let note_retags vk = pending_retags := !pending_retags + List.length vk.retags
-
-let drain_retags () =
-  let n = !pending_retags in
-  pending_retags := 0;
-  n
-
 let locked f =
   Mutex.lock lock;
   match f () with
-  | v ->
-    let n = drain_retags () in
-    Mutex.unlock lock;
-    if n > 0 then !retag_cost_hook n;
-    v
-  | exception e ->
-    let n = drain_retags () in
-    Mutex.unlock lock;
-    if n > 0 then !retag_cost_hook n;
-    raise e
+  | v -> Mutex.unlock lock; v
+  | exception e -> Mutex.unlock lock; raise e
+
+(* Eviction, rebind and free re-tag a vkey's memory: one
+   pkey_mprotect per range walked, the seat of libmpk's slot-miss
+   cost. [f] counts the ranges into [walked] under the lock; the
+   charge runs after unlocking, because it may advance virtual time —
+   a scheduler sync point where a crash kill can switch fibers. *)
+let charge_retags walked =
+  Telemetry.Control.advance
+    (!walked * Platform.Cost_model.current.pkey_mprotect)
+
+let retagging f =
+  let walked = ref 0 in
+  match locked (fun () -> f walked) with
+  | v -> charge_retags walked; v
+  | exception e -> charge_retags walked; raise e
+
+let retag walked vk k =
+  walked := !walked + List.length vk.retags;
+  List.iter (fun f -> f k) vk.retags
 
 let find_locked id =
   match Hashtbl.find_opt table id with
@@ -89,7 +80,7 @@ let quarantine_locked () =
 
 (* Pick the least-recently-bound vkey, quarantine its ranges, and hand
    its slot to the caller. *)
-let evict_one_locked () =
+let evict_one_locked walked =
   if not !eviction_enabled then raise Pkey.Out_of_keys;
   let victim =
     Hashtbl.fold
@@ -105,24 +96,20 @@ let evict_one_locked () =
     let k = match vk.hw with Some k -> k | None -> assert false in
     Hashtbl.remove slots k;
     vk.hw <- None;
-    if !quarantine_on_evict then begin
-      let q = quarantine_locked () in
-      note_retags vk;
-      List.iter (fun f -> f q) vk.retags
-    end;
+    if !quarantine_on_evict then retag walked vk (quarantine_locked ());
     incr n_evictions;
     Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_evictions;
     k
 
-let acquire_slot_locked () =
+let acquire_slot_locked walked =
   match !pool with
   | k :: rest -> pool := rest; k
   | [] ->
     if Hashtbl.length slots < !hw_cap then
-      (try Pkey.alloc () with Pkey.Out_of_keys -> evict_one_locked ())
-    else evict_one_locked ()
+      (try Pkey.alloc () with Pkey.Out_of_keys -> evict_one_locked walked)
+    else evict_one_locked walked
 
-let bind_locked vk =
+let bind_locked walked vk =
   incr clock;
   vk.last_use <- !clock;
   incr n_binds;
@@ -132,13 +119,12 @@ let bind_locked vk =
   | None ->
     incr n_misses;
     Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_slot_misses;
-    let k = acquire_slot_locked () in
+    let k = acquire_slot_locked walked in
     vk.hw <- Some k;
     Hashtbl.replace slots k vk;
     (* lazy sync: the ranges were parked on the quarantine key since
        our eviction; re-tag them to the slot we just won *)
-    note_retags vk;
-    List.iter (fun f -> f k) vk.retags;
+    retag walked vk k;
     k
 
 let check_owner vk = function
@@ -166,7 +152,7 @@ let restore ~id ~owner =
       if id >= !next_id then next_id := id + 1)
 
 let free id =
-  locked (fun () ->
+  retagging (fun walked ->
       let vk = find_locked id in
       (match vk.hw with
        | Some k ->
@@ -176,18 +162,14 @@ let free id =
        | None -> ());
       (* the id is dead; its memory must not stay readable under a
          recycled slot *)
-      if vk.retags <> [] then begin
-        let q = quarantine_locked () in
-        note_retags vk;
-        List.iter (fun f -> f q) vk.retags
-      end;
+      if vk.retags <> [] then retag walked vk (quarantine_locked ());
       Hashtbl.remove table id)
 
 let bind ?owner id =
-  locked (fun () ->
+  retagging (fun walked ->
       let vk = find_locked id in
       check_owner vk owner;
-      bind_locked vk)
+      bind_locked walked vk)
 
 let hw_key id = locked (fun () -> (find_locked id).hw)
 
@@ -237,7 +219,7 @@ let sync_thread () =
     (* Re-derive each grant from the slot table: dead vkeys drop, moved
        vkeys re-bind (no ownership check — the thread held the grant). *)
     let survivors =
-      locked (fun () ->
+      retagging (fun walked ->
           List.filter_map
             (fun (id, k) ->
               match Hashtbl.find_opt table id with
@@ -245,7 +227,7 @@ let sync_thread () =
               | Some vk ->
                 (match vk.hw with
                  | Some k' when k' = k -> Some (id, k)
-                 | _ -> Some (id, bind_locked vk)))
+                 | _ -> Some (id, bind_locked walked vk)))
             entries)
     in
     let new_ks = List.map snd survivors in

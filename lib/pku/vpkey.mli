@@ -23,7 +23,9 @@
 
     Binds, slot misses and evictions are counted in
     [Telemetry.Counters] ([vpkey_binds] / [vpkey_slot_misses] /
-    [vpkey_evictions]).
+    [vpkey_evictions]). Every range a re-tag walks charges one
+    [pkey_mprotect] ({!Platform.Cost_model}) to the caller through
+    [Telemetry.Control.advance], after the slot table is unlocked.
 
     Trust model: this module is kernel-side code (libmpk's kernel
     module). Re-tag callbacks run with whatever privilege the
@@ -93,13 +95,6 @@ val attach_retag : t -> (Pkey.t -> unit) -> unit
 
 val quarantine_key : unit -> Pkey.t
 (** The quarantine key (allocated on first use). Never enable it. *)
-
-val retag_cost_hook : (int -> unit) ref
-(** Called with the number of ranges walked each time eviction, rebind
-    or {!free} re-tags a vkey's memory — where libmpk pays its
-    [pkey_mprotect] calls. Installed by [Hodor.Runtime.configure] to
-    charge modeled CPU time in the virtual-time benchmarks; default
-    no-op. *)
 
 (** {1 Per-thread pkru shadow} *)
 

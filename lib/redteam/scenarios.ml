@@ -15,7 +15,6 @@ module Region = Shm.Region
 module Library = Hodor.Library
 module Loader = Hodor.Loader
 module Trampoline = Hodor.Trampoline
-module Runtime = Hodor.Runtime
 module Pkru = Pku.Pkru
 module Pkey = Pku.Pkey
 module Insn = Pku.Insn
@@ -387,7 +386,6 @@ let retag_race =
                | Some k -> (try Pkey.free k with _ -> ())
                | None -> ());
               Library.release lib;
-              Runtime.reset ();
               Pkru.reset_thread ())
             @@ fun () ->
             let region =
@@ -398,7 +396,6 @@ let retag_race =
             Library.protect_region lib region;
             Region.kernel_mode (fun () ->
               Region.write_string region ~off:0 "RACE-SECRET");
-            Runtime.configure ~advance:Vm.Sync.advance ~now:Vm.Sync.now_ns;
             let vm = Vm.create ~sched_seed:seed ~preempt_jitter:40 () in
             let victim_proc = Process.make ~uid:2000 "race-victim" in
             let attacker_proc = Process.make ~uid:6001 "race-attacker" in
@@ -770,7 +767,6 @@ let crash_in_grace =
           in
           Fun.protect ~finally:(fun () ->
             Library.release lib;
-            Runtime.reset ();
             Pkru.reset_thread ())
           @@ fun () ->
           let region =
@@ -783,7 +779,6 @@ let crash_in_grace =
           Library.set_recover lib (fun () ->
             Region.kernel_mode (fun () ->
               Region.write_i64 region 8 (Region.read_i64 region 0)));
-          Runtime.configure ~advance:Vm.Sync.advance ~now:Vm.Sync.now_ns;
           let vm = Vm.create ~sched_seed:5 () in
           let victim_proc = Process.make ~uid:2100 "grace-victim" in
           Vm.set_crash_point vm

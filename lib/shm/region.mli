@@ -35,15 +35,11 @@ val set_page_pkey : t -> int -> Pku.Pkey.t -> unit
 
 val tag_range : t -> off:int -> len:int -> pkey:Pku.Pkey.t -> unit
 (** Retag pages (pkey_mprotect(2) in miniature). Outside
-    {!kernel_mode}, the seccomp-style gate installed with
-    {!set_mprotect_gate} is consulted first — Linux lets any process
-    pkey_mprotect pages mapped in its own address space, so the only
-    thing standing between an attacker and retagging the shared heap
-    to key 0 is the syscall filter. *)
-
-val set_mprotect_gate : (unit -> unit) -> unit
-(** Install the gate consulted by non-kernel-mode retagging (wired up
-    by [Simos.Process]; no-op by default). *)
+    {!kernel_mode}, the seccomp-style gate of {!Pku.Pkey.gate} is
+    consulted first — Linux lets any process pkey_mprotect pages
+    mapped in its own address space, so the only thing standing
+    between an attacker and retagging the shared heap to key 0 is the
+    syscall filter. *)
 
 val claim : t -> owner:string -> unit
 (** Tag the region as owned by a named protected library (runtime

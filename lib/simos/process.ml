@@ -131,13 +131,13 @@ let check_syscall sc =
   end
 
 (* Route the pkey-management "syscalls" of lib/pku and lib/shm through
-   the filter. Hooks keep the dependency arrows pointing simos -> pku
+   the filter. A hook keeps the dependency arrows pointing simos -> pku
    and simos -> shm. *)
 let () =
   Pku.Pkey.set_syscall_gate (function
     | `Alloc -> check_syscall Sys_pkey_alloc
-    | `Free -> check_syscall Sys_pkey_free);
-  Shm.Region.set_mprotect_gate (fun () -> check_syscall Sys_pkey_mprotect)
+    | `Free -> check_syscall Sys_pkey_free
+    | `Mprotect -> check_syscall Sys_pkey_mprotect)
 
 let kill ?(signal = "SIGKILL") ~now_ns t =
   check_syscall Sys_kill;

@@ -1,4 +1,4 @@
-(** Global telemetry switch and clock hook.
+(** Global telemetry switch and the installed environment.
 
     Telemetry must be near-free when off: every emitter guards on
     {!on}, which is a single ref read, and records host-side only —
@@ -6,12 +6,13 @@
     (and the nullcall overhead gate) see the same simulated latencies
     with telemetry on or off.
 
-    The clock hook exists because telemetry sits below every other
-    library (it may depend only on [tls], so that pku/shm/ralloc/vm
-    can all depend on it). Whoever owns a clock — the Vm while a
-    simulation runs, a bench harness otherwise — installs it here;
-    the default clock reads 0, which keeps emitters total outside any
-    simulation. *)
+    The environment exists because the layers below the [SYNC]
+    functors (telemetry, pku, shm, hodor) still need a clock and a way
+    to charge modeled cost. Telemetry sits below all of them (it
+    depends only on [tls] and [unix]), so the environment lives here.
+    The Vm installs its own for the length of a run: the running
+    virtual thread's clock, and a charge that advances it. The default
+    serves real threads: the host clock, and free execution. *)
 
 let enabled =
   ref
@@ -23,42 +24,39 @@ let on () = !enabled
 
 let set_enabled b = enabled := b
 
-let default_now () = 0
+type env = {
+  now : unit -> int;  (** current time in ns *)
+  charge : int -> unit;
+  (** spend [n] modeled ns; [charge 0] is a zero-cost scheduler sync
+      point (the Vm's crash check) *)
+}
 
-let now_hook : (unit -> int) ref = ref default_now
+let default =
+  { now = (fun () -> int_of_float (Unix.gettimeofday () *. 1e9));
+    charge = ignore }
 
-(** Current virtual time in ns, per the installed provider (0 when
-    none is installed). *)
-let now_ns () = !now_hook ()
+let installed = ref default
 
-(** Install a clock; returns the previous hook so the caller can
-    restore it (the Vm does this in a [Fun.protect] finally). *)
-let install_now now =
-  let prev = !now_hook in
-  now_hook := now;
+(** Current time in ns: virtual inside a Vm run, host time otherwise. *)
+let now_ns () = !installed.now ()
+
+(** Charge [n] ns of modeled CPU time to the caller (nothing when
+    [n <= 0], like [Vm.Sync.advance]). *)
+let advance n = if n > 0 then !installed.charge n
+
+(** A scheduler sync point that charges no virtual time, so that
+    deliberately tearable multi-word publishes (the flight recorder's
+    info breadcrumbs) expose a kill window between their payload write
+    and their commit stamp. A no-op outside a simulation: there is
+    nothing to yield to, and the publish is atomic with respect to any
+    in-process observer anyway. *)
+let sync_point () = !installed.charge 0
+
+(** Install an environment; returns the previous one so the caller can
+    {!restore} it (the Vm does this in a [Fun.protect] finally). *)
+let install env =
+  let prev = !installed in
+  installed := env;
   prev
 
-let restore_now prev = now_hook := prev
-
-(* The sync hook mirrors the clock hook: whoever owns a scheduler (the
-   Vm) installs a thunk that performs a zero-cost sync point, so that
-   deliberately tearable multi-word publishes (the flight recorder's
-   info breadcrumbs) expose a kill window between their payload write
-   and their commit stamp. The default is a no-op — outside a
-   simulation there is nothing to yield to, and the publish is atomic
-   with respect to any in-process observer anyway. *)
-
-let default_sync () = ()
-
-let sync_hook : (unit -> unit) ref = ref default_sync
-
-(** A scheduler sync point that charges no virtual time (a no-op when
-    no scheduler is installed). *)
-let sync_point () = !sync_hook ()
-
-let install_sync sync =
-  let prev = !sync_hook in
-  sync_hook := sync;
-  prev
-
-let restore_sync prev = sync_hook := prev
+let restore prev = installed := prev

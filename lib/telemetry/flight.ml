@@ -47,8 +47,6 @@ type kind =
   | Op_dispatch  (** a = op code ({!Forensics} table), b = tenant, c = conn *)
   | Stripe_acquire  (** a = stripes held after, b = stripe index *)
   | Stripe_release  (** a = stripes held after, b = stripe index *)
-  | Group_acquire  (** a = stripes held after, b = first stripe, c = count *)
-  | Group_release  (** a = stripes held after, b = count released *)
   | Ring_drain_begin  (** a = 1, b = conn id, c = messages in window *)
   | Ring_drain_end  (** a = 0, b = conn id, c = messages drained *)
   | Tenant_scope  (** a = tenant slot *)
@@ -56,14 +54,13 @@ type kind =
   | Alloc_large  (** a = bytes, b = heap offset *)
   | Free_large  (** a = bytes, b = heap offset *)
 
+(* Codes 6 and 7 are unassigned; [kind_of_code] drops them. *)
 let kind_code = function
   | Cross_enter -> 1
   | Cross_exit -> 2
   | Op_dispatch -> 3
   | Stripe_acquire -> 4
   | Stripe_release -> 5
-  | Group_acquire -> 6
-  | Group_release -> 7
   | Ring_drain_begin -> 8
   | Ring_drain_end -> 9
   | Tenant_scope -> 10
@@ -77,8 +74,6 @@ let kind_of_code = function
   | 3 -> Some Op_dispatch
   | 4 -> Some Stripe_acquire
   | 5 -> Some Stripe_release
-  | 6 -> Some Group_acquire
-  | 7 -> Some Group_release
   | 8 -> Some Ring_drain_begin
   | 9 -> Some Ring_drain_end
   | 10 -> Some Tenant_scope
@@ -93,8 +88,6 @@ let kind_name = function
   | Op_dispatch -> "op_dispatch"
   | Stripe_acquire -> "stripe_acquire"
   | Stripe_release -> "stripe_release"
-  | Group_acquire -> "group_acquire"
-  | Group_release -> "group_release"
   | Ring_drain_begin -> "ring_drain_begin"
   | Ring_drain_end -> "ring_drain_end"
   | Tenant_scope -> "tenant_scope"
@@ -108,8 +101,8 @@ let kind_name = function
 let tearable = function
   | Op_dispatch | Tenant_scope | Tenant_unscope | Alloc_large | Free_large ->
     true
-  | Cross_enter | Cross_exit | Stripe_acquire | Stripe_release | Group_acquire
-  | Group_release | Ring_drain_begin | Ring_drain_end ->
+  | Cross_enter | Cross_exit | Stripe_acquire | Stripe_release
+  | Ring_drain_begin | Ring_drain_end ->
     false
 
 (* ---- geometry --------------------------------------------------------- *)

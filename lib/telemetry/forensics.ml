@@ -60,7 +60,6 @@ type lane_state = {
   ls_depth : int;  (** trampoline crossing depth at death *)
   ls_held : int;  (** stripes held at death *)
   ls_stripes : int list;  (** individually known held stripes *)
-  ls_group : (int * int) option;  (** (first stripe, count) of open group *)
   ls_drain : bool;
   ls_conn : int;
   ls_msgs : int;
@@ -71,7 +70,7 @@ type lane_state = {
 }
 
 let idle_lane lane =
-  { ls_lane = lane; ls_depth = 0; ls_held = 0; ls_stripes = []; ls_group = None;
+  { ls_lane = lane; ls_depth = 0; ls_held = 0; ls_stripes = [];
     ls_drain = false; ls_conn = -1; ls_msgs = 0; ls_op = 0; ls_tenant = -1;
     ls_last_stamp = 0; ls_entries = [] }
 
@@ -92,9 +91,6 @@ let lane_state lane =
       | Flight.Stripe_release ->
         { ls with ls_held = e.e_a;
                   ls_stripes = List.filter (fun s -> s <> e.e_b) ls.ls_stripes }
-      | Flight.Group_acquire ->
-        { ls with ls_held = e.e_a; ls_group = Some (e.e_b, e.e_c) }
-      | Flight.Group_release -> { ls with ls_held = e.e_a; ls_group = None }
       | Flight.Ring_drain_begin ->
         { ls with ls_drain = true; ls_conn = e.e_b; ls_msgs = e.e_c }
       | Flight.Ring_drain_end ->
@@ -128,7 +124,6 @@ type report = {
   f_depth : int;
   f_held : int;
   f_stripes : int list;
-  f_group : (int * int) option;
   f_conn : int;
   f_msgs : int;
   f_torn : int list;  (** lanes with torn head records — must be [] *)
@@ -168,7 +163,6 @@ let analyze ?(heap = []) ?(checks = []) () =
     f_depth = v.ls_depth;
     f_held = v.ls_held;
     f_stripes = List.sort_uniq compare v.ls_stripes;
-    f_group = v.ls_group;
     f_conn = v.ls_conn;
     f_msgs = v.ls_msgs;
     f_torn = Flight.torn_lanes ();
@@ -223,9 +217,6 @@ let render ?tenant_name r =
     if r.f_stripes <> [] then
       pf " (known: %s)"
         (String.concat "," (List.map string_of_int r.f_stripes));
-    (match r.f_group with
-     | Some (first, n) -> pf " group from stripe %d x%d" first n
-     | None -> ());
     pf "\n"
   end;
   if r.f_conn >= 0 then pf "ring conn: %d\n" r.f_conn;

@@ -597,27 +597,23 @@ let run ?(raise_on_failure = true) t =
   let fallback = Tls.fresh_table () in
   Tls.install_provider (fun () ->
     match t.current with Some th -> th.table | None -> fallback);
-  (* While the simulation runs, telemetry events are stamped with the
-     running virtual thread's clock. *)
-  let prev_now =
-    Telemetry.Control.install_now (fun () ->
-      match t.current with Some th -> th.clock | None -> t.vnow)
-  in
-  (* Telemetry publishes that want a kill window mid-protocol (the
-     flight recorder's tearable breadcrumbs) ask for a sync point via
-     this hook. [Advance 0] runs the crash check without charging any
-     virtual time ([dilate] passes 0 through), so the recorder stays
-     invisible to the cost model; [Sync.advance] itself elides n = 0,
-     hence the direct perform. Host threads and scheduler-context
-     emitters have no handler — for them the hook is a no-op. *)
-  let prev_sync =
-    Telemetry.Control.install_sync (fun () ->
-      try Effect.perform (Advance 0) with Effect.Unhandled _ -> ())
+  (* While the simulation runs, the layers below the [SYNC] functors
+     read the running virtual thread's clock and charge it. A charge is
+     an [Advance]: [Advance 0] runs the crash check without charging
+     any virtual time ([dilate] passes 0 through), which is the
+     zero-cost sync point that tearable telemetry publishes ask for.
+     Host threads and scheduler-context code have no handler; for them
+     a charge is a no-op. *)
+  let prev_env =
+    Telemetry.Control.install
+      { now = (fun () ->
+            match t.current with Some th -> th.clock | None -> t.vnow);
+        charge = (fun n ->
+            try Effect.perform (Advance n) with Effect.Unhandled _ -> ()) }
   in
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Control.restore_sync prev_sync;
-      Telemetry.Control.restore_now prev_now;
+      Telemetry.Control.restore prev_env;
       Tls.remove_provider ();
       t.running <- false)
     (fun () ->

@@ -7,8 +7,6 @@ module Loader = Hodor.Loader
 module Process = Simos.Process
 module Region = Shm.Region
 
-let () = Hodor.Runtime.reset ()
-
 let with_lib ?protection ?copy_args ?grace_ns f =
   let lib =
     Library.create ?protection ?copy_args ?grace_ns ~name:"testlib"
@@ -74,7 +72,6 @@ let test_crash_inside_poisons () =
      | exception Library.Library_poisoned _ -> ()))
 
 let test_kill_mid_call_completes_within_grace () =
-  Hodor.Runtime.reset ();
   with_lib ~grace_ns:1_000_000_000 (fun lib ->
     let p = Process.make ~uid:1 "victim" in
     Process.with_process p (fun () ->
@@ -82,7 +79,7 @@ let test_kill_mid_call_completes_within_grace () =
       (match
          Trampoline.call lib (fun () ->
            (* the process dies while we're inside *)
-           Process.kill ~now_ns:(Hodor.Runtime.now_ns ()) p;
+           Process.kill ~now_ns:(Telemetry.Control.now_ns ()) p;
            side_effect := true)
        with
       | () -> Alcotest.fail "thread must observe its death after the call"
@@ -95,9 +92,13 @@ let test_kill_mid_call_completes_within_grace () =
    nanosecond. *)
 let with_fake_clock f =
   let now = ref 0 in
-  Hodor.Runtime.configure ~advance:(fun n -> now := !now + n)
-    ~now:(fun () -> !now);
-  Fun.protect ~finally:Hodor.Runtime.reset (fun () -> f now)
+  let prev =
+    Telemetry.Control.install
+      { now = (fun () -> !now); charge = (fun n -> now := !now + n) }
+  in
+  Fun.protect
+    ~finally:(fun () -> Telemetry.Control.restore prev)
+    (fun () -> f now)
 
 (* Kill the current process mid-call, stretch the call so it returns
    exactly [overrun] ns after the kill, and report the library's
@@ -277,13 +278,30 @@ let test_multi_arg_copy () =
 
 let test_runtime_hooks_charge_cost () =
   let charged = ref 0 in
-  Hodor.Runtime.configure ~advance:(fun n -> charged := !charged + n)
-    ~now:(fun () -> 0);
-  Fun.protect ~finally:Hodor.Runtime.reset (fun () ->
+  let prev =
+    Telemetry.Control.install
+      { now = (fun () -> 0); charge = (fun n -> charged := !charged + n) }
+  in
+  Fun.protect ~finally:(fun () -> Telemetry.Control.restore prev) (fun () ->
     with_lib (fun lib ->
       Trampoline.call lib (fun () -> ());
       Alcotest.(check int) "trampoline cost charged"
         Platform.Cost_model.current.trampoline_hodor !charged))
+
+(* No Plib and no wiring: the environment [Vm.run] installs is the
+   only thing that makes a crossing cost its modeled price. *)
+let test_bare_vm_call_charges_crossing () =
+  with_lib ~protection:Library.Protected (fun lib ->
+    let vm = Vm.create () in
+    let dt = ref (-1) in
+    ignore
+      (Vm.spawn vm (fun () ->
+         let t0 = Vm.Sync.now_ns () in
+         Trampoline.call lib (fun () -> ());
+         dt := Vm.Sync.now_ns () - t0));
+    Vm.run vm;
+    Alcotest.(check int) "one crossing, charged to the caller"
+      Platform.Cost_model.current.trampoline_hodor !dt)
 
 let test_release_recycles_pkey () =
   let lib = Library.create ~name:"short-lived" ~owner_uid:0 () in
@@ -420,4 +438,6 @@ let () =
           Alcotest.test_case "runtime hooks" `Quick
             test_runtime_hooks_charge_cost;
           Alcotest.test_case "pkey recycling" `Quick
-            test_release_recycles_pkey ] ) ]
+            test_release_recycles_pkey;
+          Alcotest.test_case "bare Vm run charges the crossing" `Quick
+            test_bare_vm_call_charges_crossing ] ) ]

@@ -99,7 +99,7 @@ let test_kill_mid_call_preserves_store () =
         Hodor.Trampoline.call (Plib.library p) (fun () ->
           (* SIGKILL lands while this thread holds the store's locks
              conceptually; the call must complete *)
-          Process.kill ~now_ns:(Hodor.Runtime.now_ns ()) victim;
+          Process.kill ~now_ns:(Telemetry.Control.now_ns ()) victim;
           ignore
             (Plib.Store.set (Plib.store p) "from-dying-call" "done"))
       with

@@ -27,9 +27,11 @@ let fresh () =
    Vm to install a virtual one. *)
 let with_clock f =
   let t = ref 0 in
-  let prev = Telemetry.Control.install_now (fun () -> !t) in
+  let prev =
+    Telemetry.Control.install { now = (fun () -> !t); charge = ignore }
+  in
   Fun.protect
-    ~finally:(fun () -> Telemetry.Control.restore_now prev)
+    ~finally:(fun () -> Telemetry.Control.restore prev)
     (fun () -> f t)
 
 let ok_or_fail tr =

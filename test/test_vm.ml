@@ -333,6 +333,50 @@ let qcheck_chan_preserves_content =
       Vm.run vm;
       List.rev !got = xs)
 
+(* ---- installed environment ----------------------------------------- *)
+
+module Control = Telemetry.Control
+
+(* A marker environment: its clock reads a fixed value and its charges
+   are tallied, so a test can tell whether it is the one installed. *)
+let with_marker_env f =
+  let charged = ref 0 in
+  let marker = { Control.now = (fun () -> 4242);
+                 charge = (fun n -> charged := !charged + n) } in
+  let prev = Control.install marker in
+  Fun.protect ~finally:(fun () -> Control.restore prev) (fun () ->
+    f charged)
+
+let check_marker_restored charged =
+  Alcotest.(check int) "clock restored" 4242 (Control.now_ns ());
+  Control.advance 7;
+  Alcotest.(check int) "charge restored" 7 !charged
+
+let test_env_installed_and_restored () =
+  with_marker_env @@ fun charged ->
+  let vm =
+    run_main (fun () ->
+      S.advance 100;
+      Alcotest.(check int) "virtual clock inside" 100 (Control.now_ns ());
+      Control.advance 50;
+      Alcotest.(check int) "charge advances the thread" 150 (S.now_ns ()))
+  in
+  Alcotest.(check int) "final vnow" 150 (Vm.now vm);
+  Alcotest.(check int) "nothing charged to the outer env" 0 !charged;
+  check_marker_restored charged
+
+let test_env_restored_after_failure () =
+  with_marker_env @@ fun charged ->
+  let vm = Vm.create () in
+  ignore (Vm.spawn vm ~name:"boom" (fun () ->
+    Control.advance 10;
+    failwith "bang"));
+  (match Vm.run vm with
+   | () -> Alcotest.fail "expected failure"
+   | exception Vm.Thread_failure ("boom", Failure _) -> ());
+  Alcotest.(check int) "nothing charged to the outer env" 0 !charged;
+  check_marker_restored charged
+
 let () =
   Alcotest.run "vm"
     [ ( "scheduler",
@@ -371,4 +415,9 @@ let () =
           Alcotest.test_case "re-run harmless" `Quick test_run_not_reentrant;
           Alcotest.test_case "deep spawn chain" `Quick test_deep_spawn_chain;
           Alcotest.test_case "1M advances, O(1) stack" `Slow
-            test_long_advance_loop_constant_stack ] ) ]
+            test_long_advance_loop_constant_stack ] );
+      ( "environment",
+        [ Alcotest.test_case "installed for the run, then restored" `Quick
+            test_env_installed_and_restored;
+          Alcotest.test_case "restored after a thread raised" `Quick
+            test_env_restored_after_failure ] ) ]

@@ -251,6 +251,37 @@ let test_counters_mirror_telemetry () =
   Alcotest.(check int) "telemetry evictions" (Vpkey.evictions ())
     (Telemetry.Counters.read Telemetry.Counters.Id.vpkey_evictions)
 
+(* ---- re-tag cost ----------------------------------------------------- *)
+
+(* Inside a bare Vm run, with no Plib to wire anything, a slot miss
+   charges one pkey_mprotect per range its re-tags walk, and a hit
+   charges nothing. *)
+let test_slot_miss_charges_retags () =
+  with_clean @@ fun () ->
+  Vpkey.set_hw_cap 1;
+  let a = Vpkey.alloc () and b = Vpkey.alloc () in
+  ignore (attach_region a ~name:"/shm/vpk-cost-a1" ~payload:"a1");
+  ignore (attach_region a ~name:"/shm/vpk-cost-a2" ~payload:"a2");
+  ignore (attach_region b ~name:"/shm/vpk-cost-b" ~payload:"b");
+  let per = Platform.Cost_model.current.pkey_mprotect in
+  let costs = ref [] in
+  let vm = Vm.create () in
+  ignore
+    (Vm.spawn vm (fun () ->
+       let charged f =
+         let t0 = Vm.Sync.now_ns () in
+         ignore (f ());
+         costs := (Vm.Sync.now_ns () - t0) :: !costs
+       in
+       Region.kernel_mode (fun () ->
+         charged (fun () -> Vpkey.bind a);
+         charged (fun () -> Vpkey.bind b);
+         charged (fun () -> Vpkey.bind b))));
+  Vm.run vm;
+  Alcotest.(check (list int))
+    "miss re-tags a's 2 ranges; miss evicts a (2) and re-tags b (1); hit"
+    [ 2 * per; 3 * per; 0 ] (List.rev !costs)
+
 let () =
   Alcotest.run "vpkey"
     [ ( "allocation",
@@ -276,4 +307,7 @@ let () =
             test_sixty_four_tenants_isolated ] );
       ( "counters",
         [ Alcotest.test_case "telemetry mirror" `Quick
-            test_counters_mirror_telemetry ] ) ]
+            test_counters_mirror_telemetry ] );
+      ( "re-tag cost",
+        [ Alcotest.test_case "slot miss charges pkey_mprotect" `Quick
+            test_slot_miss_charges_retags ] ) ]
