@@ -813,34 +813,61 @@ struct
     wr32 t (it + it_refcount) r;
     if r = 0 && not (is_linked t it) then free_item t it
 
-  (* ---- Eviction ----------------------------------------------------------- *)
+  (* ---- Eviction and reaping ----------------------------------------------- *)
 
-  (* Collect victims from one LRU's cold end, then take them item lock
-     first, re-verify, and unlink. Returns how many were reclaimed.
+  (* Are the [items] (coldest first) the first nodes of list [l] from
+     its tail, in order? Charged per node, like the collect walk. The
+     node that would become the new tail, or [None]. Caller holds the
+     LRU lock. *)
+  let tail_run t l items =
+    let rec go node = function
+      | [] -> Some node
+      | it :: rest ->
+        adv CM.current.bucket_probe;
+        if node = it then go (ldp t (it + it_lru_prev)) rest else None
+    in
+    go (ldp t (lru_tail t l)) items
 
-     While the LRU lock is held, every item reachable through this
-     list is guaranteed unfreed — [unlink_item] frees only after
-     [lru_unlink] under the same lock — so reading [it_hash]/[it_cas]
-     during the collect is safe. Once the lock is dropped those
-     guarantees end: a concurrent delete may free the block and a
-     concurrent set may reuse it. Each victim is therefore recorded as
-     an (offset, hash, cas) triple and re-verified under its item
-     stripe lock: bucket-chain membership proves the offset is still a
-     live item, and the cas value (unique per stored item) defeats
-     ABA reuse of the block by a different store. *)
-  let evict_from ?pred t l =
+  (* Cut list [l]'s tail run off below [last] (0: the whole list), in
+     one splice. Caller holds the LRU lock. *)
+  let lru_cut t l ~last =
+    adv CM.current.lru_update;
+    if last <> 0 then stp t (last + it_lru_next) 0 else stp t (lru_head t l) 0;
+    stp t (lru_tail t l) last
+
+  (* One pass over LRU list [l]'s cold end, reclaiming idle items that
+     pass [keep]: the one walk behind eviction and the expiry crawler.
+     Examines at most [n] items, bumps [ctr] by the number reclaimed
+     and returns it.
+
+     Collect. While the LRU lock is held, every item reachable through
+     the list is guaranteed unfreed — items leave a list under its lock
+     before they are freed — so the walk may read [it_hash]/[it_cas].
+     Once the lock drops those guarantees end: a concurrent delete may
+     free a block and a concurrent set reuse it. Each victim is
+     therefore recorded as an (offset, hash, cas) triple.
+
+     Verify. The victims' distinct stripes are taken as one ascending
+     group (lockdep's rank order), minus any this thread already pins.
+     Under it each victim must still be on its chain (proof the offset
+     is a live item), carry its cas (unique per stored item, defeating
+     ABA reuse of the block), be idle, sit on [l] and pass [keep].
+
+     Cut. The LRU lock is retaken once. If the verified victims are
+     still the list's tail run, one splice cuts them off; otherwise
+     each is unlinked on its own. Only then do they leave their chains
+     and get freed: a kill in between leaves them on their chains and
+     off the list, which recovery repairs (chains are the truth, and
+     the lists are rebuilt from them). *)
+  let reclaim_tail t l ~n ~keep ctr =
+    let idle it = rd32 t (it + it_refcount) = 0 && keep it in
     lock_lru t l;
     let rec collect it n acc =
-      if it = 0 || n = 0 then acc
+      if it = 0 || n <= 0 then acc
       else begin
         adv CM.current.bucket_probe;
         let acc =
-          if
-            rd32 t (it + it_refcount) = 0
-            && (match pred with
-                | None -> true
-                | Some p -> p (item_key t it))
-          then
+          if idle it then
             (it, rd32 t (it + it_hash) land 0xFFFFFFFF, rd64r t (it + it_cas))
             :: acc
           else acc
@@ -848,27 +875,55 @@ struct
         collect (ldp t (it + it_lru_prev)) (n - 1) acc
       end
     in
-    let victims = collect (ldp t (lru_tail t l)) t.cfg.evict_batch [] in
+    (* hottest first: the cut checks the reverse *)
+    let victims = collect (ldp t (lru_tail t l)) n [] in
     unlock_lru t l;
-    let reclaimed = ref 0 in
-    List.iter
-      (fun (it, h, cas) ->
-        lock_item t h;
-        (* The world may have moved: only evict the same still-linked,
-           idle item that still belongs to this LRU. *)
-        if
-          on_chain t h it
-          && Int64.equal (rd64r t (it + it_cas)) cas
-          && rd32 t (it + it_refcount) = 0
-          && rd32 t (it + it_lru_id) = l
-        then begin
-          reclaim t h it;
-          stat t C.evictions;
-          incr reclaimed
-        end;
-        unlock_item t h)
-      victims;
-    !reclaimed
+    if victims = [] then 0
+    else begin
+      let stripes =
+        List.sort_uniq Int.compare
+          (List.map (fun (_, h, _) -> stripe_index t h) victims)
+        |> List.filter (fun s -> not (holds_stripe t s))
+      in
+      with_stripes t ~stripes @@ fun () ->
+      let live =
+        List.filter_map
+          (fun (it, h, cas) ->
+            if
+              on_chain t h it
+              && Int64.equal (rd64r t (it + it_cas)) cas
+              && rd32 t (it + it_lru_id) = l
+              && idle it
+            then Some (it, h)
+            else None)
+          victims
+      in
+      if live = [] then 0
+      else begin
+        lock_lru t l;
+        (match tail_run t l (List.rev_map fst live) with
+         | Some last -> lru_cut t l ~last
+         | None -> List.iter (fun (it, _) -> lru_unlink t it l) live);
+        unlock_lru t l;
+        List.iter
+          (fun (it, h) ->
+            let key = item_key t it and bytes = item_size t it in
+            hash_unlink t h it;
+            free_item t it;
+            notify_evict t ~key ~bytes)
+          live;
+        let k = List.length live in
+        stat_add t C.curr_items (-k);
+        stat_add t ctr k;
+        k
+      end
+    end
+
+  let evict_from ?pred t l =
+    let keep =
+      match pred with None -> fun _ -> true | Some p -> fun it -> p (item_key t it)
+    in
+    reclaim_tail t l ~n:t.cfg.evict_batch ~keep C.evictions
 
   (* Tenant-scoped eviction: reclaim only items whose key satisfies
      [pred], scanning the cold end of LRU list [lru]. The tenant layer
@@ -1580,48 +1635,17 @@ struct
 
   (* The LRU crawler: walk the cold ends of the LRU lists and unlink
      items that have already expired, without waiting for a get to
-     stumble on them. Returns how many were reaped. *)
+     stumble on them. Each list's cold end is walked for [limit] divided
+     among the lists, rounded up so a small limit still looks at every
+     list. Returns how many were reaped. *)
   let reap_expired ?(limit = 1_000) t =
     let now = now_sec () in
+    let lists = t.cfg.lru_count in
+    let n = (limit + lists - 1) / lists in
     let reaped = ref 0 in
-    for l = 0 to t.cfg.lru_count - 1 do
-      (* Same re-verification discipline as [evict_from]: candidates
-         are (offset, hash, cas) triples read while the LRU lock pins
-         them unfreed, then re-checked under the item stripe lock. *)
-      let rec candidates it n acc =
-        if it = 0 || n = 0 then acc
-        else begin
-          adv CM.current.bucket_probe;
-          let acc =
-            if expired t it ~now then
-              ( it,
-                rd32 t (it + it_hash) land 0xFFFFFFFF,
-                rd64r t (it + it_cas) )
-              :: acc
-            else acc
-          in
-          candidates (ldp t (it + it_lru_prev)) (n - 1) acc
-        end
-      in
-      lock_lru t l;
-      let victims =
-        candidates (ldp t (lru_tail t l)) (limit / t.cfg.lru_count) []
-      in
-      unlock_lru t l;
-      List.iter
-        (fun (it, h, cas) ->
-          lock_item t h;
-          if on_chain t h it
-             && Int64.equal (rd64r t (it + it_cas)) cas
-             && expired t it ~now
-             && rd32 t (it + it_refcount) = 0
-          then begin
-            reclaim t h it;
-            stat t C.expired;
-            Stdlib.incr reaped
-          end;
-          unlock_item t h)
-        victims
+    for l = 0 to lists - 1 do
+      reaped :=
+        !reaped + reclaim_tail t l ~n ~keep:(fun it -> expired t it ~now) C.expired
     done;
     !reaped
 

@@ -132,8 +132,10 @@ module Make
       stripe a group of operations touches once, up front, and the
       per-op locking inside {!get}/{!delete}/{!touch} then skips the
       already-held stripes. Only non-allocating operations may run
-      under a stripe group: allocation can evict from arbitrary other
-      stripes, which would acquire same-class locks out of rank order. *)
+      under a stripe group: allocation can evict, and an eviction pass
+      takes its victims' stripes as a group of its own, which may rank
+      below the stripes already held — same-class locks out of rank
+      order. *)
 
   val stripe_of : t -> string -> int
   (** Item-lock stripe index the key hashes to, in
@@ -213,12 +215,23 @@ module Make
       watermark (§3.2's intermittent cleaning). *)
 
   val evict_some : t -> hint:int -> int
+  (** One eviction pass over the first LRU list, from [hint] on, that
+      yields anything; returns how many items it reclaimed (0: every
+      list's cold end is empty or referenced). A pass examines the
+      [evict_batch] coldest items of its list and reclaims the idle
+      ones. It takes their stripes as one ascending group, re-verifies
+      each victim under it, and unlinks them from the list in one
+      splice when they are still its tail run (one by one when not),
+      then from their chains. Call it holding no stripe lock; a stripe
+      pinned through {!with_stripes} is not taken twice. *)
 
   val evict_some_matching : t -> lru:int -> pred:(string -> bool) -> int
-  (** One eviction pass over LRU list [lru]'s cold end reclaiming only
-      items whose key satisfies [pred] — per-tenant quota eviction:
-      with the tenant's items routed to their own list (see
-      {!set_lru_selector}), a full tenant evicts only itself. *)
+  (** One eviction pass, as in {!evict_some}, over LRU list [lru]'s
+      cold end, reclaiming only items whose key satisfies [pred] —
+      per-tenant quota eviction: with the tenant's items routed to
+      their own list (see {!set_lru_selector}), a full tenant evicts
+      only itself. A spared item colder than a victim breaks the
+      victims' tail run, and the pass then unlinks them one by one. *)
 
   (** {1 Multi-tenancy hooks} *)
 
@@ -248,7 +261,12 @@ module Make
 
   val reap_expired : ?limit:int -> t -> int
   (** LRU-crawler flavour: proactively unlink already-expired items
-      from the LRU cold ends; returns how many were reclaimed. *)
+      from the LRU cold ends; returns how many were reclaimed. [limit]
+      (default 1000) bounds the items examined: each list's cold end
+      is walked for [limit / lru_count] items rounded up, so every
+      list is looked at however small the limit. Each list is one
+      pass of the same walk as {!evict_some}, keeping expired items
+      instead of all idle ones. *)
 
   val fold_keys :
     t -> ('a -> string -> nbytes:int -> exptime:int -> 'a) -> 'a -> 'a

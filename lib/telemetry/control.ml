@@ -14,11 +14,12 @@
     virtual thread's clock, and a charge that advances it. The default
     serves real threads: the host clock, and free execution. *)
 
-let enabled =
-  ref
-    (match Sys.getenv_opt "TELEMETRY" with
-     | Some ("0" | "off" | "false" | "no") -> false
-     | _ -> true)
+let enabled_at_start =
+  match Sys.getenv_opt "TELEMETRY" with
+  | Some ("0" | "off" | "false" | "no") -> false
+  | _ -> true
+
+let enabled = ref enabled_at_start
 
 let on () = !enabled
 

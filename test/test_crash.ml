@@ -400,7 +400,7 @@ let cfg_b =
 (* Distinct 900-byte values overflow the 384 KiB heap, so sets race
    eviction; expired items race the reaper. Any of the three workers
    dies at site [at]. *)
-let run_b ~at =
+let run_b ?(cfg = cfg_b) ~at () =
   let vm = Vm.create ~sched_seed:77 ~preempt_jitter:60 () in
   Vm.set_crash_point vm ~filter:(fun n -> n.[0] = 'w') ~at ();
   let reg = Shm.Region.create ~name:"crash-b" ~size:(384 lsl 10) ~pkey:0 () in
@@ -409,7 +409,7 @@ let run_b ~at =
   ignore
     (Vm.spawn vm ~name:"main" (fun () ->
        let st =
-         BSt.create ~mem:(SM.of_region reg) ~alloc:(RA.of_heap heap) cfg_b
+         BSt.create ~mem:(SM.of_region reg) ~alloc:(RA.of_heap heap) cfg
        in
        store_ref := Some st;
        ignore (BSt.set st "ctr" "1");
@@ -461,16 +461,16 @@ let run_b ~at =
   Vm.run vm2;
   (crashes, n)
 
-let test_sweep_store_pressure () =
-  let crashes, n = run_b ~at:max_int in
+let sweep_b ?cfg ~sites () =
+  let crashes, n = run_b ?cfg ~at:max_int () in
   check_crashes "count pass kills nobody" [] crashes;
   Alcotest.(check bool)
     (Printf.sprintf "workload exposes enough kill sites (%d)" n)
-    true (n >= 90);
-  let m = min 90 (cap ()) in
+    true (n >= sites);
+  let m = min sites (cap ()) in
   for i = 0 to m - 1 do
     let k = i * n / m in
-    let crashes, _ = run_b ~at:k in
+    let crashes, _ = run_b ?cfg ~at:k () in
     (match crashes with
      | [ (name, k') ] when k' = k && name.[0] = 'w' -> ()
      | _ ->
@@ -478,6 +478,15 @@ let test_sweep_store_pressure () =
          (Printf.sprintf "expected exactly one worker kill at site %d/%d" k n));
     incr sites_b
   done
+
+let test_sweep_store_pressure () = sweep_b ~sites:90 ()
+
+(* Eight-item passes: a pass takes its victims' stripes as one group
+   and cuts their tail run off the list before unlinking them from
+   their chains and freeing them. About one site in sixty falls
+   between the cut and the last free, so this sweep samples densely. *)
+let test_sweep_store_pressure_cut () =
+  sweep_b ~cfg:{ cfg_b with evict_batch = 8 } ~sites:300 ()
 
 (* ---- Workload C: batched protected calls --------------------------- *)
 
@@ -1184,6 +1193,8 @@ let () =
             test_sweep_plib;
           Alcotest.test_case "direct store under pressure" `Quick
             test_sweep_store_pressure;
+          Alcotest.test_case "direct store under pressure, 8-item passes"
+            `Quick test_sweep_store_pressure_cut;
           Alcotest.test_case "batched protected calls" `Quick
             test_sweep_batched;
           Alcotest.test_case "multi-tenant stack, tenant victim" `Quick

@@ -164,8 +164,9 @@ let run_seed ~seed ~heap_bytes ~cfg body =
         Alcotest.fail (Printf.sprintf "seed %d: lock-order violation: %s"
                          seed v))
 
-let evictions_of st =
-  int_of_string (List.assoc "evictions" (RSt.stats st))
+let stat_of st k = int_of_string (List.assoc k (RSt.stats st))
+
+let evictions_of st = stat_of st "evictions"
 
 let test_seed_sweep_mixed_workload () =
   (* ~100 distinct interleavings of a mixed workload under real memory
@@ -239,6 +240,75 @@ let test_seed_sweep_evict_vs_delete () =
       LVm.join setter;
       LVm.join deleter;
       total_evictions := !total_evictions + evictions_of st)
+  done;
+  Alcotest.(check bool) "sweep exercised eviction" true (!total_evictions > 0)
+
+(* ---- eviction passes under seeded schedules ---------------------- *)
+
+let test_eviction_cut_vs_moving_victims () =
+  (* Locked readers (optimistic reads off, a bump on every hit) move
+     items from the cold end to the head while evictors collect them,
+     so a pass often finds its victims no longer the list's tail run
+     when it cuts. Setters keep the heap full with fresh keys, so they
+     evict too, and a deleter removes some. Poisoning faults any touch
+     of a freed victim, and [run_seed] checks both walks of the list.
+     Fresh keys never replace one another: every item ever stored is
+     still linked, evicted or deleted. *)
+  let cfg =
+    { sweep_cfg with lru_count = 1; evict_batch = 8; optimistic_reads = false;
+      bump_interval_s = 0 }
+  in
+  let value = String.make 900 'v' in
+  let total_evictions = ref 0 in
+  for seed = 0 to 29 do
+    run_seed ~seed ~heap_bytes:(512 lsl 10) ~cfg (fun st ->
+      let key t i = Printf.sprintf "s%d-%d" t i in
+      let progress = Array.make 2 0 in
+      let setters =
+        List.init 2 (fun t ->
+          LVm.spawn ~name:(Printf.sprintf "setter%d" t) (fun () ->
+            for i = 0 to 119 do
+              ignore (RSt.set st (key t i) value);
+              progress.(t) <- i;
+              LVm.advance 40
+            done))
+      in
+      (* Readers aim at the cold end of what the setters stored. *)
+      let readers =
+        List.init 3 (fun r ->
+          LVm.spawn ~name:(Printf.sprintf "reader%d" r) (fun () ->
+            for j = 0 to 299 do
+              let t = (j + r) mod 2 in
+              let i = max 0 (progress.(t) - 15 - (j * 7 mod 30)) in
+              (match RSt.get st (key t i) with
+               | Some g when g.Store.value <> value ->
+                 Alcotest.fail "torn value"
+               | _ -> ());
+              LVm.advance 10
+            done))
+      in
+      let evictors =
+        List.init 3 (fun e ->
+          LVm.spawn ~name:(Printf.sprintf "evictor%d" e) (fun () ->
+            for _ = 0 to 29 do
+              ignore (RSt.evict_some st ~hint:0);
+              LVm.advance 7_000
+            done))
+      in
+      let deleter =
+        LVm.spawn ~name:"deleter" (fun () ->
+          for j = 0 to 39 do
+            ignore (RSt.delete st (key (j mod 2) (progress.(j mod 2) - 5)));
+            LVm.advance 5_000
+          done)
+      in
+      List.iter LVm.join (setters @ readers @ evictors @ [ deleter ]);
+      let curr = RSt.curr_items st and evicted = evictions_of st in
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d: curr + evicted + deleted = total" seed)
+        (stat_of st "total_items")
+        (curr + evicted + stat_of st "delete_hits");
+      total_evictions := !total_evictions + evicted)
   done;
   Alcotest.(check bool) "sweep exercised eviction" true (!total_evictions > 0)
 
@@ -436,6 +506,8 @@ let () =
             test_seed_sweep_mixed_workload;
           Alcotest.test_case "50-seed evict vs delete" `Slow
             test_seed_sweep_evict_vs_delete;
+          Alcotest.test_case "30-seed eviction cut vs moving victims" `Slow
+            test_eviction_cut_vs_moving_victims;
           Alcotest.test_case "store is lockdep-clean" `Quick
             test_store_locking_is_lockdep_clean ] );
       ( "stripe groups",

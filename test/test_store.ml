@@ -1008,6 +1008,86 @@ let test_overwrite_and_flush_all () =
     | Some r -> Alcotest.(check string) "set after flush" "v3" r.Store.value
     | None -> Alcotest.fail "hit expected")
 
+(* ---- Eviction passes --------------------------------------------------
+   One list and eight-item passes: a pass takes the list's eight
+   coldest items off its tail in one cut, or one by one when a tenant
+   predicate spares some of them and they are no longer a run. *)
+
+let pass_cfg = { replace_cfg with evict_batch = 8 }
+
+let stat st k = int_of_string (List.assoc k (VSt.stats st))
+
+let numbered prefix n = List.init n (fun i -> Printf.sprintf "%s%02d" prefix i)
+
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
+(* Items on list 0, counted by walking it head to tail. *)
+let listed st =
+  match List.assoc_opt "items:0:number" (VSt.stats_items st) with
+  | Some n -> int_of_string n
+  | None -> 0
+
+let test_pass_cuts_cold_end () =
+  run_seeded_vm ~seed:0 ~heap_bytes:(1 lsl 20) ~cfg:pass_cfg (fun st ->
+    let ks = numbered "k" 20 in
+    set_all st ks;
+    Alcotest.(check int) "a full pass" 8 (VSt.evict_some st ~hint:0);
+    Alcotest.(check (list string)) "the eight coldest went" (drop 8 ks)
+      (live st ks);
+    Alcotest.(check int) "curr_items" 12 (VSt.curr_items st);
+    Alcotest.(check int) "evictions" 8 (stat st "evictions");
+    Alcotest.(check int) "head to tail" 12 (listed st);
+    VSt.check_invariants st;
+    (* The next pass starts from the new tail and walks its prev links:
+       the list reads the same from both ends. *)
+    Alcotest.(check int) "the next pass" 8 (VSt.evict_some st ~hint:0);
+    Alcotest.(check (list string)) "the next eight coldest went" (drop 16 ks)
+      (live st ks);
+    Alcotest.(check int) "a short pass empties the list" 4
+      (VSt.evict_some st ~hint:0);
+    Alcotest.(check int) "nothing listed" 0 (listed st);
+    Alcotest.(check int) "curr_items after" 0 (VSt.curr_items st);
+    Alcotest.(check int) "evictions after" 20 (stat st "evictions");
+    VSt.check_invariants st;
+    set_all st [ "fresh" ];
+    Alcotest.(check int) "the emptied list takes new items" 1 (listed st))
+
+let test_pass_spares_other_tenants () =
+  run_seeded_vm ~seed:0 ~heap_bytes:(1 lsl 20) ~cfg:pass_cfg (fun st ->
+    (* a00 b00 a01 b01 ... from the tail *)
+    let a = numbered "a" 10 and b = numbered "b" 10 in
+    List.iter2 (fun x y -> set_all st [ x; y ]) a b;
+    Alcotest.(check int) "the a-keys among the eight coldest" 4
+      (VSt.evict_some_matching st ~lru:0
+         ~pred:(String.starts_with ~prefix:"a"));
+    Alcotest.(check (list string)) "the b-keys stay" (b @ drop 4 a)
+      (live st (b @ a));
+    Alcotest.(check int) "curr_items" 16 (VSt.curr_items st);
+    Alcotest.(check int) "evictions" 4 (stat st "evictions");
+    VSt.check_invariants st;
+    (* what is left is still in order: b00..b03 a04 b04 a05 b05 *)
+    Alcotest.(check int) "an unfiltered pass" 8 (VSt.evict_some st ~hint:0);
+    Alcotest.(check (list string)) "the next eight coldest went"
+      (drop 6 b @ drop 6 a) (live st (b @ a));
+    VSt.check_invariants st)
+
+(* A reap limit below the list count still looks at every list's cold
+   end: with 64 lists, [~limit:10] walks one item of each. *)
+let test_reap_small_limit () =
+  let cfg = { Store.default_config with stats_slots = 2 } in
+  run_seeded_vm ~seed:0 ~heap_bytes:(4 lsl 20) ~cfg (fun st ->
+    List.iter
+      (fun k -> ignore (VSt.set st ~exptime:(-1) k "dead"))
+      (numbered "d" 200);
+    let lists = List.length (VSt.stats_items st) / 2 in
+    Alcotest.(check int) "one reaped per occupied list" lists
+      (VSt.reap_expired ~limit:10 st);
+    Alcotest.(check int) "expired" lists (stat st "expired_unfetched");
+    Alcotest.(check int) "curr_items" (200 - lists) (VSt.curr_items st);
+    ignore (VSt.reap_expired st);
+    Alcotest.(check int) "the default limit reaps the rest" 0
+      (VSt.curr_items st))
+
 (* Stripe pins are keyed by store id: two attaches of one heap hold the
    same stripe index independently. *)
 let test_two_attaches_do_not_alias () =
@@ -1059,6 +1139,13 @@ let () =
             test_touch_follows_move_rule;
           Alcotest.test_case "overwrite and flush_all" `Quick
             test_overwrite_and_flush_all ] );
+      ( "eviction passes",
+        [ Alcotest.test_case "a pass cuts the cold end" `Quick
+            test_pass_cuts_cold_end;
+          Alcotest.test_case "a pass spares other tenants" `Quick
+            test_pass_spares_other_tenants;
+          Alcotest.test_case "reap limit below the list count" `Quick
+            test_reap_small_limit ] );
       ( "seqlock & int64",
         [ Alcotest.test_case "cas above 2^62" `Quick
             test_cas_above_two_pow_62;
