@@ -136,40 +136,28 @@ let telemetry_id =
      T.total_items; T.cas_hits; T.cas_badval; T.cas_misses; T.touch_hits;
      T.touch_misses; T.cmd_get |]
 
-(* Stripes a thread already holds through [with_stripes], and the
-   acquisitions it has open for the contention profiler. This state
-   lives OUTSIDE the functor: OCaml functors are applicative, so the
-   same store handle flows between two instantiations of [Make] (the
-   protected-library layer builds one, the server's executor another),
-   and stripe reentrancy is a property of the physical handle, not of
-   whichever module happens to touch it. A per-instantiation Tls key
-   would make [holds_stripe] blind to stripes pinned through the other
-   instance — a self-deadlock when, say, a tenant delete takes a key
-   whose stripe the batch executor already groups. Entries are keyed by
-   the handle's store id, drawn from [store_ids] at create/attach: two
-   handles on one heap (tests attach twice) get different ids, so their
-   stripe indices do not alias. *)
+(* Stripes a thread holds through [with_stripes], as (store id, stripe)
+   pairs. This state lives OUTSIDE the functor: OCaml functors are
+   applicative, so the same store handle flows between two
+   instantiations of [Make] (the protected-library layer builds one,
+   the server's executor another), and stripe reentrancy is a property
+   of the physical handle, not of whichever module happens to touch it.
+   A per-instantiation Tls key would make [holds_stripe] blind to
+   stripes pinned through the other instance — a self-deadlock when,
+   say, a tenant delete takes a key whose stripe the batch executor
+   already groups. Entries are keyed by the handle's store id, drawn
+   from [store_ids] at create/attach: two handles on one heap (tests
+   attach twice) get different ids, so their stripe indices do not
+   alias. *)
 let store_ids = Atomic.make 0
 
 let held_stripes : (int * int) list ref Tls.key =
   Tls.new_key (fun () -> ref [])
 
-type hold_entry = {
-  he_store : int;
-  he_stripe : int;
-  he_wait_ns : int;
-  he_since : int;
-  he_span : Telemetry.Span.t;
-}
-
-let open_holds : hold_entry list ref Tls.key = Tls.new_key (fun () -> ref [])
-
-(* Stripes this thread currently holds, across both acquisition paths
-   (per-op [lock_item] and grouped [with_stripes]) and across every
-   store handle. This is the ground truth the crash sweep captures at
-   the kill instant and checks the flight recorder's story against. *)
-let holding_stripes_now () =
-  List.length !(Tls.get open_holds) + List.length !(Tls.get held_stripes)
+(* Stripes this thread currently holds, across every store handle.
+   This is the ground truth the crash sweep captures at the kill
+   instant and checks the flight recorder's story against. *)
+let holding_stripes_now () = List.length !(Tls.get held_stripes)
 
 module Make
     (M : Memory_intf.MEMORY)
@@ -207,6 +195,19 @@ struct
   }
 
   let adv = S.advance
+
+  (* Run [f] holding [m], released however [f] exits. A kill unwinds
+     nothing: the Vm drops the dead thread's continuation, and
+     recovery replaces every lock. *)
+  let locked m f =
+    S.lock m;
+    match f () with
+    | v ->
+      S.unlock m;
+      v
+    | exception e ->
+      S.unlock m;
+      raise e
 
   (* Concurrency-dependent cost: every additional thread concurrently
      inside the store adds coherence/contention traffic to this op.
@@ -354,10 +355,9 @@ struct
          acquisition under concurrency pays the line transfer. This is
          the contention that made the paper scatter its statistics. *)
       if Atomic.get t.active > 1 then adv CM.current.lock_handoff;
-      S.lock t.stats_mutex;
-      let off = t.stats + (8 * ctr) in
-      wr64 t off (rd64 t off + v);
-      S.unlock t.stats_mutex
+      locked t.stats_mutex (fun () ->
+        let off = t.stats + (8 * ctr) in
+        wr64 t off (rd64 t off + v))
     end
     else begin
       let slot = S.self_id () mod t.cfg.stats_slots in
@@ -375,8 +375,6 @@ struct
     !sum
 
   (* ---- Locks ------------------------------------------------------------ *)
-
-  let item_mutex t h = t.item_locks.((h lsr 8) land t.lock_mask)
 
   let stripe_index t h = (h lsr 8) land t.lock_mask
 
@@ -402,138 +400,87 @@ struct
 
   let seq_read t s = rd64 t (seq_off t s)
 
-  (* [held_stripes]/[open_holds] live at module level (above [Make]):
-     the per-op [lock_item]/[unlock_item] inside a grouped batch become
-     no-ops for stripes the thread pinned through [with_stripes], even
-     when the pin went through a different instantiation of this
-     functor. Handles are compared by store id — two stores may coexist
-     in one process (tests attach twice), and their stripe indices must
-     not alias. *)
+  (* [held_stripes] lives at module level (above [Make]), so a stripe
+     pinned through one instantiation of this functor is seen through
+     the other. Handles are compared by store id — two stores may
+     coexist in one process (tests attach twice), and their stripe
+     indices must not alias. *)
   let holds_stripe t s =
     List.exists (fun (id, s') -> id = t.id && s' = s) !(Tls.get held_stripes)
 
-  let lock_item t h =
-    if not (holds_stripe t (stripe_index t h)) then begin
-      adv CM.current.lock_uncontended;
-      (* [stripe_wait] covers only the blocking acquire: under the Vm
-         it is nonzero exactly when another thread held the stripe. *)
-      let wsp = Telemetry.Span.start ~phase:"stripe_wait" () in
-      let t0 = S.now_ns () in
-      S.lock (item_mutex t h);
-      seq_bump t (stripe_index t h);
-      let t1 = S.now_ns () in
-      Telemetry.Span.finish wsp;
-      let holds = Tls.get open_holds in
-      holds :=
-        { he_store = t.id; he_stripe = stripe_index t h;
-          he_wait_ns = t1 - t0; he_since = t1;
-          he_span = Telemetry.Span.start ~phase:"stripe_hold" () }
-        :: !holds;
-      (* Same sync-free region as the hold registration: the recorder
-         and [holding_stripes_now] move atomically past a kill. *)
-      Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
-        ~a:(holding_stripes_now ()) ~b:(stripe_index t h)
-    end
+  (* The store's one way to hold item-lock stripes: each stripe in
+     [stripes] this thread does not already pin is taken in the order
+     given, [f] runs, and they are released in reverse order however
+     [f] exits. Stripe mutexes share the lockdep class "store.item",
+     whose rank is creation order — ascending stripe index. The caller
+     must therefore pass [stripes] sorted ascending and duplicate-free;
+     an inverted order is a lockdep violation (and the batch-plane test
+     asserts it goes red).
 
-  let unlock_item t h =
-    if not (holds_stripe t (stripe_index t h)) then begin
-      let s = stripe_index t h in
-      let holds = Tls.get open_holds in
-      (let rec pop acc = function
-         | [] -> ()
-         | e :: tl when e.he_store = t.id && e.he_stripe = s ->
-           holds := List.rev_append acc tl;
-           Telemetry.Span.finish e.he_span;
-           Telemetry.Contention.record ~stripe:s ~wait_ns:e.he_wait_ns
-             ~hold_ns:(S.now_ns () - e.he_since)
-         | e :: tl -> pop (e :: acc) tl
-       in
-       pop [] !holds);
-      Telemetry.Flight.record Telemetry.Flight.Stripe_release
-        ~a:(holding_stripes_now ()) ~b:s;
-      seq_bump t s;
-      S.unlock (item_mutex t h)
-    end
-
-  (* Acquire a group of item-lock stripes for the duration of [f],
-     in exactly the order given. Stripe mutexes share the lockdep
-     class "store.item", whose rank is creation order — ascending
-     stripe index. The caller must therefore pass [stripes] sorted
-     ascending and duplicate-free; an inverted order is a lockdep
-     violation (and the batch-plane test asserts it goes red).
-     Released in reverse order between groups, exception-safe. *)
+     Each acquisition charges [lock_uncontended], then a [stripe_wait]
+     span covers only the blocking acquire (under the Vm it is nonzero
+     exactly when another thread held the stripe), then the flight
+     recorder's breadcrumb is written in the same sync-free region as
+     the [held_stripes] registration, so the two move atomically past a
+     kill. The group is one [stripe_hold] span, and the contention
+     profiler charges each stripe the group's hold (it was pinned that
+     long). A group that acquires nothing records nothing. *)
   let with_stripes t ~stripes f =
-    let held = Tls.get held_stripes in
-    let acquired = ref [] in
-    (* Per-stripe waits collected under one group [stripe_wait] span;
-       the hold side is one [stripe_hold] span for the whole group,
-       and each stripe is charged the group's hold duration in the
-       contention profiler (it was pinned that long). *)
-    let waits = ref [] in
-    let hold_span = ref Telemetry.Span.null in
-    let hold_since = ref 0 in
-    let release () =
-      Telemetry.Span.finish !hold_span;
-      hold_span := Telemetry.Span.null;
-      let hold_ns = S.now_ns () - !hold_since in
-      List.iter
-        (fun s ->
-          held :=
-            (let rec rm = function
-               | [] -> []
-               | (id, s') :: tl when id = t.id && s' = s -> tl
-               | p :: tl -> p :: rm tl
-             in
-             rm !held);
-          let wait_ns =
-            match List.assoc_opt s !waits with Some w -> w | None -> 0
-          in
-          Telemetry.Contention.record ~stripe:s ~wait_ns ~hold_ns;
-          Telemetry.Flight.record Telemetry.Flight.Stripe_release
-            ~a:(holding_stripes_now ()) ~b:s;
-          seq_bump t s;
-          S.unlock t.item_locks.(s))
-        !acquired
-    in
-    let wsp = Telemetry.Span.start ~phase:"stripe_wait" () in
-    (try
-       List.iter
-         (fun s ->
-           if holds_stripe t s then
-             invalid_arg "Store.with_stripes: stripe already held";
-           adv CM.current.lock_uncontended;
-           let t0 = S.now_ns () in
-           S.lock t.item_locks.(s);
-           seq_bump t s;
-           waits := (s, S.now_ns () - t0) :: !waits;
-           acquired := s :: !acquired;
-           held := (t.id, s) :: !held;
-           (* Per stripe, not once per group: a kill between two of
-              the group's acquisitions must still find the stripes
-              already pinned on the record. *)
-           Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
-             ~a:(holding_stripes_now ()) ~b:s)
-         stripes
-     with e ->
-       Telemetry.Span.finish wsp;
-       release ();
-       raise e);
-    Telemetry.Span.finish wsp;
-    hold_span := Telemetry.Span.start ~phase:"stripe_hold" ();
-    hold_since := S.now_ns ();
-    match f () with
-    | v ->
-      release ();
-      v
-    | exception e ->
-      release ();
-      raise e
+    match List.filter (fun s -> not (holds_stripe t s)) stripes with
+    | [] -> f ()
+    | stripes ->
+      let held = Tls.get held_stripes in
+      (* (stripe, wait ns), most recent first: the release order *)
+      let acquired = ref [] in
+      let release ~hold_span ~since =
+        Telemetry.Span.finish hold_span;
+        let hold_ns = S.now_ns () - since in
+        List.iter
+          (fun (s, wait_ns) ->
+            held :=
+              (let rec rm = function
+                 | [] -> []
+                 | (id, s') :: tl when id = t.id && s' = s -> tl
+                 | p :: tl -> p :: rm tl
+               in
+               rm !held);
+            Telemetry.Contention.record ~stripe:s ~wait_ns ~hold_ns;
+            Telemetry.Flight.record Telemetry.Flight.Stripe_release
+              ~a:(holding_stripes_now ()) ~b:s;
+            seq_bump t s;
+            S.unlock t.item_locks.(s))
+          !acquired
+      in
+      let acquire s =
+        adv CM.current.lock_uncontended;
+        let t0 = S.now_ns () in
+        Telemetry.Span.around ~phase:"stripe_wait" (fun () ->
+          S.lock t.item_locks.(s);
+          seq_bump t s);
+        acquired := (s, S.now_ns () - t0) :: !acquired;
+        held := (t.id, s) :: !held;
+        Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
+          ~a:(holding_stripes_now ()) ~b:s
+      in
+      (match List.iter acquire stripes with
+       | () -> ()
+       | exception e ->
+         release ~hold_span:Telemetry.Span.null ~since:(S.now_ns ());
+         raise e);
+      let hold_span = Telemetry.Span.start ~phase:"stripe_hold" () in
+      let since = S.now_ns () in
+      (match f () with
+       | v ->
+         release ~hold_span ~since;
+         v
+       | exception e ->
+         release ~hold_span ~since;
+         raise e)
 
-  let lock_lru t l =
+  (* LRU list [l]'s lock for the duration of [f]. *)
+  let with_lru t l f =
     adv CM.current.lock_uncontended;
-    S.lock t.lru_locks.(l)
-
-  let unlock_lru t l = S.unlock t.lru_locks.(l)
+    locked t.lru_locks.(l) f
 
   (* Stop-the-world (resize, fold_keys): every stripe, in index order,
      with the seq words bumped like any other acquisition so
@@ -709,10 +656,9 @@ struct
 
   let lru_bump t it =
     let l = rd32 t (it + it_lru_id) in
-    lock_lru t l;
-    lru_unlink t it l;
-    lru_link t it l;
-    unlock_lru t l
+    with_lru t l (fun () ->
+      lru_unlink t it l;
+      lru_link t it l)
 
   (* The move rule, memcached's ITEM_UPDATE_INTERVAL: an item whose
      [it_time] says it took its LRU place within [bump_interval_s]
@@ -740,9 +686,7 @@ struct
   let unlink_item t h it =
     hash_unlink t h it;
     let l = rd32 t (it + it_lru_id) in
-    lock_lru t l;
-    lru_unlink t it l;
-    unlock_lru t l;
+    with_lru t l (fun () -> lru_unlink t it l);
     stat_add t C.curr_items (-1);
     if rd32 t (it + it_refcount) = 0 then free_item t it
 
@@ -780,28 +724,23 @@ struct
     then begin
       wr64 t (it + it_time) (rd64 t (old + it_time));
       hash_replace t ~cell ~old it;
-      lock_lru t l;
-      lru_replace t ~old it l;
-      unlock_lru t l;
+      with_lru t l (fun () -> lru_replace t ~old it l);
       if rd32 t (old + it_refcount) = 0 then free_item t old
     end
     else begin
       if old <> 0 then unlink_item t h old;
       hash_insert t h it;
-      lock_lru t l;
-      lru_link t it l;
-      unlock_lru t l;
+      with_lru t l (fun () -> lru_link t it l);
       stat_add t C.curr_items 1
     end;
     stat t C.total_items
 
-  (* A quota'd write under stripe [h]: refuse a delta that does not
-     fit (releasing the stripe), book one it committed. *)
-  let admit quota t h ~bytes ~items =
+  (* A quota'd write under its stripe: refuse a delta that does not
+     fit (the hold's scope releases the stripe), book one it
+     committed. *)
+  let admit quota ~bytes ~items =
     match quota with
-    | Some q when not (q.fits ~bytes ~items) ->
-      unlock_item t h;
-      raise Over_quota
+    | Some q when not (q.fits ~bytes ~items) -> raise Over_quota
     | _ -> ()
 
   let charge quota ~bytes ~items =
@@ -861,7 +800,6 @@ struct
      the lists are rebuilt from them). *)
   let reclaim_tail t l ~n ~keep ctr =
     let idle it = rd32 t (it + it_refcount) = 0 && keep it in
-    lock_lru t l;
     let rec collect it n acc =
       if it = 0 || n <= 0 then acc
       else begin
@@ -876,14 +814,14 @@ struct
       end
     in
     (* hottest first: the cut checks the reverse *)
-    let victims = collect (ldp t (lru_tail t l)) n [] in
-    unlock_lru t l;
+    let victims =
+      with_lru t l (fun () -> collect (ldp t (lru_tail t l)) n [])
+    in
     if victims = [] then 0
     else begin
       let stripes =
         List.sort_uniq Int.compare
           (List.map (fun (_, h, _) -> stripe_index t h) victims)
-        |> List.filter (fun s -> not (holds_stripe t s))
       in
       with_stripes t ~stripes @@ fun () ->
       let live =
@@ -900,11 +838,10 @@ struct
       in
       if live = [] then 0
       else begin
-        lock_lru t l;
-        (match tail_run t l (List.rev_map fst live) with
-         | Some last -> lru_cut t l ~last
-         | None -> List.iter (fun (it, _) -> lru_unlink t it l) live);
-        unlock_lru t l;
+        with_lru t l (fun () ->
+          match tail_run t l (List.rev_map fst live) with
+          | Some last -> lru_cut t l ~last
+          | None -> List.iter (fun (it, _) -> lru_unlink t it l) live);
         List.iter
           (fun (it, h) ->
             let key = item_key t it and bytes = item_size t it in
@@ -1079,46 +1016,48 @@ struct
   (* ---- Retrieval -------------------------------------------------------------- *)
 
   let locked_get t ~h ~now key =
-    lock_item t h;
-    let it = find t h key in
-    if it = 0 then begin
-      unlock_item t h;
+    let stripes = [ stripe_index t h ] in
+    match
+      with_stripes t ~stripes (fun () ->
+        let it = find t h key in
+        if it = 0 then `Miss
+        else if expired t it ~now then begin
+          reclaim t h it;
+          `Expired
+        end
+        else begin
+          (* Figure 4's discipline: take a reference under the lock,
+             copy the payload into a library-private buffer without the
+             lock, then drop the reference. *)
+          wr32 t (it + it_refcount) (rd32 t (it + it_refcount) + 1);
+          wr32 t (it + it_state) (rd32 t (it + it_state) lor state_fetched);
+          let flags = rd32 t (it + it_flags) in
+          let cas = rd64r t (it + it_cas) in
+          let nbytes = item_nbytes t it in
+          let data_off = item_data_off t it in
+          (* Rate-limited bump: a hot key that moved recently skips the
+             LRU lock entirely, so hot-key gets do not serialize on it. *)
+          lru_use t it;
+          `Hit (it, flags, cas, nbytes, data_off)
+        end)
+    with
+    | `Miss ->
       stat t C.get_misses;
       None
-    end
-    else if expired t it ~now then begin
-      reclaim t h it;
-      unlock_item t h;
+    | `Expired ->
       stat t C.expired;
       stat t C.get_misses;
       None
-    end
-    else begin
-      (* Figure 4's discipline: take a reference under the lock, copy
-         the payload into a library-private buffer without the lock,
-         then drop the reference. *)
-      wr32 t (it + it_refcount) (rd32 t (it + it_refcount) + 1);
-      wr32 t (it + it_state) (rd32 t (it + it_state) lor state_fetched);
-      let flags = rd32 t (it + it_flags) in
-      let cas = rd64r t (it + it_cas) in
-      let nbytes = item_nbytes t it in
-      let data_off = item_data_off t it in
-      (* Rate-limited bump: a hot key that moved recently skips the
-         LRU lock entirely, so hot-key gets do not serialize on it. *)
-      lru_use t it;
-      unlock_item t h;
+    | `Hit (it, flags, cas, nbytes, data_off) ->
       adv (CM.memcpy_cost nbytes);
       let value = M.read_string t.mem ~off:data_off ~len:nbytes in
-      lock_item t h;
-      release t it;
-      unlock_item t h;
+      with_stripes t ~stripes (fun () -> release t it);
       (* Copy out to the caller's buffer (the paper's second memcpy,
          into ordinary malloc'd memory). *)
       adv CM.current.malloc_out;
       adv (CM.memcpy_cost nbytes);
       stat t C.get_hits;
       Some { value; flags; cas }
-    end
 
   (* ---- Optimistic (seqlock) retrieval ------------------------------------
      Snapshot–validate–retry against the stripe's version word, with
@@ -1282,15 +1221,14 @@ struct
     in
     (* usage added by storing over [old] (0: none) *)
     let delta old = if old = 0 then (size, 1) else (size - item_size t old, 0) in
-    if Option.is_some quota then begin
-      lock_item t h;
-      let _, old = find_live t h key ~now in
-      let bytes, items =
-        match decide old with `Store -> delta old | `Fail _ -> (0, 0)
-      in
-      admit quota t h ~bytes ~items;
-      unlock_item t h
-    end;
+    let stripes = [ stripe_index t h ] in
+    if Option.is_some quota then
+      with_stripes t ~stripes (fun () ->
+        let _, old = find_live t h key ~now in
+        let bytes, items =
+          match decide old with `Store -> delta old | `Fail _ -> (0, 0)
+        in
+        admit quota ~bytes ~items);
     let it = alloc_item t total ~h in
     if it = 0 then No_memory
     else begin
@@ -1298,20 +1236,23 @@ struct
       (match abs_exptime with
        | Some e -> wr32 t (it + it_exptime) e
        | None -> ());
-      lock_item t h;
-      let cell, old = find_live t h key ~now in
       let result =
-        match decide old with
+        match
+          with_stripes t ~stripes (fun () ->
+            let cell, old = find_live t h key ~now in
+            let d = decide old in
+            (match d with
+             | `Fail _ -> ()
+             | `Store ->
+               let bytes, items = delta old in
+               charge quota ~bytes ~items;
+               commit t h ~cell ~old it (lru_of t ~h ~key ~size:total));
+            d)
+        with
         | `Fail r ->
-          unlock_item t h;
           free_item t it;
           r
-        | `Store ->
-          let bytes, items = delta old in
-          charge quota ~bytes ~items;
-          commit t h ~cell ~old it (lru_of t ~h ~key ~size:total);
-          unlock_item t h;
-          Stored
+        | `Store -> Stored
       in
       stat t C.cmd_set;
       (match policy, result with
@@ -1343,25 +1284,28 @@ struct
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
+    let stripes = [ stripe_index t h ] in
     let rec attempt tries =
       if tries = 0 then Not_stored
-      else begin
-        lock_item t h;
-        let old = find t h key in
-        if old = 0 || expired t old ~now then begin
-          unlock_item t h;
-          Not_stored
-        end
-        else begin
-          admit quota t h ~bytes:(String.length extra) ~items:0;
-          let old_n = item_nbytes t old
-          and old_cas = rd64r t (old + it_cas) in
-          let flags = rd32 t (old + it_flags) in
-          let exp = rd32 t (old + it_exptime) in
-          let old_data =
-            M.read_string t.mem ~off:(item_data_off t old) ~len:old_n
-          in
-          unlock_item t h;
+      else
+        match
+          with_stripes t ~stripes (fun () ->
+            let old = find t h key in
+            if old = 0 || expired t old ~now then None
+            else begin
+              admit quota ~bytes:(String.length extra) ~items:0;
+              let old_n = item_nbytes t old
+              and old_cas = rd64r t (old + it_cas) in
+              let flags = rd32 t (old + it_flags) in
+              let exp = rd32 t (old + it_exptime) in
+              let old_data =
+                M.read_string t.mem ~off:(item_data_off t old) ~len:old_n
+              in
+              Some (old_n, old_cas, flags, exp, old_data)
+            end)
+        with
+        | None -> Not_stored
+        | Some (old_n, old_cas, flags, exp, old_data) ->
           adv (CM.memcpy_cost old_n);
           let data = if prepend then extra ^ old_data else old_data ^ extra in
           let total = header_size + String.length key + String.length data in
@@ -1370,24 +1314,26 @@ struct
           else begin
             write_item t it ~h ~key ~data ~flags ~exptime:0 ~now;
             wr32 t (it + it_exptime) exp;
-            lock_item t h;
-            let cell, cur = find_at t h key in
-            if cur = 0 || not (Int64.equal (rd64r t (cur + it_cas)) old_cas)
-            then begin
-              unlock_item t h;
-              free_item t it;
-              attempt (tries - 1)
-            end
-            else begin
-              charge quota ~bytes:(String.length extra) ~items:0;
-              commit t h ~cell ~old:cur it (lru_of t ~h ~key ~size:total);
-              unlock_item t h;
+            let swapped =
+              with_stripes t ~stripes (fun () ->
+                let cell, cur = find_at t h key in
+                if cur = 0 || not (Int64.equal (rd64r t (cur + it_cas)) old_cas)
+                then false
+                else begin
+                  charge quota ~bytes:(String.length extra) ~items:0;
+                  commit t h ~cell ~old:cur it (lru_of t ~h ~key ~size:total);
+                  true
+                end)
+            in
+            if swapped then begin
               stat t C.cmd_set;
               Stored
             end
+            else begin
+              free_item t it;
+              attempt (tries - 1)
+            end
           end
-        end
-      end
     in
     attempt 5
 
@@ -1401,40 +1347,36 @@ struct
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
-    lock_item t h;
-    let _, it = find_live t h key ~now:(now_sec ()) in
-    if it = 0 then begin
-      unlock_item t h;
-      stat t C.delete_misses;
-      false
-    end
-    else begin
-      charge quota ~bytes:(-item_size t it) ~items:(-1);
-      unlink_item t h it;
-      unlock_item t h;
-      stat t C.delete_hits;
-      true
-    end
+    let hit =
+      with_stripes t ~stripes:[ stripe_index t h ] (fun () ->
+        let _, it = find_live t h key ~now:(now_sec ()) in
+        if it = 0 then false
+        else begin
+          charge quota ~bytes:(-item_size t it) ~items:(-1);
+          unlink_item t h it;
+          true
+        end)
+    in
+    stat t (if hit then C.delete_hits else C.delete_misses);
+    hit
 
   let touch t key exptime =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
-    lock_item t h;
-    let it = find t h key in
-    if it = 0 || expired t it ~now then begin
-      unlock_item t h;
-      stat t C.touch_misses;
-      false
-    end
-    else begin
-      wr32 t (it + it_exptime) (real_exptime exptime ~now);
-      lru_use t it;
-      unlock_item t h;
-      stat t C.touch_hits;
-      true
-    end
+    let hit =
+      with_stripes t ~stripes:[ stripe_index t h ] (fun () ->
+        let it = find t h key in
+        if it = 0 || expired t it ~now then false
+        else begin
+          wr32 t (it + it_exptime) (real_exptime exptime ~now);
+          lru_use t it;
+          true
+        end)
+    in
+    stat t (if hit then C.touch_hits else C.touch_misses);
+    hit
 
   (* ---- Counters ----------------------------------------------------------------------- *)
 
@@ -1469,60 +1411,61 @@ struct
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
-    lock_item t h;
-    let _, it = find_live t h key ~now in
-    if it = 0 then begin
-      unlock_item t h;
+    match
+      with_stripes t ~stripes:[ stripe_index t h ] (fun () ->
+        let _, it = find_live t h key ~now in
+        if it = 0 then `Miss
+        else begin
+          let nbytes = item_nbytes t it in
+          adv CM.current.numeric_parse;
+          let sval =
+            M.read_string t.mem ~off:(item_data_off t it) ~len:nbytes
+          in
+          match parse_u64 sval with
+          | None -> `Non_numeric
+          | Some v ->
+            let nv =
+              if decr then
+                if Int64.unsigned_compare v delta < 0 then 0L
+                else Int64.sub v delta
+              else Int64.add v delta
+            in
+            let s = Printf.sprintf "%Lu" nv in
+            let cap = A.usable_size t.alloc it - header_size - item_nkey t it in
+            if String.length s <= cap then begin
+              (* The common, in-place path: memcached overwrites the
+                 value under the item lock. *)
+              charge quota ~bytes:(String.length s - nbytes) ~items:0;
+              M.write_string t.mem ~off:(item_data_off t it) s;
+              wr32 t (it + it_nbytes) (String.length s);
+              wr64r t (it + it_cas) (next_cas t);
+              adv (CM.memcpy_cost (String.length s));
+              lru_use t it;
+              `Done nv
+            end
+            else
+              (* Rare: the textual value outgrew its block. Re-store
+                 with the counter's original flags and (absolute)
+                 expiry — an incr must not silently reset either. *)
+              `Restore (nv, s, rd32 t (it + it_flags), rd32 t (it + it_exptime))
+        end)
+    with
+    | `Miss ->
       stat t C.incr_misses;
       Counter_not_found
-    end
-    else begin
-      let nbytes = item_nbytes t it in
-      adv CM.current.numeric_parse;
-      let sval = M.read_string t.mem ~off:(item_data_off t it) ~len:nbytes in
-      match parse_u64 sval with
-      | None ->
-        unlock_item t h;
-        Non_numeric
-      | Some v ->
-        let nv =
-          if decr then
-            if Int64.unsigned_compare v delta < 0 then 0L
-            else Int64.sub v delta
-          else Int64.add v delta
-        in
-        let s = Printf.sprintf "%Lu" nv in
-        let cap = A.usable_size t.alloc it - header_size - item_nkey t it in
-        if String.length s <= cap then begin
-          (* The common, in-place path: memcached overwrites the value
-             under the item lock. *)
-          charge quota ~bytes:(String.length s - nbytes) ~items:0;
-          M.write_string t.mem ~off:(item_data_off t it) s;
-          wr32 t (it + it_nbytes) (String.length s);
-          wr64r t (it + it_cas) (next_cas t);
-          adv (CM.memcpy_cost (String.length s));
-          lru_use t it;
-          unlock_item t h;
-          stat t C.incr_hits;
-          Counter nv
-        end
-        else begin
-          (* Rare: the textual value outgrew its block. Re-store with
-             the counter's original flags and (absolute) expiry —
-             an incr must not silently reset either. *)
-          let flags = rd32 t (it + it_flags) in
-          let exp = rd32 t (it + it_exptime) in
-          unlock_item t h;
-          match
-            store_with ?quota t P_set ~abs_exptime:(Some exp) ~key ~data:s
-              ~flags ~exptime:0
-          with
-          | Stored ->
-            stat t C.incr_hits;
-            Counter nv
-          | No_memory | Not_stored | Exists | Not_found -> Counter_not_found
-        end
-    end
+    | `Non_numeric -> Non_numeric
+    | `Done nv ->
+      stat t C.incr_hits;
+      Counter nv
+    | `Restore (nv, s, flags, exp) -> (
+      match
+        store_with ?quota t P_set ~abs_exptime:(Some exp) ~key ~data:s ~flags
+          ~exptime:0
+      with
+      | Stored ->
+        stat t C.incr_hits;
+        Counter nv
+      | No_memory | Not_stored | Exists | Not_found -> Counter_not_found)
 
   let incr t ?quota key delta = counter_op ?quota t ~decr:false key delta
 
@@ -1577,7 +1520,6 @@ struct
     let now = S.now_ns () in
     let acc = ref [] in
     for l = t.cfg.lru_count - 1 downto 0 do
-      lock_lru t l;
       let rec count it n =
         if it = 0 then n
         else begin
@@ -1585,13 +1527,14 @@ struct
           count (ldp t (it + it_lru_next)) (n + 1)
         end
       in
-      let n = count (ldp t (lru_head t l)) 0 in
-      let tail = ldp t (lru_tail t l) in
-      let age_s =
-        if tail = 0 then 0
-        else max 0 ((now - rd64 t (tail + it_time)) / 1_000_000_000)
+      let n, age_s =
+        with_lru t l (fun () ->
+          let n = count (ldp t (lru_head t l)) 0 in
+          let tail = ldp t (lru_tail t l) in
+          ( n,
+            if tail = 0 then 0
+            else max 0 ((now - rd64 t (tail + it_time)) / 1_000_000_000) ))
       in
-      unlock_lru t l;
       if n > 0 then
         acc :=
           (Printf.sprintf "items:%d:number" l, string_of_int n)

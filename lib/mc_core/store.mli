@@ -77,10 +77,11 @@ type config = {
 val default_config : config
 
 val holding_stripes_now : unit -> int
-(** Stripes the calling thread currently holds — per-op item locks plus
-    [with_stripes] group pins, across every instantiation of {!Make}.
-    Ground truth for the flight recorder's stripe breadcrumbs: the
-    crash sweep snapshots it at the kill site and the forensic
+(** Stripes the calling thread currently holds through
+    {!Make.with_stripes} — every store op's own hold and every group
+    pin — across every instantiation of {!Make} and every store
+    handle. Ground truth for the flight recorder's stripe breadcrumbs:
+    the crash sweep snapshots it at the kill site and the forensic
     classifier must agree. *)
 
 type store_result = Stored | Not_stored | Exists | Not_found | No_memory
@@ -145,11 +146,14 @@ module Make
 
   val with_stripes : t -> stripes:int list -> (unit -> 'a) -> 'a
   (** [with_stripes t ~stripes f] locks each stripe in the order given,
-      runs [f], and releases in reverse order. [stripes] must be
+      runs [f], and releases in reverse order however [f] exits; every
+      store op holds its own stripe through it. [stripes] must be
       duplicate-free and sorted ascending — stripe mutexes share one
       lockdep class ranked by creation (= index) order, so an inverted
-      order trips lockdep. Exception-safe; raises [Invalid_argument] if
-      a stripe is already held by this thread. *)
+      order trips lockdep. A stripe this thread already pins on [t]
+      (through any instantiation of {!Make}) is skipped, not taken
+      twice; a call that acquires nothing just runs [f] and records
+      nothing. *)
 
   (** {1 Operations (memcached command set)}
 

@@ -318,8 +318,8 @@ let test_stripe_groups_lockdep_clean () =
   (* Grouped acquisition takes same-class item-lock stripes in
      creation-rank (= ascending index) order, holds them across the
      group, and releases between groups. Racing it against single-op
-     writers (whose [lock_item] path skips a held stripe only in the
-     thread that holds it) must stay lockdep-clean. *)
+     writers (whose own [with_stripes] hold skips a stripe only in the
+     thread that already pins it) must stay lockdep-clean. *)
   run_seed ~seed:7 ~heap_bytes:(512 lsl 10)
     ~cfg:{ sweep_cfg with lock_count = 8 }
     (fun st ->

@@ -347,6 +347,37 @@ let test_vm_contention_profile () =
   let tracked', _, _ = Contention.totals () in
   Alcotest.(check int) "reset clears" 0 tracked'
 
+(* ---- Stripe wait attribution ------------------------------------------ *)
+
+module VSt = Store.Make (Mc_core.Shared_memory) (Mc_core.Ralloc_alloc) (Vm.Sync)
+
+(* [stripe_wait] is time blocked on a stripe and nothing else: a lone
+   thread taking two free stripes waits 0 ns, and the calibrated
+   [lock_uncontended] charge of each acquisition lands outside it. *)
+let test_uncontended_wait_is_zero () =
+  fresh ();
+  let reg =
+    Shm.Region.create ~name:"span-stripes" ~size:(1 lsl 20) ~pkey:0 ()
+  in
+  let alloc = Mc_core.Ralloc_alloc.of_heap (Ralloc.create reg) in
+  let vm = Vm.create ~sched_seed:1 () in
+  ignore
+    (Vm.spawn vm ~name:"solo" (fun () ->
+       let st =
+         VSt.create ~mem:(Mc_core.Shared_memory.of_region reg) ~alloc cfg
+       in
+       let root = Span.ingress ~op:"pin" () in
+       VSt.with_stripes st ~stripes:[ 0; 1 ] ignore;
+       Span.finish root));
+  Vm.run vm;
+  match List.assoc_opt "stripe_wait" (Span.phase_report ()) with
+  | None -> Alcotest.fail "no stripe_wait span recorded"
+  | Some w ->
+    Alcotest.(check int) "stripe_wait self ns" 0 w.Span.p_self_ns;
+    Alcotest.(check bool) "the acquisitions are still charged" true
+      ((Span.e2e_report ()).Span.p_self_ns
+       >= 2 * Platform.Cost_model.current.lock_uncontended)
+
 (* ---- Aborted flush at injected kill sites ----------------------------- *)
 
 (* One run of a tiny victim workload with the crash point at [at];
@@ -427,7 +458,9 @@ let () =
             test_vm_well_formedness_property;
           Alcotest.test_case "deterministic trees" `Quick test_vm_determinism;
           Alcotest.test_case "stripe-contention profile" `Quick
-            test_vm_contention_profile ] );
+            test_vm_contention_profile;
+          Alcotest.test_case "uncontended stripes wait 0 ns" `Quick
+            test_uncontended_wait_is_zero ] );
       ( "crash",
         [ Alcotest.test_case "aborted flush at kill sites" `Quick
             test_aborted_flush_on_crash ] ) ]

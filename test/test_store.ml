@@ -261,6 +261,19 @@ struct
         expect (St.curr_items st = Hashtbl.length model);
         !ok)
 
+  (* A raise inside a stripe hold must release the stripe: the next
+     op on the key would otherwise self-deadlock on it. *)
+  let test_raise_releases_stripe () =
+    let st = fresh () in
+    St.set_lru_selector st
+      (Some (fun k -> if k = "boom" then failwith "selector" else None));
+    (match St.set st "boom" "v" with
+     | _ -> Alcotest.fail "the selector's raise should escape set"
+     | exception Failure _ -> ());
+    Alcotest.(check int) "no stripe held" 0 (Store.holding_stripes_now ());
+    St.set_lru_selector st None;
+    check_sr "second set stored" true (St.set st "boom" "v" = Store.Stored)
+
   let suite =
     [ Alcotest.test_case "set/get" `Quick test_set_get;
       Alcotest.test_case "cas monotonic" `Quick test_cas_monotonic;
@@ -279,7 +292,9 @@ struct
       Alcotest.test_case "large values" `Quick test_large_values;
       Alcotest.test_case "1000 keys" `Quick
         test_many_keys_no_collision_confusion;
-      QCheck_alcotest.to_alcotest qcheck_model ]
+      QCheck_alcotest.to_alcotest qcheck_model;
+      Alcotest.test_case "raise releases stripe" `Quick
+        test_raise_releases_stripe ]
 end
 
 module Private_env = struct
