@@ -51,11 +51,6 @@ let scan_and_arm (dr : Pku.Debug_regs.t) (b : Pku.Insn.binary) : report =
 
 type verdict = Admitted of report | Rejected of string
 
-(* The red-team toggle: with the gadget scan off, [admit] degrades to
-   the legacy scan_and_arm-and-hope path, which the gadget scenarios
-   in lib/redteam demonstrate is bypassable. *)
-let gadget_scan_enabled = ref true
-
 (* Trampolines the loader itself installed, keyed by binary name and
    pinned to an image digest: a binary's own trampoline table is
    attacker-authored, so admission only trusts entries recorded here,
@@ -77,7 +72,7 @@ let reject reason =
   Rejected reason
 
 let admit (dr : Pku.Debug_regs.t) (b : Pku.Insn.binary) : verdict =
-  if not !gadget_scan_enabled then Admitted (scan_and_arm dr b)
+  if not (Defenses.on Gadget_scan) then Admitted (scan_and_arm dr b)
   else begin
     let name = b.Pku.Insn.binary_name in
     let claimed = b.Pku.Insn.trampoline_addrs in

@@ -20,11 +20,6 @@ val scan_and_arm : Pku.Debug_regs.t -> Pku.Insn.binary -> report
 
 type verdict = Admitted of report | Rejected of string
 
-val gadget_scan_enabled : bool ref
-(** Red-team toggle (default [true]). Off, {!admit} degrades to
-    {!scan_and_arm} and admits everything — the configuration the
-    gadget scenarios in [lib/redteam] defeat. *)
-
 val install_trampolines : Pku.Insn.binary -> unit
 (** Record that the loader itself installed this binary's trampolines
     (the trusted link step). The record is pinned to a digest of the

@@ -25,12 +25,6 @@ exception Gate_violation of string
 (** The call-site gate checks caught a forged or tampered pkru (see
     below); the offending process has been terminated. *)
 
-(* Red-team toggle: with the gate checks off, a caller arriving with a
-   forged pkru that already opens the library's key sails through, and
-   a wrpkru executed inside the call goes unnoticed — both exploited
-   by lib/redteam. *)
-let gate_checks_enabled = ref true
-
 (* Depth of nested library calls on this thread, standing in for
    "which stack am I on". Tests observe it via [on_library_stack]. *)
 let depth_key = Tls.new_key (fun () -> ref 0)
@@ -77,7 +71,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
      it.) *)
   (match Library.protection lib with
    | Library.Protected
-     when !gate_checks_enabled && !depth = 0
+     when Defenses.on Gate_checks && !depth = 0
           && Pku.Pkru.allows_read saved_pkru (Library.pkey lib) ->
      (* sanitise the forged register before refusing the call *)
      Pku.Pkru.wrpkru
@@ -114,7 +108,7 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
        on entry — any drift means a wrpkru executed inside the call. *)
     let tampered =
       match entered with
-      | Some v when !gate_checks_enabled ->
+      | Some v when Defenses.on Gate_checks ->
         let cur = Pku.Pkru.read () in
         if cur <> v then Some cur else None
       | Some _ | None -> None

@@ -20,11 +20,6 @@ exception Gate_violation of string
     terminated; the library is {e not} poisoned — no forged access
     reached shared state. *)
 
-val gate_checks_enabled : bool ref
-(** Red-team toggle (default [true]): with the checks off, a forged
-    entry pkru is laundered through the exit restore and in-call
-    tampering goes unnoticed. *)
-
 val call : Library.t -> (unit -> 'a) -> 'a
 (** Enter the library, run [f] with amplified rights, leave.
     @raise Library.Library_poisoned if the library already crashed.

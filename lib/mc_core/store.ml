@@ -746,6 +746,16 @@ struct
   let charge quota ~bytes ~items =
     Option.iter (fun q -> q.charge ~bytes ~items) quota
 
+  (* The hold that commits the new, still unlinked item [it]. What can
+     raise in it (the evict hook, the LRU selector, a quota charge)
+     runs before [commit] links [it], so a raise frees [it]. *)
+  let commit_hold t ~stripes it f =
+    match with_stripes t ~stripes f with
+    | r -> r
+    | exception e ->
+      free_item t it;
+      raise e
+
   (* Drop a reader's reference; caller holds the item lock. *)
   let release t it =
     let r = rd32 t (it + it_refcount) - 1 in
@@ -1199,7 +1209,8 @@ struct
      expiry already in unix seconds (no [real_exptime] conversion) —
      used by paths that must carry an existing item's TTL forward.
      A [quota] is asked under the stripe before allocating, and charged
-     against the item actually replaced under the commit's hold. *)
+     against the item actually replaced under the commit's hold, after
+     the LRU choice. *)
   let store_with ?quota t policy ~abs_exptime ~key ~data ~flags ~exptime =
     with_op t @@ fun () ->
     adv CM.current.hash_op;
@@ -1238,15 +1249,16 @@ struct
        | None -> ());
       let result =
         match
-          with_stripes t ~stripes (fun () ->
+          commit_hold t ~stripes it (fun () ->
             let cell, old = find_live t h key ~now in
             let d = decide old in
             (match d with
              | `Fail _ -> ()
              | `Store ->
+               let l = lru_of t ~h ~key ~size:total in
                let bytes, items = delta old in
                charge quota ~bytes ~items;
-               commit t h ~cell ~old it (lru_of t ~h ~key ~size:total));
+               commit t h ~cell ~old it l);
             d)
         with
         | `Fail r ->
@@ -1315,13 +1327,14 @@ struct
             write_item t it ~h ~key ~data ~flags ~exptime:0 ~now;
             wr32 t (it + it_exptime) exp;
             let swapped =
-              with_stripes t ~stripes (fun () ->
+              commit_hold t ~stripes it (fun () ->
                 let cell, cur = find_at t h key in
                 if cur = 0 || not (Int64.equal (rd64r t (cur + it_cas)) old_cas)
                 then false
                 else begin
+                  let l = lru_of t ~h ~key ~size:total in
                   charge quota ~bytes:(String.length extra) ~items:0;
-                  commit t h ~cell ~old:cur it (lru_of t ~h ~key ~size:total);
+                  commit t h ~cell ~old:cur it l;
                   true
                 end)
             in

@@ -4,9 +4,6 @@ module R = Shm.Region
 
 let max_name = 40
 
-let quota_enforced = ref true
-let namespace_enforced = ref true
-
 (* Block layout: a 16-byte header, then [max] fixed-size slots.
    Everything is an 8-byte word so recovery's torn-write story is the
    store's own: single-word updates, recomputed where they can tear. *)
@@ -136,7 +133,8 @@ let register t ~name ~uid ~byte_quota ~item_quota =
 
 let prefix t i = name_of t i ^ "/"
 
-let scope t i key = if !namespace_enforced then prefix t i ^ key else key
+let scope t i key =
+  if Defenses.on Tenant_namespace then prefix t i ^ key else key
 
 let owner_slot_of_key t key =
   match String.index_opt key '/' with
@@ -160,7 +158,7 @@ let set_usage t i ~bytes ~items =
   wr t (e + o_items_used) items
 
 let would_exceed t i ~add_bytes ~add_items =
-  !quota_enforced
+  Defenses.on Tenant_quota
   && (add_bytes > 0 || add_items > 0)
   &&
   let e = entry t i in

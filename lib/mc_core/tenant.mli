@@ -26,16 +26,6 @@ type t
 val max_name : int
 (** 40 bytes. *)
 
-(** {1 Red-team toggles} (shipping default [true]) *)
-
-val quota_enforced : bool ref
-(** Off: tenants write past their quotas — the cross-tenant starvation
-    attack. *)
-
-val namespace_enforced : bool ref
-(** Off: tenant-scoped keys pass through unprefixed — the forged
-    cross-tenant read attack. *)
-
 (** {1 Layout} *)
 
 val size_for : max:int -> int
@@ -84,7 +74,7 @@ val prefix : t -> int -> string
 
 val scope : t -> int -> string -> string
 (** The tenant-confined key: [prefix ^ key] (identity when
-    {!namespace_enforced} is off — the pre-fix stack). *)
+    [Defenses.Tenant_namespace] is off — the pre-fix stack). *)
 
 val owner_slot_of_key : t -> string -> int option
 (** Which active tenant's namespace a raw store key belongs to, by
@@ -108,7 +98,7 @@ val set_usage : t -> int -> bytes:int -> items:int -> unit
 
 val would_exceed : t -> int -> add_bytes:int -> add_items:int -> bool
 (** Would the delta push usage past a quota? Always false for a delta
-    that adds nothing, and with {!quota_enforced} off. *)
+    that adds nothing, and with [Defenses.Tenant_quota] off. *)
 
 (** {1 Per-tenant stats} *)
 

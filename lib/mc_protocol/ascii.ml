@@ -92,7 +92,7 @@ let u64_of_token name tok =
    information and it is a lie), so both are connection-fatal
    [Parse_error]s, as in real memcached. *)
 let data_len_of_token tok =
-  if not !parser_hardening then int_of_token "bytes" tok
+  if not (Defenses.on Parser_hardening) then int_of_token "bytes" tok
   else begin
     let n = String.length tok in
     let all_digits =

@@ -230,8 +230,8 @@ let parse_command (s : string) : command * int =
      over the item-size limit, so the request frames and the error
      answers exactly this command ([Invalid] discipline). *)
   let bound_value () =
-    if !parser_hardening && String.length r.r_value > max_data_bytes then
-      raise Too_large
+    if Defenses.on Parser_hardening && String.length r.r_value > max_data_bytes
+    then raise Too_large
   in
   let store ~noreply =
     if String.length r.r_extras <> 8 then parse_error "store: bad extras";

@@ -117,12 +117,6 @@ let max_key_length = 250
    the red-team fuzzer (see test/corpus/). *)
 let max_data_bytes = 1 lsl 20
 
-(* Red-team toggle (default on): with hardening off, the ASCII parser
-   reverts to [int_of_string]-style length parsing (accepts negatives,
-   hex, unbounded values) and the binary codec stops bounding value
-   sizes — the configuration the fuzzer breaks. *)
-let parser_hardening = ref true
-
 let validate_key k =
   let n = String.length k in
   if n = 0 || n > max_key_length then false

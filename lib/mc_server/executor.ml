@@ -13,9 +13,9 @@ module Tenant = Mc_core.Tenant
    back out of the values on the way back, so the client sees its own
    flat key space. The rewrite happens host-side from the
    connection-bound identity — no byte sequence the client sends can
-   escape its prefix. [Tenant.namespace_enforced] is the red-team
-   toggle: with it off, keys pass through unscoped (the forged-prefix
-   breach) and even [flush_all] reaches the whole store. *)
+   escape its prefix. With [Defenses.Tenant_namespace] off, keys pass
+   through unscoped (the forged-prefix breach) and even [flush_all]
+   reaches the whole store. *)
 
 (* Every key a command carries, rewritten by [f]. *)
 let map_keys f (cmd : P.command) : P.command =
@@ -49,7 +49,7 @@ let keys_of (cmd : P.command) =
   | P.Flush_all | P.Stats _ | P.Version | P.Quit | P.Noop | P.Invalid _ -> []
 
 let scope_command ~prefix (cmd : P.command) : P.command =
-  if not !Mc_core.Tenant.namespace_enforced then cmd
+  if not (Defenses.on Tenant_namespace) then cmd
   else
     match cmd with
     | P.Flush_all ->
@@ -59,7 +59,7 @@ let scope_command ~prefix (cmd : P.command) : P.command =
     | c -> map_keys (( ^ ) prefix) c
 
 let unscope_response ~prefix (resp : P.response) : P.response =
-  if not !Mc_core.Tenant.namespace_enforced then resp
+  if not (Defenses.on Tenant_namespace) then resp
   else
     match resp with
     | P.Values { with_cas; vals } ->

@@ -8,11 +8,6 @@ exception Unknown_vkey of int
 
 exception Permission_denied of string
 
-(* Red-team toggles (shipping defaults all true). *)
-let eviction_enabled = ref true
-let owner_checks_enabled = ref true
-let quarantine_on_evict = ref true
-
 type vk = {
   id : int;
   owner : int;
@@ -81,7 +76,7 @@ let quarantine_locked () =
 (* Pick the least-recently-bound vkey, quarantine its ranges, and hand
    its slot to the caller. *)
 let evict_one_locked walked =
-  if not !eviction_enabled then raise Pkey.Out_of_keys;
+  if not (Defenses.on Vkey_eviction) then raise Pkey.Out_of_keys;
   let victim =
     Hashtbl.fold
       (fun _ vk best ->
@@ -96,7 +91,7 @@ let evict_one_locked walked =
     let k = match vk.hw with Some k -> k | None -> assert false in
     Hashtbl.remove slots k;
     vk.hw <- None;
-    if !quarantine_on_evict then retag walked vk (quarantine_locked ());
+    if Defenses.on Vkey_quarantine then retag walked vk (quarantine_locked ());
     incr n_evictions;
     Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_evictions;
     k
@@ -130,7 +125,7 @@ let bind_locked walked vk =
 let check_owner vk = function
   | None -> ()
   | Some o ->
-    if !owner_checks_enabled && o <> 0 && o <> vk.owner then
+    if Defenses.on Vkey_owner_checks && o <> 0 && o <> vk.owner then
       raise
         (Permission_denied
            (Printf.sprintf "vkey%d belongs to uid %d; bind by uid %d refused"
@@ -293,8 +288,5 @@ let reset () =
       clock := 0;
       n_binds := 0;
       n_misses := 0;
-      n_evictions := 0;
-      eviction_enabled := true;
-      owner_checks_enabled := true;
-      quarantine_on_evict := true);
+      n_evictions := 0);
   Tls.get shadow_key := []

@@ -39,22 +39,7 @@ exception Unknown_vkey of int
 
 exception Permission_denied of string
 (** Raised by {!bind}/{!enable} when [~owner] does not match the
-    vkey's owner (and {!owner_checks_enabled} is on). *)
-
-(** {1 Red-team toggles} — revert a defense to demonstrate the attack
-    it blocks. Shipping default for all three is [true]. *)
-
-val eviction_enabled : bool ref
-(** Off: a full slot table raises {!Pkey.Out_of_keys} on miss — the
-    pre-virtualization world where key exhaustion is denial of
-    protection. *)
-
-val owner_checks_enabled : bool ref
-(** Off: any caller may bind (and so enable) any tenant's vkey. *)
-
-val quarantine_on_evict : bool ref
-(** Off: eviction leaves the victim's ranges tagged with the old
-    hardware key, readable by whoever inherits the slot. *)
+    vkey's owner (and [Defenses.Vkey_owner_checks] is on). *)
 
 (** {1 Allocation} *)
 
@@ -80,7 +65,7 @@ val bind : ?owner:int -> t -> Pkey.t
     the ownership check; omit it only from trusted kernel-side code.
     @raise Permission_denied on an ownership mismatch.
     @raise Pkey.Out_of_keys if the table is full and
-    {!eviction_enabled} is off. *)
+    [Defenses.Vkey_eviction] is off. *)
 
 val hw_key : t -> Pkey.t option
 (** The slot currently backing the vkey, if bound. *)

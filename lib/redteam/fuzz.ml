@@ -49,11 +49,13 @@ let proto_of_filename name =
 let tenant_a = "ta"
 let tenant_b = "tb"
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  n = 0 || go 0
+
 let tenant_of_filename name =
-  let pat = "-tenant-" in
-  let n = String.length pat and h = String.length name in
-  let rec find i = i + n <= h && (String.sub name i n = pat || find (i + 1)) in
-  if find 0 then Some tenant_a else None
+  if contains ~needle:"-tenant-" name then Some tenant_a else None
 
 type failure =
   | Crash of string  (** parser raised something uncaught *)
@@ -166,11 +168,6 @@ let drain ?tenants ?slot store proto (input : string) :
      done
    with e -> result := Error (Crash (Printexc.to_string e)));
   match !result with Ok () -> Ok (Buffer.contents out) | Error f -> Error f
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 let tenant_secret_value = "TENANT-B-SECRET-9f86d081884c7d659a2f"
 

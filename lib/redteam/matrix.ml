@@ -1,9 +1,10 @@
 (** The attack-outcome matrix: every red-team scenario run both ways —
-    against the unhardened stack (its defense toggled off or emulated
-    away) and against the shipped stack. A healthy matrix reads
-    BREACHED down the first column and BLOCKED down the second; any
-    other cell is a regression. CI renders this to a markdown artifact
-    via {!emit} (path in [$REDTEAM_MATRIX_OUT]). *)
+    against the unhardened stack (its defense turned off with
+    {!Defenses.with_off}, or emulated away) and against the shipped
+    stack. A healthy matrix reads BREACHED down the first column and
+    BLOCKED down the second; any other cell is a regression. CI renders
+    this to a markdown artifact via {!emit} (path in
+    [$REDTEAM_MATRIX_OUT]). *)
 
 type row = {
   scenario : string;
@@ -12,11 +13,6 @@ type row = {
   unhardened : Scenarios.outcome;
   hardened : Scenarios.outcome;
 }
-
-(* A healthy row: the attack works when the defense is reverted and
-   fails when it is in place. *)
-let row_green r =
-  (not (Scenarios.is_blocked r.unhardened)) && Scenarios.is_blocked r.hardened
 
 let trace fmt =
   Printf.ksprintf
@@ -30,7 +26,12 @@ let collect () : row list =
   List.map
     (fun (s : Scenarios.t) ->
       trace "[matrix] %s: unhardened..." s.Scenarios.sc_name;
-      let unhardened = s.Scenarios.run ~hardening:false in
+      let unhardened () = s.Scenarios.run ~hardening:false in
+      let unhardened =
+        match s.Scenarios.toggle with
+        | Some d -> Defenses.with_off d unhardened
+        | None -> unhardened ()
+      in
       trace "[matrix] %s: hardened..." s.Scenarios.sc_name;
       let hardened = s.Scenarios.run ~hardening:true in
       trace "[matrix] %s: done" s.Scenarios.sc_name;

@@ -3,12 +3,14 @@
     filters, regions, recovery.
 
     Every scenario runs in two configurations. [~hardening:true] is
-    the shipped stack; [~hardening:false] reverts the corresponding
-    fix (via its red-team toggle, or by emulating the pre-fix behavior
-    where the defense is structural) and must let the attack through —
-    the red-first discipline: an attack that does not breach the
-    unhardened stack proves nothing about the fix. The attack matrix
-    in DESIGN.md is generated from {!all} (see {!Matrix}). *)
+    the shipped stack; the unhardened run reverts the corresponding
+    fix and must let the attack through — the red-first discipline: an
+    attack that does not breach the unhardened stack proves nothing
+    about the fix. {!Matrix} runs it with the scenario's [toggle]
+    turned off ({!Defenses.with_off}); a structural defense has no
+    toggle, and its [~hardening:false] run reproduces the pre-fix
+    behavior directly. The attack matrix in DESIGN.md is generated
+    from {!all}. *)
 
 module Process = Simos.Process
 module Region = Shm.Region
@@ -27,10 +29,9 @@ type t = {
   sc_name : string;
   vector : string;  (** the attack, in one line (Garmr taxonomy) *)
   defense : string;  (** what stands in the way when hardened *)
-  toggle : string;
-  (** the [bool ref] the unhardened run flips, or "structural
-      (emulated)" when the fix has no toggle and the unhardened run
-      reproduces the pre-fix behavior directly *)
+  toggle : Defenses.t option;
+  (** the defense the unhardened run turns off, or [None] when the
+      fix is structural and [~hardening:false] emulates its absence *)
   run : hardening:bool -> outcome;
 }
 
@@ -38,18 +39,55 @@ let outcome_string = function
   | Blocked m -> "BLOCKED: " ^ m
   | Breached m -> "BREACHED: " ^ m
 
-let is_blocked = function Blocked _ -> true | Breached _ -> false
-
-let with_toggle r v f =
-  let saved = !r in
-  r := v;
-  Fun.protect ~finally:(fun () -> r := saved) f
-
 (* Monotonic suffix for region/file names: scenarios run repeatedly
    (both hardening modes, many seeds) and must never collide. *)
 let fresh =
   let n = ref 0 in
   fun () -> incr n; !n
+
+(* A fresh library, released (and this thread's pkru reset) however
+   [f] exits. *)
+let with_lib ?grace_ns ?(owner_uid = 1000) tag f =
+  let lib =
+    Library.create ?grace_ns
+      ~name:(Printf.sprintf "%s-%d" tag (fresh ()))
+      ~owner_uid ()
+  in
+  Fun.protect ~finally:(fun () ->
+    Library.release lib;
+    Pkru.reset_thread ())
+  @@ fun () -> f lib
+
+(* A page under [lib]'s key, claimed by it, holding [secret]. *)
+let secret_region lib tag secret =
+  let region =
+    Region.create
+      ~name:(Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()))
+      ~size:4096 ~pkey:(Library.pkey lib) ()
+  in
+  Library.protect_region lib region;
+  Region.kernel_mode (fun () -> Region.write_string region ~off:0 secret);
+  region
+
+(* A page holding [secret], its tag following vkey [vk]'s slot. *)
+let vkey_region vk tag secret =
+  let region =
+    Region.create
+      ~name:(Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()))
+      ~size:4096 ~pkey:Pkey.default ()
+  in
+  Region.kernel_mode (fun () -> Region.write_string region ~off:0 secret);
+  Pku.Vpkey.attach_retag vk (fun hw ->
+    Region.kernel_mode (fun () ->
+      Region.tag_range region ~off:0 ~len:(Region.size region) ~pkey:hw));
+  region
+
+(* The vkey table and this thread's pkru, reset however [f] exits. *)
+let with_clean_vkeys f =
+  Fun.protect ~finally:(fun () ->
+    Pku.Vpkey.reset ();
+    Pkru.reset_thread ())
+  f
 
 (* ---- 1+2: gadget bytes hidden in a data island ---------------------- *)
 
@@ -72,14 +110,11 @@ let gadget_island kind =
   { sc_name = kname;
     vector;
     defense = "admission-time byte-granular gadget scan (Loader.admit)";
-    toggle = "Hodor.Loader.gadget_scan_enabled";
+    toggle = Some Gadget_scan;
     run =
-      (fun ~hardening ->
-        with_toggle Loader.gadget_scan_enabled hardening @@ fun () ->
-        Fun.protect ~finally:(fun () ->
-          Pkru.reset_thread ();
-          Loader.forget_trampolines ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
+        Fun.protect ~finally:Pkru.reset_thread @@ fun () ->
         let island, delta =
           match kind with
           | `Wrpkru ->
@@ -119,20 +154,11 @@ let forged_trampoline_table =
   { sc_name = "forged-trampoline-table";
     vector = "binary self-declares its stray wrpkru as a trampoline";
     defense = "admission cross-checks claims against loader-installed records";
-    toggle = "Hodor.Loader.gadget_scan_enabled";
+    toggle = Some Gadget_scan;
     run =
-      (fun ~hardening ->
-        with_toggle Loader.gadget_scan_enabled hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "forge-victim-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release lib;
-          Pkru.reset_thread ();
-          Loader.forget_trampolines ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
+        with_lib "forge-victim" @@ fun lib ->
         let key = Library.pkey lib in
         let payload = Pkru.set_perm Pkru.init_value key Pkru.Enable in
         let b =
@@ -161,20 +187,11 @@ let patched_binary =
   { sc_name = "patched-binary-blessing";
     vector = "image patched after trampoline installation, name/table kept";
     defense = "installation records are digest-pinned to the byte image";
-    toggle = "Hodor.Loader.gadget_scan_enabled";
+    toggle = Some Gadget_scan;
     run =
-      (fun ~hardening ->
-        with_toggle Loader.gadget_scan_enabled hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "patch-victim-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release lib;
-          Pkru.reset_thread ();
-          Loader.forget_trampolines ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
+        with_lib "patch-victim" @@ fun lib ->
         let key = Library.pkey lib in
         let legit_v = Pkru.set_perm Pkru.init_value key Pkru.Enable in
         let bin_name = Printf.sprintf "app-bin-%d" (fresh ()) in
@@ -215,27 +232,11 @@ let pkru_laundering =
   { sc_name = "pkru-laundering";
     vector = "caller enters a crossing with a forged pkru already open";
     defense = "trampoline entry gate: outermost caller must not hold the key";
-    toggle = "Hodor.Trampoline.gate_checks_enabled";
+    toggle = Some Gate_checks;
     run =
-      (fun ~hardening ->
-        with_toggle Trampoline.gate_checks_enabled hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "laundry-lib-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release lib;
-          Pkru.reset_thread ())
-        @@ fun () ->
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-laundry-%d" (fresh ()))
-            ~size:4096 ~pkey:(Library.pkey lib) ()
-        in
-        Library.protect_region lib region;
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "SECRET");
+      (fun ~hardening:_ ->
+        with_lib "laundry-lib" @@ fun lib ->
+        let region = secret_region lib "laundry" "SECRET" in
         let attacker = Process.make ~uid:5000 "laundry-attacker" in
         Process.with_process attacker @@ fun () ->
         Pkru.wrpkru
@@ -272,19 +273,10 @@ let in_call_tamper =
   { sc_name = "in-call-tamper";
     vector = "pkru widened by a wrpkru inside the library call";
     defense = "trampoline exit gate: register must equal the entry value";
-    toggle = "Hodor.Trampoline.gate_checks_enabled";
+    toggle = Some Gate_checks;
     run =
-      (fun ~hardening ->
-        with_toggle Trampoline.gate_checks_enabled hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "tamper-lib-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release lib;
-          Pkru.reset_thread ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        with_lib "tamper-lib" @@ fun lib ->
         let attacker = Process.make ~uid:5001 "tamper-attacker" in
         let result =
           Process.with_process attacker @@ fun () ->
@@ -320,27 +312,11 @@ let retag_shared_heap =
   { sc_name = "retag-shared-heap";
     vector = "pkey_mprotect retags the protected region to key 0";
     defense = "seccomp filter: pkey_mprotect not in the client allowlist";
-    toggle = "Simos.Process.seccomp_enforced";
+    toggle = Some Seccomp;
     run =
-      (fun ~hardening ->
-        with_toggle Process.seccomp_enforced hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "retag-lib-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release lib;
-          Pkru.reset_thread ())
-        @@ fun () ->
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-retag-%d" (fresh ()))
-            ~size:4096 ~pkey:(Library.pkey lib) ()
-        in
-        Library.protect_region lib region;
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "TOPSECRET");
+      (fun ~hardening:_ ->
+        with_lib "retag-lib" @@ fun lib ->
+        let region = secret_region lib "retag" "TOPSECRET" in
         let attacker = Process.make ~uid:6000 "retagger" in
         Process.install_filter attacker [ Process.Sys_open ];
         Process.with_process attacker @@ fun () ->
@@ -368,34 +344,22 @@ let retag_race =
   { sc_name = "retag-race";
     vector = "pkey_mprotect raced against crossings (seeded schedules)";
     defense = "seccomp filter: pkey_alloc/pkey_mprotect denied to clients";
-    toggle = "Simos.Process.seccomp_enforced";
+    toggle = Some Seccomp;
     run =
       (fun ~hardening ->
-        with_toggle Process.seccomp_enforced hardening @@ fun () ->
         let breaches = ref [] in
         List.iter
           (fun seed ->
-            let lib =
-              Library.create
-                ~name:(Printf.sprintf "race-lib-%d-%d" seed (fresh ()))
-                ~owner_uid:1000 ()
-            in
             let stolen_key = ref None in
+            with_lib (Printf.sprintf "race-lib-%d" seed) @@ fun lib ->
             Fun.protect ~finally:(fun () ->
-              (match !stolen_key with
-               | Some k -> (try Pkey.free k with _ -> ())
-               | None -> ());
-              Library.release lib;
-              Pkru.reset_thread ())
+              match !stolen_key with
+              | Some k -> (try Pkey.free k with _ -> ())
+              | None -> ())
             @@ fun () ->
             let region =
-              Region.create
-                ~name:(Printf.sprintf "/shm/rt-race-%d-%d" seed (fresh ()))
-                ~size:4096 ~pkey:(Library.pkey lib) ()
+              secret_region lib (Printf.sprintf "race-%d" seed) "RACE-SECRET"
             in
-            Library.protect_region lib region;
-            Region.kernel_mode (fun () ->
-              Region.write_string region ~off:0 "RACE-SECRET");
             let vm = Vm.create ~sched_seed:seed ~preempt_jitter:40 () in
             let victim_proc = Process.make ~uid:2000 "race-victim" in
             let attacker_proc = Process.make ~uid:6001 "race-attacker" in
@@ -468,14 +432,10 @@ let pkey_exhaustion =
   { sc_name = "pkey-exhaustion";
     vector = "key demand beyond the 16 hw slots (many tenants' capabilities)";
     defense = "Vpkey virtualization: slot LRU eviction + lazy re-bind";
-    toggle = "Pku.Vpkey.eviction_enabled";
+    toggle = Some Vkey_eviction;
     run =
-      (fun ~hardening ->
-        with_toggle Pku.Vpkey.eviction_enabled hardening @@ fun () ->
-        Fun.protect ~finally:(fun () ->
-          Pku.Vpkey.reset ();
-          Pkru.reset_thread ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        with_clean_vkeys @@ fun () ->
         (* a small slot budget makes the pressure cheap to reach; the
            victim is the 65th principal wanting its capability bound *)
         Pku.Vpkey.set_hw_cap 4;
@@ -521,26 +481,12 @@ let cross_tenant_vkey_bind =
   { sc_name = "cross-tenant-vkey-bind";
     vector = "attacker binds the victim tenant's vkey and opens it in pkru";
     defense = "vkey ownership check at bind (Vpkey.Permission_denied)";
-    toggle = "Pku.Vpkey.owner_checks_enabled";
+    toggle = Some Vkey_owner_checks;
     run =
-      (fun ~hardening ->
-        with_toggle Pku.Vpkey.owner_checks_enabled hardening @@ fun () ->
-        Fun.protect ~finally:(fun () ->
-          Pku.Vpkey.reset ();
-          Pkru.reset_thread ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        with_clean_vkeys @@ fun () ->
         let victim_vk = Pku.Vpkey.alloc ~owner:1000 () in
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-vbind-%d" (fresh ()))
-            ~size:4096 ~pkey:Pkey.default ()
-        in
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "VKEY-SECRET");
-        Pku.Vpkey.attach_retag victim_vk (fun hw ->
-          Region.kernel_mode (fun () ->
-            Region.tag_range region ~off:0 ~len:(Region.size region)
-              ~pkey:hw));
+        let region = vkey_region victim_vk "vbind" "VKEY-SECRET" in
         (* the owner exercises its capability once: pages now live
            under the vkey's current slot *)
         Region.kernel_mode (fun () ->
@@ -575,28 +521,14 @@ let quarantine_evict_leak =
   { sc_name = "quarantine-evict-leak";
     vector = "evicted vkey's pages read through the recycled hw slot";
     defense = "eviction re-tags the victim's regions to the quarantine key";
-    toggle = "Pku.Vpkey.quarantine_on_evict";
+    toggle = Some Vkey_quarantine;
     run =
-      (fun ~hardening ->
-        with_toggle Pku.Vpkey.quarantine_on_evict hardening @@ fun () ->
-        Fun.protect ~finally:(fun () ->
-          Pku.Vpkey.reset ();
-          Pkru.reset_thread ())
-        @@ fun () ->
+      (fun ~hardening:_ ->
+        with_clean_vkeys @@ fun () ->
         (* one slot: the attacker's bind must recycle the victim's *)
         Pku.Vpkey.set_hw_cap 1;
         let victim_vk = Pku.Vpkey.alloc ~owner:1000 () in
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-quar-%d" (fresh ()))
-            ~size:4096 ~pkey:Pkey.default ()
-        in
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "EVICT-SECRET");
-        Pku.Vpkey.attach_retag victim_vk (fun hw ->
-          Region.kernel_mode (fun () ->
-            Region.tag_range region ~off:0 ~len:(Region.size region)
-              ~pkey:hw));
+        let region = vkey_region victim_vk "quar" "EVICT-SECRET" in
         let victim_hw =
           Region.kernel_mode (fun () ->
             Pku.Vpkey.bind ~owner:1000 victim_vk)
@@ -630,30 +562,16 @@ let pkey_hijack =
   { sc_name = "pkey-hijack";
     vector = "victim's pkey freed by the attacker, then reallocated to it";
     defense = "seccomp filter: pkey_free not in the client allowlist";
-    toggle = "Simos.Process.seccomp_enforced";
+    toggle = Some Seccomp;
     run =
-      (fun ~hardening ->
-        with_toggle Process.seccomp_enforced hardening @@ fun () ->
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "hijack-lib-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
+      (fun ~hardening:_ ->
         let extra = ref [] in
+        with_lib "hijack-lib" @@ fun lib ->
         Fun.protect ~finally:(fun () ->
-          List.iter (fun k -> try Pkey.free k with _ -> ()) !extra;
-          Library.release lib;
-          Pkru.reset_thread ())
+          List.iter (fun k -> try Pkey.free k with _ -> ()) !extra)
         @@ fun () ->
         let victim_key = Library.pkey lib in
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-hijack-%d" (fresh ()))
-            ~size:4096 ~pkey:victim_key ()
-        in
-        Library.protect_region lib region;
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "HIJACK-SECRET");
+        let region = secret_region lib "hijack" "HIJACK-SECRET" in
         let attacker = Process.make ~uid:6003 "key-thief" in
         Process.install_filter attacker [ Process.Sys_open ];
         Process.with_process attacker @@ fun () ->
@@ -700,32 +618,12 @@ let double_admission =
   { sc_name = "double-admission";
     vector = "attacker library protect_regions the victim's live region";
     defense = "per-region claim registry (Region_already_protected)";
-    toggle = "structural (emulated by unclaiming)";
+    toggle = None;
     run =
       (fun ~hardening ->
-        let victim_lib =
-          Library.create
-            ~name:(Printf.sprintf "dbladm-victim-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
-        let attacker_lib =
-          Library.create
-            ~name:(Printf.sprintf "dbladm-attacker-%d" (fresh ()))
-            ~owner_uid:6004 ()
-        in
-        Fun.protect ~finally:(fun () ->
-          Library.release attacker_lib;
-          Library.release victim_lib;
-          Pkru.reset_thread ())
-        @@ fun () ->
-        let region =
-          Region.create
-            ~name:(Printf.sprintf "/shm/rt-dbladm-%d" (fresh ()))
-            ~size:4096 ~pkey:(Library.pkey victim_lib) ()
-        in
-        Library.protect_region victim_lib region;
-        Region.kernel_mode (fun () ->
-          Region.write_string region ~off:0 "ADMIT-SECRET");
+        with_lib "dbladm-victim" @@ fun victim_lib ->
+        with_lib ~owner_uid:6004 "dbladm-attacker" @@ fun attacker_lib ->
+        let region = secret_region victim_lib "dbladm" "ADMIT-SECRET" in
         if not hardening then Region.unclaim region;
         match Library.protect_region attacker_lib region with
         | exception Library.Region_already_protected _ ->
@@ -756,19 +654,11 @@ let crash_in_grace =
   { sc_name = "crash-in-grace";
     vector = "victim killed at every sync point inside its library calls";
     defense = "grace-window semantics + recovery protocol before re-admission";
-    toggle = "structural (emulated by skipping recovery)";
+    toggle = None;
     run =
       (fun ~hardening ->
         let run_one ~at ~recover =
-          let lib =
-            Library.create ~grace_ns:1000
-              ~name:(Printf.sprintf "grace-lib-%d" (fresh ()))
-              ~owner_uid:1000 ()
-          in
-          Fun.protect ~finally:(fun () ->
-            Library.release lib;
-            Pkru.reset_thread ())
-          @@ fun () ->
+          with_lib ~grace_ns:1000 "grace-lib" @@ fun lib ->
           let region =
             Region.create
               ~name:(Printf.sprintf "/shm/rt-grace-%d" (fresh ()))
@@ -866,20 +756,13 @@ let inlib_syscall_escape =
     vector = "filtered syscall issued from inside a library call";
     defense = "seccomp filter enforced in-library; enforcement kills without \
                poisoning";
-    toggle = "Simos.Process.seccomp_enforced";
+    toggle = Some Seccomp;
     run =
-      (fun ~hardening ->
-        with_toggle Process.seccomp_enforced hardening @@ fun () ->
+      (fun ~hardening:_ ->
         let path = Printf.sprintf "/shm/rt-escape-%d" (fresh ()) in
-        let lib =
-          Library.create
-            ~name:(Printf.sprintf "escape-lib-%d" (fresh ()))
-            ~owner_uid:1000 ()
-        in
+        with_lib "escape-lib" @@ fun lib ->
         Fun.protect ~finally:(fun () ->
-          (try Simos.Sim_fs.unlink path with _ -> ());
-          Library.release lib;
-          Pkru.reset_thread ())
+          try Simos.Sim_fs.unlink path with _ -> ())
         @@ fun () ->
         let region =
           Region.create ~name:path ~size:4096 ~pkey:(Library.pkey lib) ()
@@ -924,11 +807,6 @@ module RCl = Core.Client.Make (Platform.Real_sync)
 module RPlib = RCl.Plib
 module RT = Transport.Sock.Make (Platform.Real_sync)
 
-let has_sub ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
 let small_cfg =
   { Mc_core.Store.default_config with
     hashpower = 8; lock_count = 8; lru_count = 4; stats_slots = 4 }
@@ -937,12 +815,32 @@ let with_rplib ~tag f =
   let owner = Process.make ~uid:1000 (tag ^ "-bk") in
   let path = Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()) in
   let p = RPlib.create ~store_cfg:small_cfg ~path ~size:(4 lsl 20) ~owner () in
+  with_clean_vkeys @@ fun () ->
   Fun.protect ~finally:(fun () ->
     Simos.Sim_fs.unlink path;
-    Library.release (RPlib.library p);
-    Pku.Vpkey.reset ();
-    Pkru.reset_thread ())
+    Library.release (RPlib.library p))
   @@ fun () -> f p
+
+(* One ASCII worker over the small store. *)
+let small_server_cfg =
+  { Mc_server.Server.default_config with
+    workers = 1; protocol = Mc_server.Server.Ascii; store = small_cfg }
+
+let rpc c payload =
+  RT.client_send c payload;
+  RT.client_recv c
+
+(* Does the reply to [cmd] on [c] contain [needle]? *)
+let sees c needle cmd = Fuzz.contains ~needle (rpc c cmd)
+
+(* Does [ready] hold within [n] more polls, 2 ms apart? *)
+let rec within n ready =
+  ready ()
+  || n > 0
+     && begin
+       Platform.Real_sync.sleep_ns 2_000_000;
+       within (n - 1) ready
+     end
 
 (* A tenant that may write past its byte quota holds the whole heap
    hostage: its churn forces every neighbour's allocation through the
@@ -954,10 +852,9 @@ let cross_tenant_quota_starve =
     vector = "tenant floods writes far past its byte quota, starving a \
               neighbour";
     defense = "per-tenant quotas; a full tenant evicts only its own items";
-    toggle = "Mc_core.Tenant.quota_enforced";
+    toggle = Some Tenant_quota;
     run =
-      (fun ~hardening ->
-        with_toggle Mc_core.Tenant.quota_enforced hardening @@ fun () ->
+      (fun ~hardening:_ ->
         with_rplib ~tag:"quota" @@ fun p ->
         let a =
           RPlib.create_tenant p ~name:"qa" ~uid:3201
@@ -1014,10 +911,9 @@ let cross_tenant_read =
     vector = "tenant connection addresses a neighbour's keys (incl. forged \
               prefix, flush_all)";
     defense = "connection-bound identity + host-side key-prefix scoping";
-    toggle = "Mc_core.Tenant.namespace_enforced";
+    toggle = Some Tenant_namespace;
     run =
-      (fun ~hardening ->
-        with_toggle Mc_core.Tenant.namespace_enforced hardening @@ fun () ->
+      (fun ~hardening:_ ->
         with_rplib ~tag:"nsp" @@ fun p ->
         ignore (RPlib.create_tenant p ~name:"ra" ~uid:3101 ());
         ignore (RPlib.create_tenant p ~name:"rb" ~uid:3102 ());
@@ -1031,33 +927,26 @@ let cross_tenant_read =
               q := tl;
               Some x
         in
-        let scfg =
-          { Mc_server.Server.default_config with
-            workers = 1; protocol = Mc_server.Server.Ascii;
-            store = small_cfg }
+        let srv =
+          RPlib.serve_remote ~cfg:small_server_cfg ~assign_tenant:assign p
+            ~name:sname
         in
-        let srv = RPlib.serve_remote ~cfg:scfg ~assign_tenant:assign p ~name:sname in
         Fun.protect ~finally:(fun () -> RPlib.stop_remote srv) @@ fun () ->
         let ca = RT.connect ~name:sname in
         let cb = RT.connect ~name:sname in
-        let rpc c payload =
-          RT.client_send c payload;
-          RT.client_recv c
-        in
-        if not (has_sub ~needle:"STORED" (rpc cb "set secret 0 0 12\r\nb-classified\r\n"))
+        if not (sees cb "STORED" "set secret 0 0 12\r\nb-classified\r\n")
         then failwith "nsp scenario: victim's set failed";
-        if has_sub ~needle:"b-classified" (rpc ca "get secret\r\n") then
+        if sees ca "b-classified" "get secret\r\n" then
           Breached
             "flat key space: the attacker's connection read the victim's \
              value by name"
-        else if has_sub ~needle:"b-classified" (rpc ca "get rb/secret\r\n")
-        then
+        else if sees ca "b-classified" "get rb/secret\r\n" then
           Breached
             "forged prefix escaped the attacker's namespace and read the \
              victim's value"
         else begin
           ignore (rpc ca "flush_all\r\n");
-          if has_sub ~needle:"b-classified" (rpc cb "get secret\r\n") then
+          if sees cb "b-classified" "get secret\r\n" then
             Blocked
               "scoping held: name and forged-prefix reads both miss, and \
                flush_all is refused on a tenant connection"
@@ -1089,37 +978,26 @@ let hostile_ring_client =
               then rings the doorbell";
     defense = "validated window walk before the drain; fragment-clamped \
                reads; bounce kills only the forger's connection";
-    toggle = "Transport.Ring.validation_enabled";
+    toggle = Some Ring_validation;
     run =
       (fun ~hardening ->
-        with_toggle Ring.validation_enabled hardening @@ fun () ->
         with_rplib ~tag:"hring" @@ fun p ->
         let sname = Printf.sprintf "rt-hring-srv-%d" (fresh ()) in
-        let scfg =
-          { Mc_server.Server.default_config with
-            workers = 1; protocol = Mc_server.Server.Ascii;
-            store = small_cfg }
-        in
         let srv =
-          RPlib.serve_remote ~cfg:scfg
+          RPlib.serve_remote ~cfg:small_server_cfg
             ~rings:Mc_server.Server.default_ring_config p ~name:sname
         in
         Fun.protect ~finally:(fun () -> RPlib.stop_remote srv) @@ fun () ->
         let victim = Process.make ~uid:3301 "hring-victim" in
         let attacker = Process.make ~uid:3302 "hring-attacker" in
-        let rpc c payload =
-          RT.client_send c payload;
-          RT.client_recv c
-        in
         let cv =
           Process.with_process victim (fun () -> RT.connect ~name:sname)
         in
-        if
-          not
-            (has_sub ~needle:"STORED"
-               (Process.with_process victim (fun () ->
-                    rpc cv "set keep 0 0 7\r\nv-acked\r\n")))
-        then failwith "hring scenario: victim's seed write failed";
+        let victim_sees needle cmd =
+          Process.with_process victim (fun () -> sees cv needle cmd)
+        in
+        if not (victim_sees "STORED" "set keep 0 0 7\r\nv-acked\r\n") then
+          failwith "hring scenario: victim's seed write failed";
         (* Mount one forgery: raw header writes under the connection's
            own vkey, tail (the publish word) last, then the doorbell.
            Returns whether the consumer bounced the ring. *)
@@ -1139,38 +1017,28 @@ let hostile_ring_client =
             (* The bounce revokes the connection's vkey and quarantines
                the ring pages, so losing the ability to even read the
                dead flag is itself the bounce signal. *)
-            let rec dead n =
+            within 500 (fun () ->
               match
                 RT.ring_grant ra;
                 Ring.is_dead sub
               with
-              | true -> true
-              | false ->
-                if n = 0 then false
-                else begin
-                  RS.sleep_ns 2_000_000;
-                  dead (n - 1)
-                end
-              | exception _ -> true
-            in
-            dead 500
+              | dead -> dead
+              | exception _ -> true)
         in
-        let forge_seq r sub =
+        (* One raw slot at the tail: length, stamp, the sequence word
+           [seq_ahead] past the tail, then the tail word. *)
+        let forge_slot ~seq_ahead ~len r sub =
           let tl = Ring.tail sub in
           let off = Ring.slot_word sub tl in
-          Region.write_i64 r (off + 8) 8;
+          Region.write_i64 r (off + 8) len;
           Region.write_i64 r (off + 16) (RS.now_ns ());
-          Region.write_i64 r off (tl + 99) (* seq off its position *);
+          Region.write_i64 r off (tl + seq_ahead);
           Region.write_i64 r (Ring.tail_word sub) (tl + 1)
         in
-        let forge_len r sub =
-          let tl = Ring.tail sub in
-          let off = Ring.slot_word sub tl in
-          Region.write_i64 r (off + 8) (32 lsl 20) (* 32 MiB "message" *);
-          Region.write_i64 r (off + 16) (RS.now_ns ());
-          Region.write_i64 r off (tl + 1) (* honest seq, lying length *);
-          Region.write_i64 r (Ring.tail_word sub) (tl + 1)
-        in
+        (* a sequence word off its position *)
+        let forge_seq = forge_slot ~seq_ahead:99 ~len:8 in
+        (* an honest sequence word, a 32 MiB "message" *)
+        let forge_len = forge_slot ~seq_ahead:1 ~len:(32 lsl 20) in
         let forge_overfill r sub =
           Region.write_i64 r (Ring.tail_word sub) (Ring.head sub + 1_000_000)
         in
@@ -1178,17 +1046,12 @@ let hostile_ring_client =
           (* Pre-fix stack: the forged length flows into a contiguous
              read that escapes the ring pages inside the crossing. *)
           ignore (forge forge_len);
-          let rec poisoned n =
+          let poisoned () =
             match Library.health (RPlib.library p) with
             | Library.Poisoned _ -> true
-            | _ ->
-              if n = 0 then false
-              else begin
-                RS.sleep_ns 2_000_000;
-                poisoned (n - 1)
-              end
+            | _ -> false
           in
-          if poisoned 500 then
+          if within 500 poisoned then
             Breached
               "forged length trusted: the drain read attacker-controlled \
                bytes past the ring pages inside the crossing and poisoned \
@@ -1210,16 +1073,8 @@ let hostile_ring_client =
                  b1 b2 b3)
           else
             let kills = C.read C.Id.ring_kills - k0 in
-            let fresh_ok =
-              has_sub ~needle:"STORED"
-                (Process.with_process victim (fun () ->
-                     rpc cv "set fresh 0 0 2\r\nv2\r\n"))
-            in
-            let kept =
-              has_sub ~needle:"v-acked"
-                (Process.with_process victim (fun () ->
-                     rpc cv "get keep\r\n"))
-            in
+            let fresh_ok = victim_sees "STORED" "set fresh 0 0 2\r\nv2\r\n" in
+            let kept = victim_sees "v-acked" "get keep\r\n" in
             if not (fresh_ok && kept) then
               Breached
                 "the bounce took the victim's connection down with the \
@@ -1233,6 +1088,82 @@ let hostile_ring_client =
                     ring kills); the victim's connection never noticed"
                    kills)
         end) }
+
+(* ---- 19: a negative length through the protocol parser ------------- *)
+
+(* The fuzzer's canonical killer input: a pipelined set whose data
+   length is negative. Unhardened, the length passes the short-read
+   guard and drives [String.sub] to raise out of the parser — the
+   crash the fuzzer first surfaced, caught here by its own crash
+   oracle, which shows the oracle is live. *)
+let killer_input = "set k0 0 0 -2\r\nxx\r\n"
+
+let parser_negative_length =
+  { sc_name = "parser-negative-length";
+    vector = "pipelined set with a negative data length";
+    defense = "hardened length parsing: digits only, bounded; a lying \
+               length is a connection-fatal parse error";
+    toggle = Some Parser_hardening;
+    run =
+      (fun ~hardening:_ ->
+        match Fuzz.run_input Fuzz.Ascii killer_input with
+        | [] -> Blocked "parse error answered; every fuzz oracle green"
+        (* a drain failure, when there is one, is listed first *)
+        | (Fuzz.Crash _ as f) :: _ ->
+          Breached ("the fuzzer's oracle saw " ^ Fuzz.failure_string f)
+        | f :: _ ->
+          failwith ("parser scenario: not a crash: " ^ Fuzz.failure_string f)) }
+
+(* ---- 20: a kill inside a breadcrumb's publish window ---------------- *)
+
+(* A tearable flight breadcrumb crosses a sync point between its
+   payload and its commit stamp, so the crash sweep can kill the
+   writer there. Under publish-last stamping no kill site leaves a head
+   record that claims publication (sequence word stamped) yet fails
+   validation; with the sequence word stamped first, some site does,
+   and the post-mortem reads a lie. *)
+let flight_torn_head =
+  { sc_name = "flight-torn-head";
+    vector = "writer killed between a breadcrumb's payload and its commit \
+              stamp";
+    defense = "publish-last stamping: payload and checksum first, sequence \
+               word last";
+    toggle = Some Flight_publish_last;
+    run =
+      (fun ~hardening:_ ->
+        let module F = Telemetry.Flight in
+        let torn_after ~at =
+          F.reset_backend ();
+          F.reset ();
+          Fun.protect ~finally:F.reset @@ fun () ->
+          let vm = Vm.create () in
+          Vm.set_crash_point vm ~filter:(fun n -> n = "w") ~at ();
+          ignore
+            (Vm.spawn vm ~name:"w" (fun () ->
+               F.record F.Op_dispatch ~a:3 ~b:1 ~c:7;
+               F.record F.Tenant_scope ~a:2;
+               Vm.Sync.advance 10));
+          Vm.run vm;
+          (Vm.sync_points_seen vm, Vm.crashed vm <> [] && F.torn_lanes () <> [])
+        in
+        let n, _ = torn_after ~at:max_int in
+        if n < 2 then
+          failwith
+            (Printf.sprintf "flight scenario: only %d kill sites exposed" n);
+        let sites = List.init n Fun.id in
+        match List.find_opt (fun at -> snd (torn_after ~at)) sites with
+        | Some at ->
+          Breached
+            (Printf.sprintf
+               "a kill at site %d of %d left a head record stamped as \
+                published that fails its checksum"
+               at n)
+        | None ->
+          Blocked
+            (Printf.sprintf
+               "swept %d kill sites; no head record claims publication \
+                without validating"
+               n)) }
 
 let all =
   [ gadget_island `Wrpkru;
@@ -1252,6 +1183,8 @@ let all =
     inlib_syscall_escape;
     cross_tenant_quota_starve;
     cross_tenant_read;
-    hostile_ring_client ]
+    hostile_ring_client;
+    parser_negative_length;
+    flight_torn_head ]
 
 let find name = List.find (fun s -> s.sc_name = name) all

@@ -57,11 +57,6 @@ exception Process_killed of string
 exception Seccomp_violation of string
 (** A filtered process attempted a syscall outside its allowlist. *)
 
-(* Red-team toggle: with enforcement off, installed filters are
-   recorded but never consulted — the configuration the syscall-escape
-   scenarios in lib/redteam exploit. *)
-let seccomp_enforced = ref true
-
 let next_pid = Atomic.make 1
 
 let make ?(uid = 0) name =
@@ -114,7 +109,7 @@ let install_filter t allowed =
 let filter t = t.filter
 
 let check_syscall sc =
-  if !seccomp_enforced && not (Shm.Region.in_kernel_mode ()) then begin
+  if Defenses.on Seccomp && not (Shm.Region.in_kernel_mode ()) then begin
     let p = current () in
     match p.filter with
     | None -> ()

@@ -94,7 +94,3 @@ val check_syscall : syscall -> unit
 (** Consult the calling thread's process filter. Ring-0 paths
     ([Shm.Region.kernel_mode]) are exempt, as kernel code is.
     @raise Seccomp_violation on a denied syscall. *)
-
-val seccomp_enforced : bool ref
-(** Red-team toggle (default [true]): with enforcement off, filters
-    are recorded but never consulted. *)

@@ -33,8 +33,9 @@
     sync point ({!Control.sync_point}, zero virtual cost) between the
     payload and the commit stamp, so the crash sweep exercises the
     torn-write window at every such site — the publish-last protocol
-    is what keeps those kills invisible, and reverting it
-    ({!publish_last_enabled}) makes the torn-record test go red.
+    is what keeps those kills invisible, and turning it off
+    ([Defenses.Flight_publish_last]) lets the red team's
+    [flight-torn-head] scenario breach.
 
     A small side area snapshots severity >= Error trace events
     ({!snapshot_trace}, called by {!Trace.emit}) so pre-crash
@@ -212,12 +213,6 @@ let my_lane () = Tls.get my_lane_key
 
 (* ---- publish ----------------------------------------------------------- *)
 
-(* Red-team toggle (shipping default true): with it off the sequence
-   word is stamped before the payload, so a kill at the info-record
-   sync point leaves a record that claims to be published but whose
-   checksum disagrees — the torn-record test flips red. *)
-let publish_last_enabled = ref true
-
 let cksum ~seq ~kind ~a ~b ~c ~stamp =
   let mix h w = ((h * 0x1000193) + w + 0x9E3779B9) land max_int in
   mix (mix (mix (mix (mix (mix 0x811C9DC5 seq) kind) a) b) c) stamp
@@ -240,7 +235,7 @@ let record ?(a = 0) ?(b = 0) ?(c = 0) kind =
       be.write (base + 5) stamp;
       be.write (base + 6) ck
     in
-    if !publish_last_enabled then begin
+    if Defenses.on Flight_publish_last then begin
       payload ();
       if tearable kind then Control.sync_point ();
       be.write base seq
@@ -306,8 +301,8 @@ let dump_lane lane =
 
 (** A record at the lane head that claims publication (sequence word
     stamped) but fails validation — impossible under the shipping
-    publish-last protocol, reachable with {!publish_last_enabled}
-    off. *)
+    publish-last protocol, reachable with
+    [Defenses.Flight_publish_last] off. *)
 let torn_at_head lane =
   let be = !backend in
   let hdr = be.read (w_lane_pos lane) in
@@ -384,4 +379,5 @@ let settings_kvs () =
   [ ("flight_lanes", string_of_int lanes);
     ("flight_depth", string_of_int depth);
     ("flight_trace_slots", string_of_int trace_slots);
-    ("flight_publish_last", if !publish_last_enabled then "1" else "0") ]
+    ( "flight_publish_last",
+      if Defenses.on Flight_publish_last then "1" else "0" ) ]

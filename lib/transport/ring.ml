@@ -19,12 +19,6 @@
 
 module Region = Shm.Region
 
-(* Red-team toggle (shipping default true): with validation off the
-   consumer trusts slot headers verbatim — the forged-length /
-   stomped-sequence attacks in lib/redteam stop being bounced and
-   start dereferencing attacker-controlled lengths. *)
-let validation_enabled = ref true
-
 type t = {
   region : Region.t;
   base : int;
@@ -147,10 +141,11 @@ type pending = {
    that does not match its position, a length outside the message
    envelope. *)
 let walk t =
+  let validate = Defenses.on Ring_validation in
   let h = head t and tl = tail t in
   let used = tl - h in
   if used = 0 then Ok None
-  else if !validation_enabled && (used < 0 || used > t.slots) then
+  else if validate && (used < 0 || used > t.slots) then
     Error
       (Printf.sprintf "ring overfilled: head=%d tail=%d slots=%d" h tl t.slots)
   else begin
@@ -167,19 +162,19 @@ let walk t =
       let seq = Region.read_i64 t.region off in
       let len = Region.read_i64 t.region (off + 8) in
       let stamp = Region.read_i64 t.region (off + 16) in
-      if !validation_enabled && seq <> !pos + 1 then
+      if validate && seq <> !pos + 1 then
         bad := Some (Printf.sprintf "forged seq %d at position %d" seq !pos)
-      else if !validation_enabled && (len <= 0 || len > max_msg t) then
+      else if validate && (len <= 0 || len > max_msg t) then
         bad := Some (Printf.sprintf "forged length %d at position %d" len !pos)
       else begin
         let nfrag = max 1 (slots_for t (max 1 len)) in
-        if !validation_enabled && !pos + nfrag > tl then
+        if validate && !pos + nfrag > tl then
           bad :=
             Some
               (Printf.sprintf "truncated message at position %d (%d slots)"
                  !pos nfrag)
         else begin
-          if !validation_enabled then
+          if validate then
             for j = 1 to nfrag - 1 do
               let coff = slot_off t (!pos + j) in
               let cseq = Region.read_i64 t.region coff in
@@ -212,7 +207,7 @@ let pending t = walk t
 
 let read_msg t pos len =
   let cap = frag_cap t in
-  if !validation_enabled then begin
+  if Defenses.on Ring_validation then begin
     (* Fragment-clamped copy: every read stays inside the ring no
        matter what the header claims (the walk already vetted [len]). *)
     let out = Bytes.create len in

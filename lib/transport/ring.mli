@@ -16,11 +16,6 @@
 
 type t
 
-val validation_enabled : bool ref
-(** Red-team toggle (shipping default [true]). Off: the consumer
-    trusts slot headers verbatim — forged lengths and stomped
-    sequence numbers flow straight into the drain path. *)
-
 val hdr_bytes : int
 
 val bytes_for : slots:int -> slot_bytes:int -> int

@@ -1125,57 +1125,6 @@ let test_sweep_rings () =
   done;
   print_tally "E" tally_e
 
-(* ---- Publish-last protocol is load-bearing (red/green) ------------- *)
-
-(* A tearable info breadcrumb exposes its internal sync point — the
-   window between payload write and commit stamp — as a kill site.
-   Under the shipping publish-last ordering, no kill site can leave a
-   head record that claims publication (sequence word stamped) but
-   fails validation; with the ordering reverted, the same sweep finds
-   exactly that torn head. The protocol, not luck, keeps the
-   post-mortem story readable. *)
-let torn_after ~publish_last ~at =
-  Telemetry.Flight.reset_backend ();
-  Telemetry.Flight.reset ();
-  Telemetry.Flight.publish_last_enabled := publish_last;
-  Fun.protect
-    ~finally:(fun () ->
-      Telemetry.Flight.publish_last_enabled := true;
-      Telemetry.Flight.reset ())
-    (fun () ->
-      let vm = Vm.create () in
-      Vm.set_crash_point vm ~filter:(fun n -> n = "w") ~at ();
-      ignore
-        (Vm.spawn vm ~name:"w" (fun () ->
-           Telemetry.Flight.record Telemetry.Flight.Op_dispatch ~a:3 ~b:1 ~c:7;
-           Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:2;
-           Vm.Sync.advance 10));
-      Vm.run vm;
-      let n = Vm.sync_points_seen vm in
-      (Vm.crashed vm, n, Telemetry.Flight.torn_lanes () <> []))
-
-let test_publish_last_protocol () =
-  let _, n, _ = torn_after ~publish_last:true ~at:max_int in
-  Alcotest.(check bool)
-    (Printf.sprintf "tearable records expose kill sites (%d)" n)
-    true (n >= 2);
-  (* Green: the shipping ordering never leaves a torn head. *)
-  for k = 0 to n - 1 do
-    let crashes, _, torn = torn_after ~publish_last:true ~at:k in
-    if crashes <> [] && torn then
-      Alcotest.fail
-        (Printf.sprintf "publish-last left a torn head record at site %d" k)
-  done;
-  (* Red: the reverted (sequence-first) ordering tears at some site. *)
-  let torn_somewhere = ref false in
-  for k = 0 to n - 1 do
-    let crashes, _, torn = torn_after ~publish_last:false ~at:k in
-    if crashes <> [] && torn then torn_somewhere := true
-  done;
-  Alcotest.(check bool)
-    "seq-first ordering leaves a torn head at some kill site" true
-    !torn_somewhere
-
 (* ---- Coverage floor (must run after the sweeps) -------------------- *)
 
 let test_coverage () =
@@ -1207,8 +1156,6 @@ let () =
           Alcotest.test_case "crash point beyond workload" `Quick
             test_crash_point_beyond_workload;
           Alcotest.test_case "recovery is conservative" `Quick
-            test_recovery_is_conservative;
-          Alcotest.test_case "publish-last protocol red/green" `Quick
-            test_publish_last_protocol ] );
+            test_recovery_is_conservative ] );
       ( "coverage",
         [ Alcotest.test_case "site floor" `Quick test_coverage ] ) ]

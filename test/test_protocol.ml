@@ -709,8 +709,7 @@ let test_ascii_hostile_lengths () =
    length reaches String.sub and detonates — the crash the fuzzer
    originally surfaced, kept as proof the fix is load-bearing. *)
 let test_ascii_negative_len_unhardened_crashes () =
-  parser_hardening := false;
-  Fun.protect ~finally:(fun () -> parser_hardening := true) @@ fun () ->
+  Defenses.with_off Parser_hardening @@ fun () ->
   match Ascii.parse_command "set k 0 0 -2\r\nxx\r\n" with
   | _ -> Alcotest.fail "expected the unhardened parser to crash"
   | exception Invalid_argument _ -> ()
@@ -732,8 +731,7 @@ let test_binary_oversize_value_framed () =
      Alcotest.(check int) "batch stays in sync" (String.length wire) used
    | _ -> Alcotest.fail "batch desynced after the oversize frame");
   (* unhardened, the bound simply does not exist *)
-  parser_hardening := false;
-  Fun.protect ~finally:(fun () -> parser_hardening := true) @@ fun () ->
+  Defenses.with_off Parser_hardening @@ fun () ->
   match Binary.parse_command frame with
   | Set p, _ ->
     Alcotest.(check int) "unhardened swallows the oversize value"

@@ -12,7 +12,6 @@
 module S = Redteam.Scenarios
 module M = Redteam.Matrix
 module F = Redteam.Fuzz
-module P = Mc_protocol.Types
 
 (* ---- The attack matrix ---------------------------------------------- *)
 
@@ -36,6 +35,31 @@ let test_attack_matrix () =
         Alcotest.failf "%s: attack breached the HARDENED stack: %s"
           r.M.scenario m)
     rows
+
+(* ---- Defenses as data ----------------------------------------------- *)
+
+(* A defense no scenario breaches is code the matrix cannot show to
+   matter: every member of [Defenses.all] must be some row's toggle. *)
+let test_every_defense_has_a_row () =
+  List.iter
+    (fun d ->
+      if not (List.exists (fun (s : S.t) -> s.S.toggle = Some d) S.all) then
+        Alcotest.failf "defense %s has no attack-matrix row"
+          (Defenses.name d))
+    Defenses.all
+
+let test_with_off_restores () =
+  let d = Defenses.Seccomp in
+  let check what want = Alcotest.(check bool) what want (Defenses.on d) in
+  Alcotest.check_raises "the raise escapes" (Failure "inside") (fun () ->
+    Defenses.with_off d (fun () -> failwith "inside"));
+  check "restored after a raise" true;
+  Defenses.with_off d (fun () ->
+    Defenses.with_off d (fun () -> check "off inside the inner scope" false);
+    check "inner exit keeps the outer scope off" false;
+    Alcotest.(check bool) "other defenses untouched" true
+      (Defenses.on Defenses.Gate_checks));
+  check "restored after nesting" true
 
 (* ---- Gadget-scan soundness (property) ------------------------------- *)
 
@@ -90,27 +114,6 @@ let qcheck_gadget_scan_soundness =
 
 (* ---- Fuzzer: red demonstration then the green campaign -------------- *)
 
-(* The canonical killer input from the unhardened era: a negative data
-   length that reaches String.sub. The corpus replays it; here we
-   revert the parser hardening and check the fuzzer's crash oracle
-   still catches it — proof the oracle is live, not vacuous. *)
-let killer_input = "set k0 0 0 -2\r\nxx\r\n"
-
-let test_fuzz_oracle_catches_unhardened_crash () =
-  P.parser_hardening := false;
-  Fun.protect ~finally:(fun () -> P.parser_hardening := true) @@ fun () ->
-  match F.run_input F.Ascii killer_input with
-  | [] -> Alcotest.fail "unhardened parser survived the negative length"
-  | fs ->
-    Alcotest.(check bool)
-      "failure is a crash" true
-      (List.exists (function F.Crash _ -> true | _ -> false) fs)
-
-let test_killer_input_hardened () =
-  Alcotest.(check (list string))
-    "hardened parser survives the killer input" []
-    (List.map F.failure_string (F.run_input F.Ascii killer_input))
-
 let seeds_cap () =
   match Sys.getenv_opt "REDTEAM_SEEDS" with
   | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 2)
@@ -143,10 +146,7 @@ let test_fuzz_tenant_campaign () =
    reverted, the forged prefix must actually reach the victim's value
    — proof the leak oracle bites. *)
 let test_fuzz_tenant_oracle_catches_unhardened_leak () =
-  Mc_core.Tenant.namespace_enforced := false;
-  Fun.protect
-    ~finally:(fun () -> Mc_core.Tenant.namespace_enforced := true)
-  @@ fun () ->
+  Defenses.with_off Tenant_namespace @@ fun () ->
   match F.run_input ~tenant:F.tenant_a F.Ascii "get tb/secret\r\n" with
   | [] ->
     Alcotest.fail
@@ -277,16 +277,18 @@ let test_hostile_flush_storm () =
 let () =
   Alcotest.run "redteam"
     [ ( "attack matrix",
-        [ Alcotest.test_case "18 scenarios, red then green" `Slow
-            test_attack_matrix ] );
+        [ Alcotest.test_case
+            (Printf.sprintf "%d scenarios, red then green" (List.length S.all))
+            `Slow test_attack_matrix ] );
+      ( "defenses",
+        [ Alcotest.test_case "every defense has a row" `Quick
+            test_every_defense_has_a_row;
+          Alcotest.test_case "with_off restores" `Quick
+            test_with_off_restores ] );
       ( "loader",
         [ QCheck_alcotest.to_alcotest qcheck_gadget_scan_soundness ] );
       ( "fuzz",
-        [ Alcotest.test_case "oracle catches the unhardened crash" `Quick
-            test_fuzz_oracle_catches_unhardened_crash;
-          Alcotest.test_case "killer input is harmless hardened" `Quick
-            test_killer_input_hardened;
-          Alcotest.test_case "seeded campaign (200+ cases/seed)" `Slow
+        [ Alcotest.test_case "seeded campaign (200+ cases/seed)" `Slow
             test_fuzz_campaign;
           Alcotest.test_case "tenant oracle catches the unhardened leak"
             `Quick test_fuzz_tenant_oracle_catches_unhardened_leak;

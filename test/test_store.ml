@@ -11,6 +11,9 @@ module Make_suite
     (Env : sig
        val name : string
        val fresh : ?cfg:Store.config -> unit -> M.t * A.t
+
+       val live_bytes : A.t -> int
+       (** Bytes held by allocated blocks, per-thread caches excluded. *)
      end) =
 struct
   module St = Store.Make (M) (A) (Platform.Real_sync)
@@ -274,6 +277,70 @@ struct
     St.set_lru_selector st None;
     check_sr "second set stored" true (St.set st "boom" "v" = Store.Stored)
 
+  (* A store and its footprint: the bytes its blocks hold and
+     [curr_items] — what a write that raises inside its commit hold
+     must leave as it found them. *)
+  let fresh_with_footprint () =
+    let mem, alloc = Env.fresh () in
+    let st = St.create ~mem ~alloc small_cfg in
+    (st, fun () -> (Env.live_bytes alloc, St.curr_items st))
+
+  let raises msg what (f : unit -> Store.store_result) =
+    Alcotest.check_raises what (Failure msg) (fun () -> ignore (f ()))
+
+  let check_footprint = Alcotest.(check (pair int int))
+
+  (* A quota charge that raises under the commit hold must not leak
+     the new item's block, on a fresh set or an append. *)
+  let test_raising_charge_frees_item () =
+    let st, footprint = fresh_with_footprint () in
+    let quota =
+      { Store.fits = (fun ~bytes:_ ~items:_ -> true);
+        charge = (fun ~bytes:_ ~items:_ -> failwith "charge") }
+    in
+    check_sr "seed" true (St.set st "keep" "v" = Store.Stored);
+    let before = footprint () in
+    raises "charge" "set" (fun () -> St.set st ~quota "k" "value");
+    check_footprint "set leaves the footprint" before (footprint ());
+    raises "charge" "append" (fun () -> St.append st ~quota "keep" "more");
+    check_footprint "append leaves the footprint" before (footprint ());
+    St.check_invariants st;
+    check_sr "later set stored" true (St.set st "k" "value" = Store.Stored)
+
+  (* An evict hook that raises while the commit's lookup reclaims an
+     expired item: the expired item goes and the new block is freed, so
+     the store ends as it was before the expired item was written. *)
+  let test_raising_evict_hook_frees_item () =
+    let st, footprint = fresh_with_footprint () in
+    check_sr "seed" true (St.set st "keep" "v" = Store.Stored);
+    let before = footprint () in
+    check_sr "expired write" true
+      (St.set st ~exptime:(-1) "k" "old" = Store.Stored);
+    St.set_evict_hook st (Some (fun ~key:_ ~bytes:_ -> failwith "hook"));
+    raises "hook" "set" (fun () -> St.set st "k" "new");
+    St.set_evict_hook st None;
+    check_footprint "only the expired item went" before (footprint ());
+    St.check_invariants st;
+    check_sr "later set stored" true (St.set st "k" "new" = Store.Stored)
+
+  (* The LRU choice comes before the quota charge: a selector that
+     raises books nothing against the tenant. *)
+  let test_raising_selector_charges_nothing () =
+    let st = fresh () in
+    let total = ref 0 in
+    let quota =
+      { Store.fits = (fun ~bytes:_ ~items:_ -> true);
+        charge = (fun ~bytes ~items:_ -> total := !total + bytes) }
+    in
+    check_sr "seed" true (St.set st "k" "v" = Store.Stored);
+    St.set_lru_selector st
+      (Some (fun k -> if k = "k" then failwith "selector" else None));
+    raises "selector" "set" (fun () -> St.set st ~quota "k" "value");
+    raises "selector" "append" (fun () -> St.append st ~quota "k" "more");
+    St.set_lru_selector st None;
+    Alcotest.(check int) "nothing charged" 0 !total;
+    St.check_invariants st
+
   let suite =
     [ Alcotest.test_case "set/get" `Quick test_set_get;
       Alcotest.test_case "cas monotonic" `Quick test_cas_monotonic;
@@ -294,7 +361,13 @@ struct
         test_many_keys_no_collision_confusion;
       QCheck_alcotest.to_alcotest qcheck_model;
       Alcotest.test_case "raise releases stripe" `Quick
-        test_raise_releases_stripe ]
+        test_raise_releases_stripe;
+      Alcotest.test_case "raising charge frees item" `Quick
+        test_raising_charge_frees_item;
+      Alcotest.test_case "raising hook frees item" `Quick
+        test_raising_evict_hook_frees_item;
+      Alcotest.test_case "raising selector no charge" `Quick
+        test_raising_selector_charges_nothing ]
 end
 
 module Private_env = struct
@@ -304,6 +377,8 @@ module Private_env = struct
     let arena = Mc_core.Private_memory.create ~limit:(64 lsl 20) in
     let slab = Mc_core.Slab.create ~arena ~mem_limit:(32 lsl 20) in
     (arena, slab)
+
+  let live_bytes = Mc_core.Slab.used_bytes
 end
 
 module Shared_env = struct
@@ -313,6 +388,11 @@ module Shared_env = struct
     let reg = Shm.Region.create ~name:"store-test" ~size:(32 lsl 20) ~pkey:0 () in
     let heap = Ralloc.create reg in
     (Mc_core.Shared_memory.of_region reg, Mc_core.Ralloc_alloc.of_heap heap)
+
+  let live_bytes a =
+    let heap = Mc_core.Ralloc_alloc.heap a in
+    Ralloc.flush_thread_cache heap;
+    Ralloc.used_bytes heap
 end
 
 module Private_suite =

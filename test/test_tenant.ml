@@ -114,8 +114,7 @@ let test_registry_quota_accounting () =
   Alcotest.(check (pair int int)) "clamped" (0, 0)
     (Tenant.bytes_used reg a, Tenant.items_used reg a);
   (* toggle off: quotas are advisory nothing *)
-  Tenant.quota_enforced := false;
-  Fun.protect ~finally:(fun () -> Tenant.quota_enforced := true) (fun () ->
+  Defenses.with_off Tenant_quota (fun () ->
     Alcotest.(check bool) "unenforced never exceeds" false
       (Tenant.would_exceed reg a ~add_bytes:10_000 ~add_items:100))
 

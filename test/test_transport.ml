@@ -438,15 +438,12 @@ let test_ring_validation_toggle () =
   let r, t = mk_ring () in
   Ring.produce t ~stamp:1 "aaaa";
   Region.write_i64 r (slot_off ~slot_bytes:64 ~slots:8 0) 99;
-  Fun.protect
-    ~finally:(fun () -> Ring.validation_enabled := true)
-    (fun () ->
-      Ring.validation_enabled := false;
-      match Ring.pending t with
-      | Ok (Some p) ->
-        Alcotest.(check int) "forgery walks right through" 1 p.Ring.p_msgs
-      | Ok None -> Alcotest.fail "pending message vanished"
-      | Error _ -> Alcotest.fail "unhardened walk must not validate")
+  Defenses.with_off Ring_validation @@ fun () ->
+  match Ring.pending t with
+  | Ok (Some p) ->
+    Alcotest.(check int) "forgery walks right through" 1 p.Ring.p_msgs
+  | Ok None -> Alcotest.fail "pending message vanished"
+  | Error _ -> Alcotest.fail "unhardened walk must not validate"
 
 let test_ring_recover_truncates_torn () =
   let r, t = mk_ring () in

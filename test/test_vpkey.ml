@@ -88,7 +88,7 @@ let test_bind_beyond_cap_evicts () =
 
 let test_exhaustion_without_eviction () =
   with_clean @@ fun () ->
-  Vpkey.eviction_enabled := false;
+  Defenses.with_off Vkey_eviction @@ fun () ->
   Vpkey.set_hw_cap 3;
   let vks = List.init 4 (fun _ -> Vpkey.alloc ()) in
   Region.kernel_mode (fun () ->
@@ -182,8 +182,8 @@ let test_owner_checks () =
     ignore (Vpkey.bind ~owner:1042 v);
     (* uid 0 is the kernel-side bypass *)
     ignore (Vpkey.bind ~owner:0 v));
-  Vpkey.owner_checks_enabled := false;
-  ignore (Region.kernel_mode (fun () -> Vpkey.bind ~owner:1043 v));
+  Defenses.with_off Vkey_owner_checks (fun () ->
+    ignore (Region.kernel_mode (fun () -> Vpkey.bind ~owner:1043 v)));
   Vpkey.check_invariants ()
 
 (* ---- the acceptance sweep: 64 tenants on 16 hardware keys ------------- *)
