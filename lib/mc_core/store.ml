@@ -1025,7 +1025,10 @@ struct
 
   (* ---- Retrieval -------------------------------------------------------------- *)
 
-  let locked_get t ~h ~now key =
+  (* [out] is set once the caller's result buffer has been malloc'd,
+     so a get that falls back here after an optimistic snapshot pays
+     [malloc_out] only once. *)
+  let locked_get t ~h ~now ~out key =
     let stripes = [ stripe_index t h ] in
     match
       with_stripes t ~stripes (fun () ->
@@ -1064,7 +1067,7 @@ struct
       with_stripes t ~stripes (fun () -> release t it);
       (* Copy out to the caller's buffer (the paper's second memcpy,
          into ordinary malloc'd memory). *)
-      adv CM.current.malloc_out;
+      if not !out then adv CM.current.malloc_out;
       adv (CM.memcpy_cost nbytes);
       stat t C.get_hits;
       Some { value; flags; cas }
@@ -1111,7 +1114,11 @@ struct
     in
     go (ldp t (bucket_of t h)) opt_probe_budget
 
-  let opt_attempt t ~h ~now key =
+  (* A hit copies the value once, straight into the caller's result
+     buffer [out] (malloc'd on the first snapshot of the get, reused by
+     its retries). A torn snapshot is discarded before the get returns,
+     and the library never reads the buffer back. *)
+  let opt_attempt t ~h ~now ~out key =
     let s = stripe_index t h in
     let v0 = seq_read t s in
     if v0 land 1 <> 0 then raise Conflict;
@@ -1131,6 +1138,10 @@ struct
            range check faults. *)
         if nbytes < 0 || nkey < 0 || nbytes > A.capacity t.alloc then
           raise Conflict;
+        if not !out then begin
+          adv CM.current.malloc_out;
+          out := true
+        end;
         adv (CM.memcpy_cost nbytes);
         let value =
           M.read_string t.mem ~off:(it + header_size + nkey) ~len:nbytes
@@ -1150,15 +1161,11 @@ struct
         if ol > 0 && itime <= ol then `Fallback
         else begin
           if not (moved_recently t itime) then `Fallback
-          else begin
-            adv CM.current.malloc_out;
-            adv (CM.memcpy_cost (String.length value));
-            `Hit { value; flags; cas }
-          end
+          else `Hit { value; flags; cas }
         end
       end
 
-  let optimistic_get t ~h ~now key =
+  let optimistic_get t ~h ~now ~out key =
     let module TC = Telemetry.Counters in
     let rec go tries =
       if tries <= 0 then begin
@@ -1166,7 +1173,7 @@ struct
         `Fallback
       end
       else
-        match opt_attempt t ~h ~now key with
+        match opt_attempt t ~h ~now ~out key with
         | `Hit r ->
           TC.incr TC.Id.opt_hits;
           `Hit r
@@ -1189,17 +1196,18 @@ struct
     adv CM.current.hash_op;
     let h = Hash.murmur3_32 key in
     let now = now_sec () in
+    let out = ref false in
     if (not t.cfg.optimistic_reads) || holds_stripe t (stripe_index t h) then
-      locked_get t ~h ~now key
+      locked_get t ~h ~now ~out key
     else
-      match optimistic_get t ~h ~now key with
+      match optimistic_get t ~h ~now ~out key with
       | `Hit r ->
         stat t C.get_hits;
         Some r
       | `Miss ->
         stat t C.get_misses;
         None
-      | `Fallback -> locked_get t ~h ~now key
+      | `Fallback -> locked_get t ~h ~now ~out key
 
   (* ---- Storage ------------------------------------------------------------------ *)
 

@@ -8,9 +8,18 @@ let sb_hdr = 128
 
 let root_slots = 64
 
+(* LRMalloc's (and jemalloc's) geometry: a 16 B quantum up to 128,
+   then four classes per doubling, each a quarter of the doubling's
+   base apart — 160, 192, 224, 256, 320, … 12288, 14336, 16384. A
+   block is never more than 25% larger than the request it serves
+   above 128 B. *)
 let size_classes =
-  [| 16; 24; 32; 48; 64; 96; 128; 192; 256; 384; 512; 768; 1024; 1536; 2048;
-     3072; 4096; 6144; 8192; 12288; 16384 |]
+  let quantum = 16 and tiny = 8 and doublings = 7 in
+  Array.init (tiny + (4 * doublings)) (fun i ->
+    if i < tiny then quantum * (i + 1)
+    else
+      let base = (quantum * tiny) lsl ((i - tiny) / 4) in
+      base + ((((i - tiny) mod 4) + 1) * (base / 4)))
 
 let n_classes = Array.length size_classes
 
@@ -29,8 +38,8 @@ let class_of_size size =
    0   magic              40  used_bytes (stored at flush)
    8   sb_size            48  free_sb_head (absolute sb offset, 0 none)
    16  sb_base            64  root pptrs       (64 x 8)
-   24  sb_count           576 class partial heads (32 x 8, absolute)
-   32  next_fresh_sb      832 end
+   24  sb_count           576 class partial heads (n_classes x 8,
+   32  next_fresh_sb          absolute; 864 end with 36 classes)
 
    Superblock header layout (offsets within the superblock):
 
@@ -43,7 +52,9 @@ let class_of_size size =
    48  bump_idx           96  prev_partial (absolute, 0 none)
    ------------------------------------------------------------------- *)
 
-let magic = 0x52414C4C4F433031 (* "RALLOC01" *)
+(* The class table is part of the on-heap format (superblock headers
+   record class indices), so a new table takes a new magic. *)
+let magic = 0x52414C4C4F433032 (* "RALLOC02" *)
 
 let off_magic = 0
 let off_sb_size = 8
@@ -55,7 +66,13 @@ let off_free_sb_head = 48
 let off_roots = 64
 let off_partial_heads = 576
 
+let partial_head_off c = off_partial_heads + (8 * c)
+
 let sb_base = 4096
+
+let () =
+  if off_partial_heads + (8 * n_classes) > sb_base then
+    failwith "Ralloc: class partial heads overrun the heap header"
 
 let f_kind = 0
 let f_class = 8
@@ -258,8 +275,8 @@ let create reg =
     for i = 0 to root_slots - 1 do
       wr t (off_roots + (8 * i)) 0
     done;
-    for c = 0 to 31 do
-      wr t (off_partial_heads + (8 * c)) 0
+    for c = 0 to n_classes - 1 do
+      wr t (partial_head_off c) 0
     done);
   t
 
@@ -321,8 +338,6 @@ let my_cache t : cache =
     c
 
 (* ---- Partial-list management (under the class lock) ------------------ *)
-
-let partial_head_off c = off_partial_heads + (8 * c)
 
 let push_partial t c sb =
   let head = rd t (partial_head_off c) in
@@ -751,7 +766,7 @@ let recover t ~live =
     wr t off_free_sb_head 0;
     List.iter (fun sb -> push_free_sb t sb) (List.rev !free_sbs);
     (* ...then the per-class partial lists, from scratch. *)
-    for c = 0 to 31 do
+    for c = 0 to n_classes - 1 do
       wr t (partial_head_off c) 0
     done;
     let i = ref 0 in

@@ -45,7 +45,8 @@ val create : Shm.Region.t -> t
 val attach : Shm.Region.t -> t
 (** Attach to an already-formatted heap (e.g. one reloaded from its
     backing file). Rebuilds the runtime state; in-heap state is taken
-    as found. *)
+    as found. Raises [Failure] when the region's magic is not this
+    format's (unformatted, or formatted under another class table). *)
 
 val region : t -> Shm.Region.t
 
@@ -155,6 +156,14 @@ type class_stat = {
 val class_stats : t -> class_stat array
 
 val size_classes : int array
+(** Block sizes of the small classes, ascending: LRMalloc's geometry,
+    a 16 B quantum up to 128 B (16, 32, … 128), then four classes per
+    doubling, a quarter of the doubling's base apart (160, 192, 224,
+    256, 320, … 12288, 14336, 16384) — 36 classes, the last equal to
+    {!max_small}. A request above 128 B gets a block less than 1.25
+    times its size. The table is part of the heap format: superblock
+    headers record class indices, and {!attach} refuses a heap
+    formatted under another table. *)
 
 val class_of_size : int -> int
 (** Index into {!size_classes} of the class serving [size];

@@ -397,13 +397,17 @@ let cfg_b =
   { Store.default_config with hashpower = 6; lock_count = 4; lru_count = 2;
     stats_slots = 2; evict_batch = 2 }
 
-(* Distinct 900-byte values overflow the 384 KiB heap, so sets race
-   eviction; expired items race the reaper. Any of the three workers
-   dies at site [at]. *)
+(* Distinct 900-byte values overflow the heap's one item superblock,
+   so sets race eviction; expired items race the reaper. Any of the
+   three workers dies at site [at]. The store's metadata and the small
+   items take five superblocks of their own (one per size class), so
+   448 KiB leaves exactly one for the 900-byte items; [refused] counts
+   the [big_sets] that found no room even after evicting. *)
 let run_b ?(cfg = cfg_b) ~at () =
   let vm = Vm.create ~sched_seed:77 ~preempt_jitter:60 () in
   Vm.set_crash_point vm ~filter:(fun n -> n.[0] = 'w') ~at ();
-  let reg = Shm.Region.create ~name:"crash-b" ~size:(384 lsl 10) ~pkey:0 () in
+  let reg = Shm.Region.create ~name:"crash-b" ~size:(448 lsl 10) ~pkey:0 () in
+  let big_sets = ref 0 and refused = ref 0 in
   let heap = Ralloc.create reg in
   let store_ref = ref None in
   ignore
@@ -420,7 +424,10 @@ let run_b ?(cfg = cfg_b) ~at () =
              let k = Printf.sprintf "t%d-%d" t !i in
              let prev = Printf.sprintf "t%d-%d" t (max 0 (!i - 2)) in
              (match !i mod 7 with
-              | 0 | 1 | 2 -> ignore (BSt.set st k (String.make 900 'x'))
+              | 0 | 1 | 2 ->
+                incr big_sets;
+                if BSt.set st k (String.make 900 'x') <> Store.Stored then
+                  incr refused
               | 3 -> ignore (BSt.set st ~exptime:1 k "soon-dead")
               | 4 -> ignore (BSt.get st prev)
               | 5 -> ignore (BSt.delete st prev)
@@ -459,18 +466,23 @@ let run_b ?(cfg = cfg_b) ~at () =
        | Some r when r.Store.value = "ok" -> ()
        | _ -> Alcotest.fail "post-recovery write not readable"));
   Vm.run vm2;
-  (crashes, n)
+  (crashes, n, (!refused, !big_sets))
 
 let sweep_b ?cfg ~sites () =
-  let crashes, n = run_b ?cfg ~at:max_int () in
+  let crashes, n, (refused, big_sets) = run_b ?cfg ~at:max_int () in
   check_crashes "count pass kills nobody" [] crashes;
+  Alcotest.(check bool)
+    (Printf.sprintf "count pass stores 900-byte sets (%d of %d refused)"
+       refused big_sets)
+    true
+    (refused * 100 < big_sets);
   Alcotest.(check bool)
     (Printf.sprintf "workload exposes enough kill sites (%d)" n)
     true (n >= sites);
   let m = min sites (cap ()) in
   for i = 0 to m - 1 do
     let k = i * n / m in
-    let crashes, _ = run_b ?cfg ~at:k () in
+    let crashes, _, _ = run_b ?cfg ~at:k () in
     (match crashes with
      | [ (name, k') ] when k' = k && name.[0] = 'w' -> ()
      | _ ->

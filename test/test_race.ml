@@ -170,12 +170,13 @@ let evictions_of st = stat_of st "evictions"
 
 let test_seed_sweep_mixed_workload () =
   (* ~100 distinct interleavings of a mixed workload under real memory
-     pressure (distinct 900-byte values overflow the 256 KiB region):
-     sets (some born expired), gets, deletes, counters, and an
-     explicit reaper, all racing eviction. *)
-  let total_evictions = ref 0 in
+     pressure (distinct 900-byte values overflow the one item
+     superblock the 448 KiB region leaves after the store's metadata
+     and the small items): sets (some born expired), gets, deletes,
+     counters, and an explicit reaper, all racing eviction. *)
+  let total_evictions = ref 0 and big_sets = ref 0 and refused = ref 0 in
   for seed = 0 to 99 do
-    run_seed ~seed ~heap_bytes:(384 lsl 10) ~cfg:sweep_cfg (fun st ->
+    run_seed ~seed ~heap_bytes:(448 lsl 10) ~cfg:sweep_cfg (fun st ->
       ignore (RSt.set st "ctr" "1");
       let worker t =
         LVm.spawn ~name:(Printf.sprintf "w%d" t) (fun () ->
@@ -183,7 +184,10 @@ let test_seed_sweep_mixed_workload () =
             let k = Printf.sprintf "t%d-%d" t i in
             let prev = Printf.sprintf "t%d-%d" t (max 0 (i - 2)) in
             (match i mod 7 with
-             | 0 | 1 | 2 -> ignore (RSt.set st k (String.make 900 'x'))
+             | 0 | 1 | 2 ->
+               incr big_sets;
+               if RSt.set st k (String.make 900 'x') <> Store.Stored then
+                 incr refused
              | 3 -> ignore (RSt.set st ~exptime:1 k "soon-dead")
              | 4 -> ignore (RSt.get st prev)
              | 5 -> ignore (RSt.delete st prev)
@@ -202,7 +206,14 @@ let test_seed_sweep_mixed_workload () =
       LVm.join reaper;
       total_evictions := !total_evictions + evictions_of st)
   done;
-  Alcotest.(check bool) "sweep exercised eviction" true (!total_evictions > 0)
+  Alcotest.(check bool) "sweep exercised eviction" true (!total_evictions > 0);
+  (* a racing set may find its room taken once in a while; a heap with
+     no room for the item class refuses them all *)
+  Alcotest.(check bool)
+    (Printf.sprintf "900-byte sets stored (%d of %d refused)" !refused
+       !big_sets)
+    true
+    (!refused * 100 < !big_sets)
 
 let test_seed_sweep_evict_vs_delete () =
   (* The regression the harness was built to catch: eviction collects

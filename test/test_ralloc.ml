@@ -18,6 +18,28 @@ let test_class_of_size () =
     (Array.length Ralloc.size_classes)
     (Ralloc.class_of_size (Ralloc.max_small + 1))
 
+(* Four classes per doubling above 128 B: no request wastes a quarter
+   of its block or more. *)
+let test_class_geometry () =
+  let classes = Ralloc.size_classes in
+  let n = Array.length classes in
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check int) (Printf.sprintf "class %d is a multiple of 16" c)
+        0 (c mod 16);
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "class %d above class %d" c classes.(i - 1))
+          true (c > classes.(i - 1)))
+    classes;
+  Alcotest.(check int) "the last class is max_small" Ralloc.max_small
+    classes.(n - 1);
+  for size = 129 to Ralloc.max_small do
+    let block = classes.(Ralloc.class_of_size size) in
+    if block < size || 4 * block >= 5 * size then
+      Alcotest.failf "size %d gets a %d B block" size block
+  done
+
 let test_alloc_separates_blocks () =
   let reg, h = fresh () in
   let a = Ralloc.alloc h 64 and b = Ralloc.alloc h 64 in
@@ -128,10 +150,58 @@ let test_recovery_scan () =
   let keep2 = Ralloc.get_root h2 0 in
   Alcotest.(check string) "data reachable after reattach" "survivor"
     (Region.read_string reg2 ~off:keep2 ~len:8);
-  Alcotest.(check int) "used bytes rescanned (one 256B block)" 256
+  Alcotest.(check int) "used bytes rescanned (one block)"
+    Ralloc.size_classes.(Ralloc.class_of_size 200)
     (Ralloc.used_bytes h2);
   Ralloc.check_invariants h2;
   Sys.remove path
+
+(* A reloaded image whose every class has a live block and a dead one:
+   recovery must rebuild all the partial lists, the last classes'
+   included, and keep every live block's bytes. *)
+let test_recover_every_class () =
+  let path = Filename.temp_file "heap" ".img" in
+  let reg, h = fresh () in
+  let classes = Array.to_list Ralloc.size_classes in
+  let live = List.map (fun sz -> (Ralloc.alloc h sz, sz)) classes in
+  List.iter (fun sz -> Ralloc.free h (Ralloc.alloc h sz)) classes;
+  List.iter
+    (fun (o, sz) -> Region.write_string reg ~off:o (Printf.sprintf "%06d" sz))
+    live;
+  Ralloc.flush h ~path;
+  let reg2 = Region.load ~path in
+  Sys.remove path;
+  let h2 = Ralloc.attach reg2 in
+  Ralloc.recover h2 ~live:(List.map fst live);
+  Ralloc.check_invariants h2;
+  Alcotest.(check int) "used bytes are the live blocks"
+    (List.fold_left ( + ) 0 classes)
+    (Ralloc.used_bytes h2);
+  List.iter
+    (fun (o, sz) ->
+      Alcotest.(check string) "live block kept" (Printf.sprintf "%06d" sz)
+        (Region.read_string reg2 ~off:o ~len:6))
+    live;
+  let again = List.map (Ralloc.alloc h2) classes in
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "a new block is not a live one" false
+        (List.mem_assoc o live))
+    again;
+  Ralloc.check_invariants h2
+
+(* An image formatted under the previous class table records other
+   class indices in its superblocks; attach must refuse it. *)
+let test_attach_rejects_old_magic () =
+  let path = Filename.temp_file "heap" ".img" in
+  let _, h = fresh () in
+  Ralloc.flush h ~path;
+  let reg = Region.load ~path in
+  Sys.remove path;
+  Region.write_i64 reg 0 0x52414C4C4F433031 (* "RALLOC01" *);
+  match Ralloc.attach reg with
+  | _ -> Alcotest.fail "expected magic failure"
+  | exception Failure _ -> ()
 
 let test_attach_rejects_unformatted () =
   let reg = Region.create ~name:"raw" ~size:(1 lsl 20) ~pkey:0 () in
@@ -349,6 +419,8 @@ let () =
   Alcotest.run "ralloc"
     [ ( "classes",
         [ Alcotest.test_case "class_of_size" `Quick test_class_of_size;
+          Alcotest.test_case "four classes per doubling" `Quick
+            test_class_geometry;
           Alcotest.test_case "blocks disjoint" `Quick
             test_alloc_separates_blocks;
           Alcotest.test_case "usable_size" `Quick test_usable_size ] );
@@ -381,6 +453,10 @@ let () =
         [ Alcotest.test_case "roots and pptr" `Quick test_roots_and_pptr;
           Alcotest.test_case "root bounds" `Quick test_root_id_bounds;
           Alcotest.test_case "recovery scan" `Quick test_recovery_scan;
+          Alcotest.test_case "recover every class" `Quick
+            test_recover_every_class;
           Alcotest.test_case "attach rejects raw region" `Quick
             test_attach_rejects_unformatted;
+          Alcotest.test_case "attach rejects the old format" `Quick
+            test_attach_rejects_old_magic;
           QCheck_alcotest.to_alcotest qcheck_pptr_position_independent ] ) ]

@@ -1103,6 +1103,84 @@ let test_overwrite_and_flush_all () =
     | Some r -> Alcotest.(check string) "set after flush" "v3" r.Store.value
     | None -> Alcotest.fail "hit expected")
 
+(* ---- Get copy costs ----------------------------------------------------
+   One thread in an unperturbed Vm, so the virtual clock charges
+   exactly the cost model. An optimistic hit copies the value once,
+   into the caller's buffer; a get pays [malloc_out] once, whichever
+   path serves it. *)
+
+let in_quiet_vm body =
+  let vm = Vm.create () in
+  let reg = Shm.Region.create ~name:"quiet-vm" ~size:(1 lsl 20) ~pkey:0 () in
+  let heap = Ralloc.create reg in
+  let result = ref None in
+  ignore
+    (Vm.spawn vm ~name:"main" (fun () ->
+       result :=
+         Some
+           (body
+              (VSt.create
+                 ~mem:(Mc_core.Shared_memory.of_region reg)
+                 ~alloc:(Mc_core.Ralloc_alloc.of_heap heap)
+                 replace_cfg))));
+  Vm.run ~raise_on_failure:true vm;
+  Option.get !result
+
+(* The virtual time one get of [key] takes, and how many of the
+   counter [id]'s events it recorded. *)
+let timed_get st key id =
+  let module C = Telemetry.Counters in
+  let c0 = C.read id and t0 = Vm.Sync.now_ns () in
+  let hit = VSt.get st key <> None in
+  (hit, Vm.Sync.now_ns () - t0, C.read id - c0)
+
+let copy_delta = Platform.Cost_model.(memcpy_cost 5120 - memcpy_cost 128)
+
+let check_path name (hit, _, n) =
+  Alcotest.(check bool) "hit" true hit;
+  Alcotest.(check int) name 1 n
+
+let ns (_, t, _) = t
+
+let test_optimistic_hit_copies_once () =
+  let small, large =
+    in_quiet_vm (fun st ->
+      let hit n =
+        ignore (VSt.set st "k" (String.make n 'v'));
+        timed_get st "k" Telemetry.Counters.Id.opt_hits
+      in
+      let small = hit 128 in
+      (small, hit 5120))
+  in
+  check_path "an optimistic hit" small;
+  check_path "an optimistic hit" large;
+  Alcotest.(check int) "one copy of the difference" copy_delta
+    (ns large - ns small)
+
+let test_fallback_hit_pays_malloc_once () =
+  let module CM = Platform.Cost_model in
+  let malloc_out = CM.current.malloc_out in
+  let small, large, dearer =
+    Fun.protect ~finally:(fun () -> CM.current.malloc_out <- malloc_out)
+    @@ fun () ->
+    in_quiet_vm (fun st ->
+      (* past the interval the snapshot sees an LRU bump due and hands
+         the get to the locked path *)
+      let fallback n =
+        ignore (VSt.set st "k" (String.make n 'v'));
+        past_interval ();
+        timed_get st "k" Telemetry.Counters.Id.opt_fallbacks
+      in
+      let small = fallback 128 in
+      let large = fallback 5120 in
+      CM.current.malloc_out <- malloc_out + 1000;
+      (small, large, fallback 5120))
+  in
+  List.iter (check_path "a fallback") [ small; large; dearer ];
+  Alcotest.(check int) "the discarded snapshot plus the locked two copies"
+    (3 * copy_delta) (ns large - ns small);
+  Alcotest.(check int) "malloc_out charged once" 1000 (ns dearer - ns large)
+
 (* ---- Eviction passes --------------------------------------------------
    One list and eight-item passes: a pass takes the list's eight
    coldest items off its tail in one cut, or one by one when a tenant
@@ -1253,7 +1331,11 @@ let () =
           Alcotest.test_case "seeded flush vs optimistic get" `Quick
             test_seeded_flush_vs_optimistic_get;
           Alcotest.test_case "seeded torn-triple hammer" `Quick
-            test_seeded_optimistic_torn_triple ] );
+            test_seeded_optimistic_torn_triple;
+          Alcotest.test_case "optimistic hit copies once" `Quick
+            test_optimistic_hit_copies_once;
+          Alcotest.test_case "fallback hit pays malloc_out once" `Quick
+            test_fallback_hit_pays_malloc_once ] );
       ( "edge cases",
         [ Alcotest.test_case "zero-length value" `Quick test_zero_length_value;
           Alcotest.test_case "relative expiry" `Quick
