@@ -41,11 +41,12 @@ let root_telemetry = 1
     it live) rather than resetting it — the SIFT semantics DESIGN.md
     documents. *)
 
-let root_arena = 2
-(** Persistent root id anchoring the bump-arena hot tier: a pptr cell
-    pointing at the newest 1 MiB arena region, whose directory chains
-    to the older ones. Recovery walks the chain from here, so arena
-    regions survive client crashes like everything else in the heap. *)
+let root_retired_arena = 2
+(** Persistent root id that anchored a bump-allocation tier in heap
+    images written before every small item went to Ralloc's size
+    classes. Such an image keeps small items inside the tier's regions,
+    which Ralloc cannot free one by one, so {!Make.restart} refuses any
+    image that sets it. The id stays reserved. *)
 
 let root_tenants = 3
 (** Persistent root id anchoring the tenant registry block
@@ -101,7 +102,6 @@ module Make (S : Platform.Sync_intf.S) = struct
     lib : Hodor.Library.t;
     region : Region.t;
     heap : Ralloc.t;
-    arena : Mc_core.Bump_arena.t;
     store : Store.t;
     tenants : Tenant.t;
     (* Per-tenant "vaults": one vkey-tagged page each, the visible
@@ -248,16 +248,14 @@ module Make (S : Platform.Sync_intf.S) = struct
     Telemetry.Forensics.render ~tenant_name (forensics t)
 
   (* This handle's `stats` surfaces, for its own batches and for the
-     servers it starts: `stats heap` maps the allocator plus the hot
-     tier's and the store's slab accounting, `stats forensics` serves
+     servers it starts: `stats heap` maps the allocator plus the
+     store's slab accounting, `stats forensics` serves
      {!forensics}, and `stats settings` adds the registry's size. *)
   let surfaces t =
     { Ex.heap =
         (fun () ->
           Region.kernel_mode (fun () ->
-            Ralloc.heap_kvs t.heap
-            @ Mc_core.Bump_arena.stats_kvs t.arena
-            @ Store.stats_slabs t.store));
+            Ralloc.heap_kvs t.heap @ Store.stats_slabs t.store));
       forensics = (fun () -> Telemetry.Forensics.kvs (forensics t));
       settings =
         (fun () ->
@@ -266,9 +264,9 @@ module Make (S : Platform.Sync_intf.S) = struct
               ("tenants_max", string_of_int (Tenant.max_tenants t.tenants)) ]));
       rings = (fun () -> []) }
 
-  let build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner =
+  let build_handle ~lib ~region ~heap ~store ~tenants ~path ~owner =
     let rec t =
-      { lib; region; heap; arena; store; tenants;
+      { lib; region; heap; store; tenants;
         vaults = Hashtbl.create 8; path; owner;
         stop_cleaner = Atomic.make false; cleaner = None;
         last_forensics = None; surfaces = lazy (surfaces t) }
@@ -292,17 +290,8 @@ module Make (S : Platform.Sync_intf.S) = struct
     Hodor.Library.set_recover lib (fun () ->
       Region.kernel_mode (fun () ->
         let live = Store.recover t.store in
-        (* Items served by the bump arena live {e inside} its 1 MiB
-           regions; the heap's recovery keeps those whole regions alive
-           through the chain heads (and would reject interior offsets),
-           so arena residents are peeled off and recovered by the
-           arena's own sweep afterwards. *)
-        let arena_live, live =
-          List.partition (Mc_core.Bump_arena.owns t.arena) live
-        in
-        let live = Mc_core.Bump_arena.recovery_roots t.arena @ live in
         (* Each block under its own persistent root stays whole: the
-           Figure-3 cell and the arena anchor; the telemetry block and
+           Figure-3 cell; the telemetry block and
            the tenant registry, sifted rather than reset (monotone
            counters; durable membership, quotas and vkey ids); and the
            flight recorder, whose last breadcrumbs are the evidence the
@@ -312,8 +301,7 @@ module Make (S : Platform.Sync_intf.S) = struct
             (fun live root ->
               match Ralloc.get_root t.heap root with 0 -> live | b -> b :: live)
             live
-            [ root_primary; root_telemetry; root_arena; root_tenants;
-              root_flight ]
+            [ root_primary; root_telemetry; root_tenants; root_flight ]
         in
         (* Ring pairs of live connections stay carved; each ring then
            runs its own recovery protocol — acked completions survive,
@@ -340,7 +328,6 @@ module Make (S : Platform.Sync_intf.S) = struct
             !live
         in
         Ralloc.recover t.heap ~live;
-        Mc_core.Bump_arena.recover t.arena ~live:arena_live;
         (* Rebuild the volatile tenant state from durable truth:
            re-create each tenant's vkey in the slot table, then
            recompute usage by walking the recovered store — the
@@ -444,16 +431,12 @@ module Make (S : Platform.Sync_intf.S) = struct
     Hodor.Library.protect_region lib region;
     Simos.Sim_fs.create_file ~path ~owner:(Process.uid owner) ~mode:0o600 region;
     let heap = Ralloc.create region in
-    let arena, store, tenants =
+    let store, tenants =
       Region.kernel_mode (fun () ->
-        let anchor = Ralloc.alloc heap 16 in
-        Ralloc.Pptr.store region ~at:anchor 0;
-        Ralloc.set_root heap root_arena anchor;
-        let arena = Mc_core.Bump_arena.create ~heap ~anchor () in
         let store =
           Store.create
             ~mem:(Mc_core.Shared_memory.of_region region)
-            ~alloc:(Mc_core.Ralloc_alloc.of_heap_with_arena heap arena)
+            ~alloc:(Mc_core.Ralloc_alloc.of_heap heap)
             store_cfg
         in
         (* Figure 3: root -> cell -> control block, so the block could
@@ -464,45 +447,39 @@ module Make (S : Platform.Sync_intf.S) = struct
         let tblock = Ralloc.alloc heap (Tenant.size_for ~max:max_tenants) in
         let tenants = Tenant.format region ~base:tblock ~max:max_tenants in
         Ralloc.set_root heap root_tenants tblock;
-        (arena, store, tenants))
+        (store, tenants))
     in
-    build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner
+    build_handle ~lib ~region ~heap ~store ~tenants ~path ~owner
 
   (* Restart: map the flushed heap file and find the store through the
      persistent root. No data-rebuilding code exists — that is the
-     paper's point (§6). *)
+     paper's point (§6). An image from the bump-tier days is refused
+     before anything is registered for it. *)
   let restart ?(protection = Protected) ?(copy_args = false)
       ?(store_cfg = Mc_core.Store.default_config) ~disk_path ~path
       ~(owner : Process.t) () =
     let region = Region.load ~path:disk_path in
+    let heap = Ralloc.attach region in
+    if Region.kernel_mode (fun () -> Ralloc.get_root heap root_retired_arena) <> 0
+    then
+      failwith
+        "restart: heap image keeps small items in a bump-allocation tier, \
+         which this allocator cannot free";
     let lib =
       Hodor.Library.create ~protection ~copy_args ~name:("libmemcached:" ^ path)
         ~owner_uid:(Process.uid owner) ()
     in
     Hodor.Library.protect_region lib region;
     Simos.Sim_fs.create_file ~path ~owner:(Process.uid owner) ~mode:0o600 region;
-    let heap = Ralloc.attach region in
-    let arena, store, tenants =
+    let store, tenants =
       Region.kernel_mode (fun () ->
-        let anchor =
-          (* Heaps flushed before the hot tier existed have no arena
-             root; give them an empty chain to grow from. *)
-          match Ralloc.get_root heap root_arena with
-          | 0 ->
-            let cell = Ralloc.alloc heap 16 in
-            Ralloc.Pptr.store region ~at:cell 0;
-            Ralloc.set_root heap root_arena cell;
-            cell
-          | cell -> cell
-        in
-        let arena = Mc_core.Bump_arena.create ~heap ~anchor () in
         let cell = Ralloc.get_root heap root_primary in
         if cell = 0 then failwith "restart: no store rooted in this heap";
         let ctrl = Ralloc.Pptr.load region ~at:cell in
         let store =
           Store.attach
             ~mem:(Mc_core.Shared_memory.of_region region)
-            ~alloc:(Mc_core.Ralloc_alloc.of_heap_with_arena heap arena)
+            ~alloc:(Mc_core.Ralloc_alloc.of_heap heap)
             store_cfg ~ctrl
         in
         let tenants =
@@ -517,9 +494,9 @@ module Make (S : Platform.Sync_intf.S) = struct
             reg
           | tblock -> Tenant.attach region ~base:tblock
         in
-        (arena, store, tenants))
+        (store, tenants))
     in
-    build_handle ~lib ~region ~heap ~arena ~store ~tenants ~path ~owner
+    build_handle ~lib ~region ~heap ~store ~tenants ~path ~owner
 
   (* A client process links the library: the loader performs the euid
      dance to open the store file on the client's behalf (§3.3). *)
@@ -535,8 +512,6 @@ module Make (S : Platform.Sync_intf.S) = struct
   let store t = t.store
 
   let heap t = t.heap
-
-  let arena t = t.arena
 
   let region t = t.region
 

@@ -39,19 +39,15 @@ end
 module type ALLOCATOR = sig
   type t
 
-  val alloc : t -> int -> int
+  val alloc : t -> int -> int * int
   (** Offset of a block of at least the requested size, or [0] when
-      storage is exhausted (the store then evicts and retries). *)
+      storage is exhausted (the store then evicts and retries), with
+      the modeled CPU cost (ns) of the path that served it. The store
+      charges that cost to the virtual clock after the call. *)
 
   val free : t -> int -> unit
 
   val usable_size : t -> int -> int
-
-  val alloc_ns : t -> int -> int
-  (** Modeled CPU cost (ns) of allocating [size] bytes, charged by the
-      store around {!alloc}. Lets an allocator with a cheaper fast
-      path (the bump-arena hot tier) price it into the virtual-time
-      benchmarks. *)
 
   val used_bytes : t -> int
 

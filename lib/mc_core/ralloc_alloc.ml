@@ -1,47 +1,24 @@
 (** {!Memory_intf.ALLOCATOR} over a Ralloc heap: the protected-library
-    store's allocator. Optionally fronted by a {!Bump_arena} hot tier
-    that serves small items with a per-thread pointer bump, keeping
-    Ralloc's size-class machinery off the hot set path. *)
+    store's allocator. An allocation is priced by the path that served
+    it: a pop from the calling thread's cache is a pointer pop, and
+    only a refill or a large block pays for shared allocator state. *)
 
-type t = { heap : Ralloc.t; arena : Bump_arena.t option }
+type t = { heap : Ralloc.t }
 
-let of_heap h = { heap = h; arena = None }
-
-let of_heap_with_arena h a = { heap = h; arena = Some a }
+let of_heap h = { heap = h }
 
 let heap t = t.heap
 
-let arena t = t.arena
-
-let heap_alloc t size =
-  match Ralloc.alloc t.heap size with
-  | off -> off
-  | exception Ralloc.Out_of_heap -> 0
-
 let alloc t size =
-  match t.arena with
-  | Some a when size <= Bump_arena.hot_max ->
-    (* The tier declines (returns 0) when the heap cannot spare it a
-       region; such requests fall through to the size classes. *)
-    let off = Bump_arena.alloc a size in
-    if off <> 0 then off else heap_alloc t size
-  | _ -> heap_alloc t size
+  let module CM = Platform.Cost_model in
+  match Ralloc.alloc_path t.heap size with
+  | off, Ralloc.Cache -> (off, CM.current.alloc_cache_pop)
+  | off, (Ralloc.Refill | Ralloc.Large) -> (off, CM.alloc_cost size)
+  | exception Ralloc.Out_of_heap -> (0, CM.alloc_cost size)
 
-let free t off =
-  match t.arena with
-  | Some a when Bump_arena.owns a off -> Bump_arena.free a off
-  | _ -> Ralloc.free t.heap off
+let free t off = Ralloc.free t.heap off
 
-let usable_size t off =
-  match t.arena with
-  | Some a when Bump_arena.owns a off -> Bump_arena.usable_size a off
-  | _ -> Ralloc.usable_size t.heap off
-
-let alloc_ns t size =
-  match t.arena with
-  | Some _ when size <= Bump_arena.hot_max ->
-    Platform.Cost_model.current.alloc_bump
-  | _ -> Platform.Cost_model.alloc_cost size
+let usable_size t off = Ralloc.usable_size t.heap off
 
 let used_bytes t = Ralloc.used_bytes t.heap
 
@@ -60,4 +37,3 @@ let class_kvs (t : t) =
          (c ^ ":free_chunks",
           string_of_int (s.Ralloc.cs_free_blocks + s.Ralloc.cs_cached_blocks))
        ]))
-  @ (match t.arena with Some a -> Bump_arena.stats_kvs a | None -> [])

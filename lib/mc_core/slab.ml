@@ -101,7 +101,7 @@ let big_alloc t size =
     off
   end
 
-let alloc t size =
+let alloc_block t size =
   let c = class_of_size size in
   if c < 0 then begin
     Mutex.lock t.lock;
@@ -163,7 +163,9 @@ let free t off =
     invalid_arg "Slab.free: offset not in any slab page"
   end
 
-let alloc_ns _t size = Platform.Cost_model.alloc_cost size
+let alloc t size =
+  let off = alloc_block t size in
+  (off, Platform.Cost_model.alloc_cost size)
 
 let usable_size t off =
   let c = t.page_class.(page_of_off off) in

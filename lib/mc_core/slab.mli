@@ -17,13 +17,13 @@ val class_of_size : int -> int
 
 val create : arena:Private_memory.t -> mem_limit:int -> t
 
-val alloc : t -> int -> int
+val alloc : t -> int -> int * int
 (** Arena offset of a chunk (or page run, for sizes beyond the largest
-    class), or [0] when [mem_limit] is reached. *)
+    class), or [0] when [mem_limit] is reached, with its modeled cost:
+    {!Platform.Cost_model.alloc_cost} on every path, since every slab
+    allocation takes the one lock. *)
 
 val free : t -> int -> unit
-
-val alloc_ns : t -> int -> int
 
 val usable_size : t -> int -> int
 

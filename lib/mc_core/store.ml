@@ -259,7 +259,7 @@ struct
   (* ---- Construction -------------------------------------------------- *)
 
   let alloc_exn alloc size what =
-    let off = A.alloc alloc size in
+    let off, _ = A.alloc alloc size in
     if off = 0 then failwith ("Store: no memory for " ^ what);
     off
 
@@ -550,11 +550,14 @@ struct
      could not represent it). *)
   let expired_fields ~exptime ~now = exptime < 0 || (exptime > 0 && exptime <= now)
 
+  (* Killed by the flush_all watermark: stamped no later than it. *)
+  let flushed t ~itime =
+    let ol = rd64 t (t.ctrl + ctl_oldest_live) in
+    ol > 0 && itime <= ol
+
   let expired t it ~now =
     expired_fields ~exptime:(rd32 t (it + it_exptime)) ~now
-    ||
-    let ol = rd64 t (t.ctrl + ctl_oldest_live) in
-    ol > 0 && rd64 t (it + it_time) <= ol
+    || flushed t ~itime:(rd64 t (it + it_time))
 
   (* Walk the chain for [key]; probing costs are charged per node.
      Returns the chain link that points at the item (the bucket slot or
@@ -930,7 +933,7 @@ struct
         let old_hp = t.cfg.hashpower in
         let new_hp = old_hp + 1 in
         let nbuckets = 1 lsl new_hp in
-        let nb = A.alloc t.alloc (8 * nbuckets) in
+        let nb, _ = A.alloc t.alloc (8 * nbuckets) in
         if nb = 0 then false
         else begin
           adv (CM.alloc_cost (8 * nbuckets));
@@ -975,11 +978,10 @@ struct
 
   let alloc_item t total ~h =
     let rec go attempts =
-      let off = A.alloc t.alloc total in
-      (* Allocator-priced: the bump-arena hot tier makes small-item
-         allocation a pointer increment, and the set path should see
-         that in virtual time too. *)
-      adv (A.alloc_ns t.alloc total);
+      (* Priced by the path that served the block: a pop from this
+         thread's cache is a pointer pop, a refill is not. *)
+      let off, ns = A.alloc t.alloc total in
+      adv ns;
       if off <> 0 then off
       else if attempts = 0 then 0
       else if evict_some t ~hint:(h mod t.cfg.lru_count) = 0 then 0
@@ -1080,16 +1082,17 @@ struct
      caught (bounded probes, [Invalid_argument] from the range checks,
      {!Ralloc.Use_after_free}) and classified as a conflict. A
      snapshot only counts if the version word is even before and
-     unchanged after; what it then *means* is decided from the
-     validated fields alone:
+     unchanged after; what it *means* is decided from the header
+     fields, which the same version check validates, before any value
+     is copied:
      - expired (or killed by the flush_all watermark) → fall back, the
        locked path owns the unlink side effect;
      - LRU bump due → fall back, the bump needs the stripe;
-     - otherwise → a hit that never touched a lock.
-     The watermark is re-read *after* validation: it is monotonic, so
-     the check covers any flush_all that completed before the snapshot
-     was validated — an optimistic get can never return an item a
-     completed flush_all logically killed. *)
+     - otherwise → copy the value: a hit that never touched a lock.
+     A hit re-reads the watermark *after* validation: it is monotonic,
+     so the check covers any flush_all that completed before the
+     snapshot was validated — an optimistic get can never return an
+     item a completed flush_all logically killed. *)
 
   exception Conflict
 
@@ -1114,25 +1117,36 @@ struct
     in
     go (ldp t (bucket_of t h)) opt_probe_budget
 
-  (* A hit copies the value once, straight into the caller's result
-     buffer [out] (malloc'd on the first snapshot of the get, reused by
-     its retries). A torn snapshot is discarded before the get returns,
-     and the library never reads the buffer back. *)
+  (* The header alone decides a fallback, so only a hit copies: once,
+     straight into the caller's result buffer [out] (malloc'd on the
+     first snapshot of the get, reused by its retries). A torn snapshot
+     is discarded before the get returns, and the library never reads
+     the buffer back. *)
   let opt_attempt t ~h ~now ~out key =
     let s = stripe_index t h in
     let v0 = seq_read t s in
     if v0 land 1 <> 0 then raise Conflict;
+    (* Everything read so far is consistent as of [v0]. *)
+    let validated outcome =
+      if seq_read t s <> v0 then raise Conflict else outcome
+    in
     let it = opt_find t h key in
-    let outcome =
-      if it = 0 then `Miss
+    if it = 0 then validated `Miss
+    else begin
+      let state = rd32 t (it + it_state) in
+      let flags = rd32 t (it + it_flags) in
+      let cas = rd64r t (it + it_cas) in
+      let exptime = rd32 t (it + it_exptime) in
+      let itime = rd64 t (it + it_time) in
+      let nkey = rd32 t (it + it_nkey) in
+      let nbytes = rd32 t (it + it_nbytes) in
+      if state land state_linked = 0 then raise Conflict;
+      if
+        expired_fields ~exptime ~now
+        || flushed t ~itime
+        || not (moved_recently t itime)
+      then validated `Fallback
       else begin
-        let state = rd32 t (it + it_state) in
-        let flags = rd32 t (it + it_flags) in
-        let cas = rd64r t (it + it_cas) in
-        let exptime = rd32 t (it + it_exptime) in
-        let itime = rd64 t (it + it_time) in
-        let nkey = rd32 t (it + it_nkey) in
-        let nbytes = rd32 t (it + it_nbytes) in
         (* Bound before charging copy cost: a torn length would
            otherwise advance the virtual clock absurdly before the
            range check faults. *)
@@ -1146,24 +1160,12 @@ struct
         let value =
           M.read_string t.mem ~off:(it + header_size + nkey) ~len:nbytes
         in
-        if state land state_linked = 0 then raise Conflict;
-        `Snap (value, flags, cas, exptime, itime)
+        let hit = validated (`Hit { value; flags; cas }) in
+        (* The watermark again, after validation: a flush_all that
+           completed before the snapshot was validated kills the hit. *)
+        if flushed t ~itime then `Fallback else hit
       end
-    in
-    if seq_read t s <> v0 then raise Conflict;
-    (* The snapshot is consistent as of [v0]; interpret it. *)
-    match outcome with
-    | `Miss -> `Miss
-    | `Snap (value, flags, cas, exptime, itime) ->
-      if expired_fields ~exptime ~now then `Fallback
-      else begin
-        let ol = rd64 t (t.ctrl + ctl_oldest_live) in
-        if ol > 0 && itime <= ol then `Fallback
-        else begin
-          if not (moved_recently t itime) then `Fallback
-          else `Hit { value; flags; cas }
-        end
-      end
+    end
 
   let optimistic_get t ~h ~now ~out key =
     let module TC = Telemetry.Counters in

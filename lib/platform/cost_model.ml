@@ -38,11 +38,14 @@ type t = {
   mutable bucket_probe : int;      (** one chain-node visit *)
   mutable key_cmp_per_16b : int;   (** key comparison, per 16 bytes *)
   mutable memcpy_per_256b : int;   (** bulk copy, per 256 bytes *)
-  mutable alloc_small : int;       (** allocator fast path *)
+  mutable alloc_small : int;
+  (** an allocation that touches shared allocator state: a size-class
+      refill from the partial list or a fresh superblock, a large
+      block, or any slab allocation *)
   mutable alloc_per_kb : int;      (** extra per KB for large blocks *)
-  mutable alloc_bump : int;
-  (** bump-arena hot-tier allocation: one pointer increment in a
-      thread-private block, no size-class or freelist traffic *)
+  mutable alloc_cache_pop : int;
+  (** an allocation served from the calling thread's own cache: one
+      pointer pop, no lock and no shared freelist traffic *)
   mutable malloc_out : int;   (** libc malloc of the caller's result buffer *)
   mutable free_cost : int;
   mutable lock_uncontended : int;  (** acquire+release, no contention *)
@@ -92,7 +95,7 @@ let default () = {
   memcpy_per_256b = 9;
   alloc_small = 520;
   alloc_per_kb = 24;
-  alloc_bump = 60;
+  alloc_cache_pop = 60;
   malloc_out = 140;
   free_cost = 35;
   lock_uncontended = 18;
@@ -131,7 +134,7 @@ let reset () =
   current.memcpy_per_256b <- d.memcpy_per_256b;
   current.alloc_small <- d.alloc_small;
   current.alloc_per_kb <- d.alloc_per_kb;
-  current.alloc_bump <- d.alloc_bump;
+  current.alloc_cache_pop <- d.alloc_cache_pop;
   current.malloc_out <- d.malloc_out;
   current.free_cost <- d.free_cost;
   current.lock_uncontended <- d.lock_uncontended;

@@ -231,14 +231,6 @@ let unpoison_alloc t off len =
         (Bytes.get_uint8 bm (g / 8) land lnot (1 lsl (g mod 8)))
     done
 
-(* Exposed for satellite allocators (the bump arena) that carve their
-   own objects out of Ralloc large blocks: they keep use-after-free
-   detection alive by marking freed object spans and clearing spans
-   they hand out, with the same granule discipline as free/alloc. *)
-let poison_mark t ~off ~len = poison_free t off len
-
-let poison_clear t ~off ~len = unpoison_alloc t off len
-
 let poison_guard reg ~off ~len =
   if Atomic.get n_poisoning > 0 then
     (* Racy read of the runtimes list is fine: it is an immutable list
@@ -540,7 +532,9 @@ let alloc_large t size =
 
 (* ---- Public alloc/free -------------------------------------------------- *)
 
-let alloc t size =
+type path = Cache | Refill | Large
+
+let alloc_path t size =
   if size <= 0 then invalid_arg "Ralloc.alloc: size must be positive";
   Telemetry.Counters.incr Telemetry.Counters.Id.alloc_calls;
   Telemetry.Counters.add ~n:size Telemetry.Counters.Id.alloc_bytes;
@@ -548,24 +542,28 @@ let alloc t size =
   if size > max_small then begin
     let off = alloc_large t size in
     Telemetry.Flight.record Telemetry.Flight.Alloc_large ~a:size ~b:off;
-    off
+    (off, Large)
   end
   else begin
     let c = class_of_size size in
     let cache = (my_cache t).(c) in
-    match !cache with
-    | off :: rest ->
-      cache := rest;
-      unpoison_alloc t off size_classes.(c);
-      off
-    | [] ->
-      (match refill_class t c cache_refill with
-       | [] -> raise Out_of_heap
-       | off :: rest ->
-         cache := rest;
-         unpoison_alloc t off size_classes.(c);
-         off)
+    let off, path =
+      match !cache with
+      | off :: rest ->
+        cache := rest;
+        (off, Cache)
+      | [] ->
+        (match refill_class t c cache_refill with
+         | [] -> raise Out_of_heap
+         | off :: rest ->
+           cache := rest;
+           (off, Refill))
+    in
+    unpoison_alloc t off size_classes.(c);
+    (off, path)
   end
+
+let alloc t size = fst (alloc_path t size)
 
 (* Return one block to its superblock; caller holds the class lock. *)
 let return_block t c sb off =

@@ -55,6 +55,17 @@ val alloc : t -> int -> int
     [size] bytes. Raises {!Out_of_heap} when the heap cannot satisfy
     the request; the store evicts and retries. *)
 
+type path =
+  | Cache  (** popped from the calling thread's cache of the class *)
+  | Refill
+      (** the cache was empty: refilled under the class lock from the
+          class's partial list or a fresh superblock *)
+  | Large  (** a run of whole superblocks, under the superblock lock *)
+
+val alloc_path : t -> int -> int * path
+(** {!alloc}, also saying which path served the block, so a caller
+    can price a thread-cache pop apart from shared-list traffic. *)
+
 val free : t -> int -> unit
 (** Return a block. The block's size is recovered from its superblock
     header, as in C [free]. *)
@@ -125,16 +136,6 @@ val set_poisoning : t -> bool -> unit
     granule. Off by default; costs nothing while off. *)
 
 val poisoning : t -> bool
-
-val poison_mark : t -> off:int -> len:int -> unit
-(** Record (and 0xDE-fill) a span as dead in the poison bitmap, as
-    {!free} does for whole blocks. No-op with poisoning off. Used by
-    allocators layered over Ralloc (the bump arena) whose objects are
-    interior to Ralloc blocks. *)
-
-val poison_clear : t -> off:int -> len:int -> unit
-(** Clear poison marks over a span being handed out, as {!alloc}
-    does. No-op with poisoning off. *)
 
 val poison_guard : Shm.Region.t -> off:int -> len:int -> unit
 (** Check one prospective access against the poison bitmap of the heap

@@ -277,17 +277,7 @@ let run_a ?(recover_anyway = false) ?tally ~at () =
                  (* Idempotent second pass, to get our hands on the
                     live set for the conservation check. *)
                  let store = Plib.store p and heap = Plib.heap p in
-                 let arena = Plib.arena p in
                  let live = Plib.Store.recover store in
-                 (* Arena-resident items recover through the arena's
-                    own sweep; the heap sees their whole regions via
-                    the chain heads. *)
-                 let arena_live, live =
-                   List.partition (Mc_core.Bump_arena.owns arena) live
-                 in
-                 let live =
-                   Mc_core.Bump_arena.recovery_roots arena @ live
-                 in
                  let cell =
                    Ralloc.get_root heap Core.Plib_store.root_primary
                  in
@@ -298,10 +288,6 @@ let run_a ?(recover_anyway = false) ?tally ~at () =
                    Ralloc.get_root heap Core.Plib_store.root_telemetry
                  in
                  let live = if tblock = 0 then live else tblock :: live in
-                 let acell =
-                   Ralloc.get_root heap Core.Plib_store.root_arena
-                 in
-                 let live = if acell = 0 then live else acell :: live in
                  (* The flight-recorder ring is rooted and must survive
                     the sweep with its breadcrumbs intact — the
                     forensic story below reads them post-repair. *)
@@ -310,7 +296,6 @@ let run_a ?(recover_anyway = false) ?tally ~at () =
                  in
                  let live = if fblock = 0 then live else fblock :: live in
                  Ralloc.recover heap ~live;
-                 Mc_core.Bump_arena.recover arena ~live:arena_live;
                  assert_conserved heap live);
              (* The flight recorder's post-mortem agrees with the
                 ground truth snapshotted at the kill instant. *)
@@ -595,14 +580,7 @@ let run_c ?tally ~at () =
              if crashes <> [] then
                Shm.Region.kernel_mode (fun () ->
                  let store = Plib.store p and heap = Plib.heap p in
-                 let arena = Plib.arena p in
                  let live = Plib.Store.recover store in
-                 let arena_live, live =
-                   List.partition (Mc_core.Bump_arena.owns arena) live
-                 in
-                 let live =
-                   Mc_core.Bump_arena.recovery_roots arena @ live
-                 in
                  let cell =
                    Ralloc.get_root heap Core.Plib_store.root_primary
                  in
@@ -611,16 +589,11 @@ let run_c ?tally ~at () =
                    Ralloc.get_root heap Core.Plib_store.root_telemetry
                  in
                  let live = if tblock = 0 then live else tblock :: live in
-                 let acell =
-                   Ralloc.get_root heap Core.Plib_store.root_arena
-                 in
-                 let live = if acell = 0 then live else acell :: live in
                  let fblock =
                    Ralloc.get_root heap Core.Plib_store.root_flight
                  in
                  let live = if fblock = 0 then live else fblock :: live in
                  Ralloc.recover heap ~live;
-                 Mc_core.Bump_arena.recover arena ~live:arena_live;
                  assert_conserved heap live);
              (match !truth with
               | Some expect -> assert_forensics ?tally ~at ~expect p

@@ -125,6 +125,44 @@ let test_crash_inside_library_poisons_store () =
      | _ -> Alcotest.fail "poisoned library must refuse calls"
      | exception Hodor.Library.Library_poisoned _ -> ()))
 
+(* An image written while small items went to a bump-allocation tier
+   sets root 2 and keeps those items inside the tier's regions, where
+   Ralloc cannot free them. Restart refuses it before it registers
+   anything, and the other root ids stay where images put them. *)
+let test_restart_refuses_arena_image () =
+  Alcotest.(check (list int)) "root ids" [ 0; 1; 2; 3; 4; 5 ]
+    Core.Plib_store.
+      [ root_primary; root_telemetry; root_retired_arena; root_tenants;
+        root_rings; root_flight ];
+  let disk = Filename.temp_file "plib-arena" ".img" in
+  incr fresh_id;
+  let path = Printf.sprintf "/shm/plib-arena-%d" !fresh_id in
+  let p =
+    Plib.create ~path ~size:(16 lsl 20) ~owner:(Process.make ~uid:1000 "bk1") ()
+  in
+  ignore (Plib.set p "k" "v");
+  Shm.Region.kernel_mode (fun () ->
+    let heap = Plib.heap p in
+    Ralloc.set_root heap Core.Plib_store.root_retired_arena
+      (Ralloc.alloc heap 16));
+  Plib.shutdown p ~disk_path:disk;
+  Fun.protect ~finally:(fun () -> Sys.remove disk) (fun () ->
+    let path2 = path ^ "-2" in
+    (match
+       Plib.restart ~disk_path:disk ~path:path2
+         ~owner:(Process.make ~uid:1000 "bk2") ()
+     with
+     | p2 ->
+       Simos.Sim_fs.unlink path2;
+       Hodor.Library.release (Plib.library p2);
+       Alcotest.fail "restart accepted an image with bump-tier items"
+     | exception Failure msg ->
+       Alcotest.(check bool) "the refusal names the tier" true
+         (String.starts_with ~prefix:"restart: heap image keeps small items"
+            msg));
+    Alcotest.(check bool) "no store file registered" false
+      (Simos.Sim_fs.exists path2))
+
 let test_shutdown_restart_preserves_data () =
   let disk = Filename.temp_file "plib" ".img" in
   incr fresh_id;
@@ -577,6 +615,8 @@ let () =
       ( "lifecycle",
         [ Alcotest.test_case "shutdown/restart" `Quick
             test_shutdown_restart_preserves_data;
+          Alcotest.test_case "restart refuses a bump-tier image" `Quick
+            test_restart_refuses_arena_image;
           Alcotest.test_case "cleaner watermark" `Quick
             test_maintain_enforces_watermark ] );
       ( "fault injection & PI",

@@ -7,6 +7,8 @@ let fresh ?(limit = 16 lsl 20) () =
   let arena = PM.create ~limit:(2 * limit) in
   Slab.create ~arena ~mem_limit:limit
 
+let alloc t size = fst (Slab.alloc t size)
+
 let test_chunk_size_progression () =
   let sizes = Slab.chunk_sizes in
   Alcotest.(check int) "first class is 96" 96 sizes.(0);
@@ -38,17 +40,17 @@ let test_class_of_size () =
 
 let test_alloc_free_reuse () =
   let t = fresh () in
-  let a = Slab.alloc t 100 in
+  let a = alloc t 100 in
   Alcotest.(check bool) "allocated" true (a <> 0);
   Alcotest.(check int) "usable = chunk size" Slab.chunk_sizes.(1)
     (Slab.usable_size t a);
   Slab.free t a;
-  let b = Slab.alloc t 100 in
+  let b = alloc t 100 in
   Alcotest.(check int) "free list reuse" a b
 
 let test_same_page_same_class () =
   let t = fresh () in
-  let a = Slab.alloc t 100 and b = Slab.alloc t 100 in
+  let a = alloc t 100 and b = alloc t 100 in
   Alcotest.(check int) "same class" (Slab.class_of_off t a)
     (Slab.class_of_off t b);
   Alcotest.(check int) "chunks are chunk-size apart"
@@ -57,7 +59,7 @@ let test_same_page_same_class () =
 
 let test_used_accounting () =
   let t = fresh () in
-  let a = Slab.alloc t 200 in
+  let a = alloc t 200 in
   let expect = Slab.chunk_sizes.(Slab.class_of_size 200) in
   Alcotest.(check int) "used counts chunks" expect (Slab.used_bytes t);
   Slab.free t a;
@@ -68,13 +70,13 @@ let test_mem_limit_enforced () =
   (* a 2-page limit: one page for a jumbo class, one for a small
      class; any third class's page must be denied *)
   Alcotest.(check bool) "first page" true
-    (Slab.alloc t (Slab.page_size / 2) <> 0);
-  Alcotest.(check bool) "second page" true (Slab.alloc t 100 <> 0);
-  Alcotest.(check int) "third page denied" 0 (Slab.alloc t 10_000)
+    (alloc t (Slab.page_size / 2) <> 0);
+  Alcotest.(check bool) "second page" true (alloc t 100 <> 0);
+  Alcotest.(check int) "third page denied" 0 (alloc t 10_000)
 
 let test_big_alloc () =
   let t = fresh () in
-  let off = Slab.alloc t (3 * Slab.page_size) in
+  let off = alloc t (3 * Slab.page_size) in
   Alcotest.(check bool) "big alloc works" true (off <> 0);
   Alcotest.(check int) "usable" (3 * Slab.page_size) (Slab.usable_size t off);
   Slab.free t off;
@@ -82,7 +84,7 @@ let test_big_alloc () =
 
 let test_free_garbage_rejected () =
   let t = fresh () in
-  ignore (Slab.alloc t 100);
+  ignore (alloc t 100);
   (match Slab.free t (50 * Slab.page_size) with
    | _ -> Alcotest.fail "expected rejection"
    | exception _ -> ())
@@ -95,7 +97,7 @@ let qcheck_no_overlap =
       let offs =
         List.filter_map
           (fun sz ->
-            let o = Slab.alloc t sz in
+            let o = alloc t sz in
             if o = 0 then None else Some o)
           sizes
       in

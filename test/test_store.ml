@@ -975,14 +975,19 @@ let test_seeded_flush_vs_optimistic_get () =
    the flags word, so a snapshot stitched from two writes mismatches.
    Heap poisoning is armed by [run_seeded_vm], so an optimistic reader
    touching recycled memory faults (and must retry) rather than
-   silently reading garbage. *)
+   silently reading garbage. The heap is sized so the filler's 900 B
+   items get a superblock of their own class after the store metadata
+   and the hot key's classes take theirs (eight superblocks in all):
+   its sets store, its ~63-block class fills, and the store evicts.
+   On 512 KiB the hot-key writers evict every filler item into their
+   own thread caches and the filler's later sets are all refused. *)
 let test_seeded_optimistic_torn_triple () =
   let cfg =
     { Store.default_config with hashpower = 6; lock_count = 2; lru_count = 2;
       stats_slots = 2; evict_batch = 2 }
   in
   for seed = 0 to 19 do
-    run_seeded_vm ~seed ~heap_bytes:(384 lsl 10) ~cfg (fun st ->
+    run_seeded_vm ~seed ~heap_bytes:(576 lsl 10) ~cfg (fun st ->
       let tag_len tag = 40 + (tag mod 50) in
       let writers =
         List.init 2 (fun t ->
@@ -999,10 +1004,13 @@ let test_seeded_optimistic_torn_triple () =
               Vm.Sync.advance 30
             done))
       in
+      let stored = ref 0 in
       let filler =
         Vm.Sync.spawn ~name:"filler" (fun () ->
           for i = 0 to 199 do
-            ignore (VSt.set st (Printf.sprintf "f%d" i) (String.make 900 'f'));
+            if VSt.set st (Printf.sprintf "f%d" i) (String.make 900 'f')
+               = Store.Stored
+            then incr stored;
             Vm.Sync.advance 40
           done)
       in
@@ -1022,7 +1030,10 @@ let test_seeded_optimistic_torn_triple () =
               Vm.Sync.advance 20
             done))
       in
-      List.iter Vm.Sync.join ((writers @ readers) @ [ filler ]))
+      List.iter Vm.Sync.join ((writers @ readers) @ [ filler ]);
+      Alcotest.(check bool) "the filler's sets store" true (!stored > 0);
+      Alcotest.(check bool) "the store evicts" true
+        (int_of_string (List.assoc "evictions" (VSt.stats st)) > 0))
   done
 
 (* ---- Replace in place ------------------------------------------------
@@ -1177,9 +1188,79 @@ let test_fallback_hit_pays_malloc_once () =
       (small, large, fallback 5120))
   in
   List.iter (check_path "a fallback") [ small; large; dearer ];
-  Alcotest.(check int) "the discarded snapshot plus the locked two copies"
-    (3 * copy_delta) (ns large - ns small);
+  Alcotest.(check int) "the locked path's two copies, none before it"
+    (2 * copy_delta) (ns large - ns small);
   Alcotest.(check int) "malloc_out charged once" 1000 (ns dearer - ns large)
+
+(* ---- Allocation pricing -----------------------------------------------
+   An item allocation is priced by the path Ralloc took: a pop from the
+   thread's own cache costs [alloc_cache_pop], a refill from the shared
+   lists (or a large block) [alloc_cost]. Each scenario runs twice in a
+   quiet Vm, the second time with [alloc_small] 1000 ns dearer and
+   [alloc_cache_pop] 10000 ns dearer, so how much dearer each set got
+   says which of the two it paid. *)
+
+let refill_mark = 1000
+
+let pop_mark = 10_000
+
+let priced_sets scenario =
+  let module CM = Platform.Cost_model in
+  let small = CM.current.alloc_small and pop = CM.current.alloc_cache_pop in
+  let times () = in_quiet_vm scenario in
+  let base = times () in
+  let marked =
+    Fun.protect
+      ~finally:(fun () ->
+        CM.current.alloc_small <- small;
+        CM.current.alloc_cache_pop <- pop)
+    @@ fun () ->
+    CM.current.alloc_small <- small + refill_mark;
+    CM.current.alloc_cache_pop <- pop + pop_mark;
+    times ()
+  in
+  List.map2 (fun m b -> m - b) marked base
+
+let set_ns st key n =
+  let t0 = Vm.Sync.now_ns () in
+  Alcotest.(check bool) "stored" true
+    (VSt.set st key (String.make n 'v') = Store.Stored);
+  Vm.Sync.now_ns () - t0
+
+let test_fresh_thread_set_refills () =
+  Alcotest.(check (list int)) "the first set refills" [ refill_mark ]
+    (priced_sets (fun st -> [ set_ns st "k" 128 ]))
+
+let test_set_after_free_pops_cache () =
+  Alcotest.(check (list int)) "refill, then a pop of the freed block"
+    [ refill_mark; pop_mark ]
+    (priced_sets (fun st ->
+       let first = set_ns st "k" 128 in
+       Alcotest.(check bool) "deleted" true (VSt.delete st "k");
+       [ first; set_ns st "k" 128 ]))
+
+let test_large_set_on_warm_cache_pops () =
+  let module CM = Platform.Cost_model in
+  Alcotest.(check bool) "6 KiB would otherwise cost more than 128 B" true
+    (CM.alloc_cost 6144 > CM.alloc_cost 128);
+  Alcotest.(check (list int)) "6 KiB and 128 B both pop the cache"
+    [ pop_mark; pop_mark ]
+    (priced_sets (fun st ->
+       ignore (set_ns st "warm-small" 128);
+       ignore (set_ns st "warm-large" 6144);
+       [ set_ns st "small" 128; set_ns st "large" 6144 ]))
+
+let test_item_usable_size_is_class_block () =
+  let reg = Shm.Region.create ~name:"usable" ~size:(1 lsl 20) ~pkey:0 () in
+  let alloc = Mc_core.Ralloc_alloc.of_heap (Ralloc.create reg) in
+  let item = Store.Layout.header_size + String.length "k" + 119 in
+  Alcotest.(check int) "a 200 B item" 200 item;
+  let off, _ = Mc_core.Ralloc_alloc.alloc alloc item in
+  Alcotest.(check int) "its usable size is its class's block"
+    Ralloc.size_classes.(Ralloc.class_of_size item)
+    (Mc_core.Ralloc_alloc.usable_size alloc off);
+  Alcotest.(check int) "which is 224 B" 224
+    (Mc_core.Ralloc_alloc.usable_size alloc off)
 
 (* ---- Eviction passes --------------------------------------------------
    One list and eight-item passes: a pass takes the list's eight
@@ -1336,6 +1417,15 @@ let () =
             test_optimistic_hit_copies_once;
           Alcotest.test_case "fallback hit pays malloc_out once" `Quick
             test_fallback_hit_pays_malloc_once ] );
+      ( "allocation pricing",
+        [ Alcotest.test_case "a fresh thread's first set refills" `Quick
+            test_fresh_thread_set_refills;
+          Alcotest.test_case "a set after a free pops the cache" `Quick
+            test_set_after_free_pops_cache;
+          Alcotest.test_case "6 KiB on a warm cache pops like 128 B" `Quick
+            test_large_set_on_warm_cache_pops;
+          Alcotest.test_case "an item's usable size is its class block"
+            `Quick test_item_usable_size_is_class_block ] );
       ( "edge cases",
         [ Alcotest.test_case "zero-length value" `Quick test_zero_length_value;
           Alcotest.test_case "relative expiry" `Quick
