@@ -37,7 +37,7 @@ let run ~ops () =
       (* Per-workload window: the shared-heap counters are cumulative,
          so zero them between runs. *)
       C.reset ();
-      Telemetry.Timers.reset ();
+      Telemetry.Probe.Latency.reset ();
       ignore (plib_point ~plib ~threads:4 w);
       let enters = C.read C.Id.hodor_enter in
       let wrpkru = C.read C.Id.pkru_writes in
@@ -60,7 +60,7 @@ let run ~ops () =
   List.iter
     (fun b ->
       C.reset ();
-      Telemetry.Timers.reset ();
+      Telemetry.Probe.Latency.reset ();
       Telemetry.Span.reset ();
       Telemetry.Contention.reset ();
       let res =
@@ -123,7 +123,7 @@ let run ~ops () =
 
   pf "\nstats snapshot (last workload window):\n";
   let kvs =
-    in_vm (fun () -> Plib.stats plib) @ Telemetry.Timers.kvs ()
+    in_vm (fun () -> Plib.stats plib) @ Telemetry.Probe.Latency.kvs ()
   in
   List.iter (fun (k, v) -> pf "STAT %s %s\n" k v) kvs;
 
@@ -141,7 +141,7 @@ let run ~ops () =
     in
     load_plib plib w;
     C.reset ();
-    Telemetry.Timers.reset ();
+    Telemetry.Probe.Latency.reset ();
     Telemetry.Contention.reset ();
     let res = plib_point ~plib ~threads:8 w in
     let _, acqs, wait = Telemetry.Contention.totals () in

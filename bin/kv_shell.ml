@@ -117,7 +117,7 @@ let shell plib image =
            (* everything the subsystem holds, store-op mirrors included *)
            List.iter
              (fun (k, v) -> Printf.printf "STAT %s %s\n" k v)
-             (Telemetry.Counters.all_kvs () @ Telemetry.Timers.kvs ())
+             (Telemetry.Counters.all_kvs () @ Telemetry.Probe.Latency.kvs ())
          | "trace" :: args ->
            (* trace [n] | trace <subsys> [severity] *)
            let n, subsys, min_sev =

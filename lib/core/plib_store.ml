@@ -540,7 +540,7 @@ module Make (S : Platform.Sync_intf.S) = struct
      drops the root — a failed call carries no latency worth
      attributing. *)
   let span_root name f =
-    let r = Telemetry.Span.ingress ~op:("plib." ^ name) () in
+    let r = Telemetry.Probe.ingress ~op:("plib." ^ name) () in
     match f () with
     | v ->
       Telemetry.Span.finish r;
@@ -575,19 +575,6 @@ module Make (S : Platform.Sync_intf.S) = struct
     | _ when List.for_all P.validate_key_binary (Ex.keys_of cmd) -> cmd
     | _ -> P.Invalid P.bad_key_error
 
-  (* Breadcrumb bracket for tenant-scoped bodies: a kill inside the op
-     leaves [Tenant_scope slot] as the lane's last tenant record, so
-     the forensic report names the tenant; on normal completion the
-     unscope crumb clears the attribution. (An abrupt kill abandons the
-     thread at a sync point — the finally never runs, which is the
-     point.) *)
-  let t_crumb slot f =
-    Telemetry.Flight.record Telemetry.Flight.Tenant_scope ~a:slot;
-    Fun.protect
-      ~finally:(fun () ->
-        Telemetry.Flight.record Telemetry.Flight.Tenant_unscope ~a:slot)
-      f
-
   (* Inside the crossing, in one order for every front end: the door,
      the tenant's crumb and namespace, then Figure 4's copy-in of each
      key the store will see, before any lock. [body admit unscope] runs
@@ -599,7 +586,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     | None -> body (fun c -> copy (door c)) Fun.id
     | Some slot ->
       let prefix = Tenant.prefix t.tenants slot in
-      t_crumb slot (fun () ->
+      Telemetry.Probe.tenant ~slot (fun () ->
         body
           (fun c -> copy (Ex.scope_command ~prefix (door c)))
           (Ex.unscope_response ~prefix))
@@ -739,7 +726,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     span_root "tenant_flush" @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
-      t_crumb slot (fun () ->
+      inside ~slot t (fun _ _ ->
         let pred = String.starts_with ~prefix:(Tenant.prefix t.tenants slot) in
         let keys =
           Store.fold_keys t.store

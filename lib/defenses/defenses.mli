@@ -53,9 +53,10 @@ type t =
           length reads past the ring pages. *)
   | Flight_publish_last
       (** [Telemetry.Flight.record]'s publish-last stamping. Off: the
-          sequence word is stamped first, so a kill at an info record's
-          sync point leaves a head record that claims publication but
-          fails its checksum. *)
+          sequence word is stamped first, so a kill at the sync point of
+          an info record ([Telemetry.Probe.tearable] decides which are)
+          leaves a head record that claims publication but fails its
+          checksum. *)
 
 val all : t list
 

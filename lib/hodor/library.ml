@@ -30,7 +30,7 @@ type t = {
   copy_args : bool;
   (** trampoline-level copying of arguments into the library domain
       (the paper leaves this off and copies manually; ablation abl3) *)
-  exports : (string, Obj.t) Hashtbl.t;
+  exports : (string, unit -> unit) Hashtbl.t;
   mutable regions : Shm.Region.t list;
   mutable health : health;
   mutable init_fn : (unit -> unit) option;
@@ -146,13 +146,10 @@ let recover t =
   Telemetry.Trace.emit ~sev:Telemetry.Trace.Info ~subsys:"hodor"
     (t.lib_name ^ ": recovered, callers re-admitted")
 
-(* Typed export registry, used by the loader's pseudo-binary
-   interpreter. The Obj.t is always a [unit -> unit]. *)
-let export t ~entry (f : unit -> unit) =
-  Hashtbl.replace t.exports entry (Obj.repr f)
+(* Export registry, used by the loader's pseudo-binary interpreter. *)
+let export t ~entry f = Hashtbl.replace t.exports entry f
 
-let find_export t entry : (unit -> unit) option =
-  Option.map (fun o -> (Obj.obj o : unit -> unit)) (Hashtbl.find_opt t.exports entry)
+let find_export t entry = Hashtbl.find_opt t.exports entry
 
 (* Idempotent: the old unconditional [Pkey.free] let a double release
    free a key that had since been recycled to another library. *)

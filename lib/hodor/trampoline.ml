@@ -50,7 +50,7 @@ let gate_violation (lib : Library.t) (p : Process.t) msg =
       Process.kill ~signal:"SIGSYS" ~now_ns:(Control.now_ns ()) p);
   raise (Gate_violation (Printf.sprintf "%s: %s" (Library.name lib) msg))
 
-let call (lib : Library.t) (f : unit -> 'a) : 'a =
+let cross ?batch (lib : Library.t) (f : unit -> 'a) : 'a =
   Library.check_poisoned lib;
   (* A thread of a dead process cannot start a new call; kills that
      land mid-call are handled on the way out. *)
@@ -82,17 +82,13 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
   Process.enter_library p;
   Telemetry.Counters.incr Telemetry.Counters.Id.hodor_enter;
   let entry_ns = Control.now_ns () in
-  (* The crossing is its own trace phase: it covers wrpkru-in to
-     wrpkru-out, so its self time (minus store/alloc children) is the
-     per-call gate cost the paper's section 2 argues about. *)
-  let span = Telemetry.Span.start ~phase:"crossing" () in
   (* Way in: stack switch + wrpkru opening the library's key. The
-     breadcrumb lands in the same sync-free region as the depth
-     increment (its publish has no sync point — Cross_enter is a state
-     record), so the recorder and the stack state can never disagree
-     at a kill site. *)
+     probe's edge sits next to the depth change it mirrors. The
+     crossing span covers wrpkru-in to wrpkru-out, so its self time
+     (minus store/alloc children) is the per-call gate cost the
+     paper's section 2 argues about. *)
   incr depth;
-  Telemetry.Flight.record Telemetry.Flight.Cross_enter ~a:!depth;
+  let span = Telemetry.Probe.cross_enter ?batch ~depth:!depth () in
   let entered =
     match Library.protection lib with
     | Library.Protected ->
@@ -118,12 +114,9 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
      | Library.Protected -> Pku.Pkru.wrpkru saved_pkru
      | Library.Unprotected -> ());
     decr depth;
-    Telemetry.Flight.record Telemetry.Flight.Cross_exit ~a:!depth;
+    Telemetry.Probe.cross_exit span ~depth:!depth ~since:entry_ns;
     Process.leave_library p;
     Telemetry.Counters.incr Telemetry.Counters.Id.hodor_exit;
-    Telemetry.Span.finish span;
-    if Control.on () then
-      Telemetry.Timers.record ~op:"hodor_call" (Control.now_ns () - entry_ns);
     tampered
   in
   let result =
@@ -191,21 +184,20 @@ let call (lib : Library.t) (f : unit -> 'a) : 'a =
    | None -> ());
   result
 
+let call lib f = cross lib f
+
 (* Batch entry: one crossing — one stack note, one pkru swap pair —
-   carrying [ops] operations. The body is the same [call]; what the
+   carrying [ops] operations. The body is the same crossing; what the
    batch plane adds is the accounting that lets crossings/op and mean
    batch size fall out of the counters: every protected call that goes
    through here bumps [hodor_batch_calls] once and [hodor_batch_ops]
-   by the batch size, and the batch-size distribution is recorded as a
-   histogram under op "batch_size" (value in ops, not ns — the
-   histogram machinery is unit-agnostic). *)
+   by the batch size, and the crossing's probe records the batch size
+   under "batch_size". *)
 let call_batch (lib : Library.t) ~(ops : int) (f : unit -> 'a) : 'a =
   if ops < 1 then invalid_arg "Trampoline.call_batch: ops < 1";
   Telemetry.Counters.incr Telemetry.Counters.Id.hodor_batch_calls;
   Telemetry.Counters.add ~n:ops Telemetry.Counters.Id.hodor_batch_ops;
-  if Control.on () then
-    Telemetry.Timers.record ~op:"batch_size" ops;
-  call lib f
+  cross ~batch:ops lib f
 
 (* Trampoline-level argument copying (optional in Hodor; ablation
    abl3): snapshot the caller's buffer into the library domain before

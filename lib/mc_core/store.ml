@@ -218,21 +218,17 @@ struct
 
   let op_exit t = Atomic.decr t.active
 
+  (* One [store] span per op body. Host-side only, like every span:
+     the cost model sees identical latencies with tracing off. *)
   let with_op t f =
     op_enter t;
-    (* One [store] span per op body. Host-side only, like every span:
-       the cost model sees identical latencies with tracing off. *)
-    let sp = Telemetry.Span.start ~phase:"store" () in
-    let r =
-      try f ()
-      with e ->
-        Telemetry.Span.finish sp;
-        op_exit t;
-        raise e
-    in
-    Telemetry.Span.finish sp;
-    op_exit t;
-    r
+    match Telemetry.Span.around ~phase:"store" f with
+    | r ->
+      op_exit t;
+      r
+    | exception e ->
+      op_exit t;
+      raise e
 
   let rd32 t off = M.read_i32 t.mem off
 
@@ -417,14 +413,14 @@ struct
      an inverted order is a lockdep violation (and the batch-plane test
      asserts it goes red).
 
-     Each acquisition charges [lock_uncontended], then a [stripe_wait]
-     span covers only the blocking acquire (under the Vm it is nonzero
-     exactly when another thread held the stripe), then the flight
-     recorder's breadcrumb is written in the same sync-free region as
-     the [held_stripes] registration, so the two move atomically past a
-     kill. The group is one [stripe_hold] span, and the contention
-     profiler charges each stripe the group's hold (it was pinned that
-     long). A group that acquires nothing records nothing. *)
+     Each acquisition charges [lock_uncontended]; the probe's acquire
+     edge then covers the blocking acquire and the [held_stripes]
+     registration (its [stripe_wait] span is nonzero under the Vm
+     exactly when another thread held the stripe), and each release
+     edge follows the stripe leaving that list. The group is one
+     [stripe_hold] span, and the contention profiler charges each
+     stripe the group's hold (it was pinned that long). A group that
+     acquires nothing records nothing. *)
   let with_stripes t ~stripes f =
     match List.filter (fun s -> not (holds_stripe t s)) stripes with
     | [] -> f ()
@@ -437,16 +433,9 @@ struct
         let hold_ns = S.now_ns () - since in
         List.iter
           (fun (s, wait_ns) ->
-            held :=
-              (let rec rm = function
-                 | [] -> []
-                 | (id, s') :: tl when id = t.id && s' = s -> tl
-                 | p :: tl -> p :: rm tl
-               in
-               rm !held);
-            Telemetry.Contention.record ~stripe:s ~wait_ns ~hold_ns;
-            Telemetry.Flight.record Telemetry.Flight.Stripe_release
-              ~a:(holding_stripes_now ()) ~b:s;
+            held := List.filter (fun (id, s') -> id <> t.id || s' <> s) !held;
+            Telemetry.Probe.stripe_release ~stripe:s
+              ~held:(holding_stripes_now ()) ~wait_ns ~hold_ns;
             seq_bump t s;
             S.unlock t.item_locks.(s))
           !acquired
@@ -454,13 +443,12 @@ struct
       let acquire s =
         adv CM.current.lock_uncontended;
         let t0 = S.now_ns () in
-        Telemetry.Span.around ~phase:"stripe_wait" (fun () ->
+        Telemetry.Probe.stripe_acquire ~stripe:s (fun () ->
           S.lock t.item_locks.(s);
-          seq_bump t s);
-        acquired := (s, S.now_ns () - t0) :: !acquired;
-        held := (t.id, s) :: !held;
-        Telemetry.Flight.record Telemetry.Flight.Stripe_acquire
-          ~a:(holding_stripes_now ()) ~b:s
+          seq_bump t s;
+          held := (t.id, s) :: !held;
+          holding_stripes_now ());
+        acquired := (s, S.now_ns () - t0) :: !acquired
       in
       (match List.iter acquire stripes with
        | () -> ()

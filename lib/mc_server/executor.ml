@@ -206,9 +206,9 @@ struct
     | P.Stats (Some "items") -> P.Stats_reply (Store.stats_items store)
     | P.Stats (Some "slabs") -> P.Stats_reply (Store.stats_slabs store)
     | P.Stats (Some "latency") ->
-      (* extension: the telemetry latency histograms, one summary
-         block per operation *)
-      P.Stats_reply (Telemetry.Timers.kvs ())
+      (* extension: the probe's latency histograms, one summary block
+         per key (each op, [hodor_call], [batch_size]) *)
+      P.Stats_reply (Telemetry.Probe.Latency.kvs ())
     | P.Stats (Some "phases") ->
       (* extension: per-phase p50/p99 self-time breakdown folded from
          the sampled span trees *)
@@ -257,7 +257,7 @@ struct
     | P.Stats (Some "reset") ->
       Store.stats_reset store;
       Telemetry.Counters.reset ();
-      Telemetry.Timers.reset ();
+      Telemetry.Probe.Latency.reset ();
       Telemetry.Span.reset_phases ();
       Telemetry.Contention.reset ();
       (* tenant op tallies reset too; registry membership, quotas and
@@ -273,25 +273,11 @@ struct
     | P.Noop -> P.Ok
     | P.Invalid m -> P.Client_error m
 
-  (* Per-protocol-op latency, in virtual time, recorded host-side only
-     (no [advance]): with telemetry off this is one ref read, and no
-     span is opened — no trace is live then. *)
+  (* The dispatch edge: tenant and conn ride on the tenant-scope and
+     ring-drain records, so the op's own record names only the op. *)
   let execute ?tenants ?slot ?surfaces store (cmd : P.command) : P.response =
-    if not (Telemetry.Control.on ()) then
-      execute ?tenants ?slot ?surfaces store cmd
-    else
-      Telemetry.Span.around ~phase:"exec" @@ fun () ->
-      (* Tenant and conn ride on Tenant_scope / ring-drain records;
-         the dispatch crumb names the op (interned against the
-         forensics table — one word). An info record: its publish
-         crosses a sync point, giving the crash sweep the torn-write
-         window the publish-last protocol must absorb. *)
-      Telemetry.Flight.record Telemetry.Flight.Op_dispatch
-        ~a:(Telemetry.Forensics.op_code (P.command_name cmd)) ~b:(-1) ~c:(-1);
-      let t0 = S.now_ns () in
-      let resp = execute ?tenants ?slot ?surfaces store cmd in
-      Telemetry.Timers.record ~op:(P.command_name cmd) (S.now_ns () - t0);
-      resp
+    Telemetry.Probe.dispatch ~op:(P.command_name cmd) (fun () ->
+      execute ?tenants ?slot ?surfaces store cmd)
 
   (* ---- Batch execution ------------------------------------------------- *)
 

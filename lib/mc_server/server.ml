@@ -167,22 +167,17 @@ struct
   let parse_buffered t buf =
     let data = Buffer.contents buf in
     if String.length data = 0 then `Wait
-    else begin
-      let psp = Telemetry.Span.start ~phase:"parse" () in
-      let r =
-        match parse_batch t.cfg data with
-        | [], _ -> `Wait
-        | cmds, consumed ->
-          Buffer.clear buf;
-          Buffer.add_substring buf data consumed (String.length data - consumed);
-          S.advance (List.length cmds * CM.current.proto_parse);
-          `Cmds cmds
-        | exception P.Need_more_data -> `Wait
-        | exception P.Parse_error m -> `Garbage m
-      in
-      Telemetry.Span.finish psp;
-      r
-    end
+    else
+      Telemetry.Span.around ~phase:"parse" @@ fun () ->
+      match parse_batch t.cfg data with
+      | [], _ -> `Wait
+      | cmds, consumed ->
+        Buffer.clear buf;
+        Buffer.add_substring buf data consumed (String.length data - consumed);
+        S.advance (List.length cmds * CM.current.proto_parse);
+        `Cmds cmds
+      | exception P.Need_more_data -> `Wait
+      | exception P.Parse_error m -> `Garbage m
 
   (* Quit closes the connection; everything before it still executes,
      anything after it is discarded with the connection (what a socket
@@ -237,14 +232,9 @@ struct
        stamp — those bytes were just produced, nothing queued. *)
     let rec drain ?enq_at conn cid buf =
       if Buffer.length buf > 0 then begin
-        let root = Telemetry.Span.ingress ?t_start:enq_at ~op:"srv.batch" () in
-        (match enq_at with
-         | Some at ->
-           (* opened backdated, closed immediately: [at, now] is
-              exactly the queueing window *)
-           Telemetry.Span.finish
-             (Telemetry.Span.start ~t_start:at ~phase:"queue" ())
-         | None -> ());
+        let root =
+          Telemetry.Probe.ingress ?queued_since:enq_at ~op:"srv.batch" ()
+        in
         match parse_buffered t buf with
         | `Wait -> Telemetry.Span.drop root
         | `Garbage m ->
@@ -338,24 +328,15 @@ struct
      of everything the ring held rides the same crossing. *)
   let ring_drain t conn cid buf ~msgs ~first_stamp =
     let st = ring_state t cid in
-    let root = Telemetry.Span.ingress ~t_start:first_stamp ~op:"srv.ring" () in
-    Telemetry.Span.finish
-      (Telemetry.Span.start ~t_start:first_stamp ~phase:"queue" ());
+    let root =
+      Telemetry.Probe.ingress ~queued_since:first_stamp ~op:"srv.ring" ()
+    in
     let slot = slot_of t cid in
     let outcome =
       t.wrap.wrap ~ops:(max 1 msgs) (fun () ->
-        (* Flag and breadcrumb move together in one sync-free region
-           (and again on the way out): an abrupt kill leaves both
-           saying mid-drain; a clean or exceptional exit clears both. *)
-        let draining = Tls.get in_ring_drain in
-        draining := true;
-        Telemetry.Flight.record Telemetry.Flight.Ring_drain_begin ~a:1 ~b:cid
-          ~c:msgs;
-        Fun.protect
-          ~finally:(fun () ->
-            draining := false;
-            Telemetry.Flight.record Telemetry.Flight.Ring_drain_end ~a:0
-              ~b:cid ~c:msgs)
+        (* An abrupt kill leaves flag and records saying mid-drain. *)
+        Telemetry.Probe.ring_drain ~draining:(Tls.get in_ring_drain) ~conn:cid
+          ~msgs
         @@ fun () ->
         match T.ring_consume conn with
         | Error _ -> `Forged

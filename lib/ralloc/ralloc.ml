@@ -538,12 +538,8 @@ let alloc_path t size =
   if size <= 0 then invalid_arg "Ralloc.alloc: size must be positive";
   Telemetry.Counters.incr Telemetry.Counters.Id.alloc_calls;
   Telemetry.Counters.add ~n:size Telemetry.Counters.Id.alloc_bytes;
-  Telemetry.Span.around ~phase:"alloc" @@ fun () ->
-  if size > max_small then begin
-    let off = alloc_large t size in
-    Telemetry.Flight.record Telemetry.Flight.Alloc_large ~a:size ~b:off;
-    (off, Large)
-  end
+  Telemetry.Probe.alloc ~bytes:size ~large:(size > max_small) @@ fun () ->
+  if size > max_small then (alloc_large t size, Large)
   else begin
     let c = class_of_size size in
     let cache = (my_cache t).(c) in
@@ -603,7 +599,7 @@ let free t off =
   if off < sb_base || off >= Region.size t.reg then
     invalid_arg "Ralloc.free: offset outside heap";
   Telemetry.Counters.incr Telemetry.Counters.Id.free_calls;
-  Telemetry.Span.around ~phase:"free" @@ fun () ->
+  Telemetry.Probe.free ~off @@ fun () ->
   let sb = sb_of_block t off in
   match rd t (sb + f_kind) with
   | k when k = kind_large_head ->
@@ -611,7 +607,7 @@ let free t off =
     let size = rd t (sb + f_large_size) in
     poison_free t off size;
     free_large t off;
-    Telemetry.Flight.record Telemetry.Flight.Free_large ~a:size ~b:off
+    size
   | k when k = kind_small ->
     let c = rd t (sb + f_class) in
     poison_free t off size_classes.(c);
@@ -626,7 +622,8 @@ let free t off =
       let keep, spill = split cache_keep [] !cache in
       cache := keep;
       flush_blocks t c spill
-    end
+    end;
+    0
   | _ -> invalid_arg "Ralloc.free: block not allocated"
 
 let usable_size t off =

@@ -1140,8 +1140,8 @@ let flight_torn_head =
           Vm.set_crash_point vm ~filter:(fun n -> n = "w") ~at ();
           ignore
             (Vm.spawn vm ~name:"w" (fun () ->
-               F.record F.Op_dispatch ~a:3 ~b:1 ~c:7;
-               F.record F.Tenant_scope ~a:2;
+               F.record ~tearable:true F.Op_dispatch ~a:3 ~b:1 ~c:7;
+               F.record ~tearable:true F.Tenant_scope ~a:2;
                Vm.Sync.advance 10));
           Vm.run vm;
           (Vm.sync_points_seen vm, Vm.crashed vm <> [] && F.torn_lanes () <> [])

@@ -21,18 +21,17 @@ let with_lock f =
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let record ~stripe ~wait_ns ~hold_ns =
-  if Control.on () then
-    with_lock (fun () ->
-      let c =
-        match Hashtbl.find_opt tbl stripe with
-        | Some c -> c
-        | None ->
-          let c = { wait_h = Histogram.create (); hold_h = Histogram.create () } in
-          Hashtbl.add tbl stripe c;
-          c
-      in
-      Histogram.record c.wait_h (max wait_ns 0);
-      Histogram.record c.hold_h (max hold_ns 0))
+  with_lock (fun () ->
+    let c =
+      match Hashtbl.find_opt tbl stripe with
+      | Some c -> c
+      | None ->
+        let c = { wait_h = Histogram.create (); hold_h = Histogram.create () } in
+        Hashtbl.add tbl stripe c;
+        c
+    in
+    Histogram.record c.wait_h (max wait_ns 0);
+    Histogram.record c.hold_h (max hold_ns 0))
 
 type stripe_stats = {
   c_stripe : int;

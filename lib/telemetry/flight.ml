@@ -15,27 +15,14 @@
     breadcrumbs survive the process and feed {!Forensics} after
     recovery.
 
-    Two record families with different atomicity:
-
-    {b State records} (crossing enter/exit, stripe acquire/release,
-    ring-drain begin/end) mark protocol-state transitions the
-    post-mortem classifier keys on. They are written without any
-    scheduler sync point, adjacent to the in-memory truth they mirror
-    (the trampoline's depth counter, the store's held-stripe list),
-    so under the simulator's cooperative scheduler the record and the
-    state it describes move atomically — the classifier can never
-    disagree with ground truth at a kill site. Each carries the
-    post-transition state (depth, held count, drain flag) so a reader
-    needs only the latest record of a family, not a balanced count.
-
-    {b Info records} (op dispatch, tenant scope, large alloc/free)
-    are annotations. Their publish deliberately crosses a scheduler
-    sync point ({!Control.sync_point}, zero virtual cost) between the
-    payload and the commit stamp, so the crash sweep exercises the
-    torn-write window at every such site — the publish-last protocol
-    is what keeps those kills invisible, and turning it off
-    ([Defenses.Flight_publish_last]) lets the red team's
-    [flight-torn-head] scenario breach.
+    A record is either a state record, published with no scheduler
+    sync point, or an info record, whose publish crosses one
+    {!Control.sync_point} between payload and commit stamp so the
+    crash sweep exercises the torn-write window; every chokepoint
+    writes through {!Probe}, which decides which kind is which. The
+    publish-last protocol is what keeps those kills invisible, and
+    turning it off ([Defenses.Flight_publish_last]) lets the red
+    team's [flight-torn-head] scenario breach.
 
     A small side area snapshots severity >= Error trace events
     ({!snapshot_trace}, called by {!Trace.emit}) so pre-crash
@@ -55,56 +42,25 @@ type kind =
   | Alloc_large  (** a = bytes, b = heap offset *)
   | Free_large  (** a = bytes, b = heap offset *)
 
-(* Codes 6 and 7 are unassigned; [kind_of_code] drops them. *)
-let kind_code = function
-  | Cross_enter -> 1
-  | Cross_exit -> 2
-  | Op_dispatch -> 3
-  | Stripe_acquire -> 4
-  | Stripe_release -> 5
-  | Ring_drain_begin -> 8
-  | Ring_drain_end -> 9
-  | Tenant_scope -> 10
-  | Tenant_unscope -> 11
-  | Alloc_large -> 12
-  | Free_large -> 13
+(* One row per kind: its code in the heap image and its dump name.
+   Codes 6 and 7 are unassigned; [kind_of_code] drops them. *)
+let kinds =
+  [ (Cross_enter, 1, "cross_enter"); (Cross_exit, 2, "cross_exit");
+    (Op_dispatch, 3, "op_dispatch"); (Stripe_acquire, 4, "stripe_acquire");
+    (Stripe_release, 5, "stripe_release");
+    (Ring_drain_begin, 8, "ring_drain_begin");
+    (Ring_drain_end, 9, "ring_drain_end"); (Tenant_scope, 10, "tenant_scope");
+    (Tenant_unscope, 11, "tenant_unscope"); (Alloc_large, 12, "alloc_large");
+    (Free_large, 13, "free_large") ]
 
-let kind_of_code = function
-  | 1 -> Some Cross_enter
-  | 2 -> Some Cross_exit
-  | 3 -> Some Op_dispatch
-  | 4 -> Some Stripe_acquire
-  | 5 -> Some Stripe_release
-  | 8 -> Some Ring_drain_begin
-  | 9 -> Some Ring_drain_end
-  | 10 -> Some Tenant_scope
-  | 11 -> Some Tenant_unscope
-  | 12 -> Some Alloc_large
-  | 13 -> Some Free_large
-  | _ -> None
+let row k = List.find (fun (k', _, _) -> k' = k) kinds
 
-let kind_name = function
-  | Cross_enter -> "cross_enter"
-  | Cross_exit -> "cross_exit"
-  | Op_dispatch -> "op_dispatch"
-  | Stripe_acquire -> "stripe_acquire"
-  | Stripe_release -> "stripe_release"
-  | Ring_drain_begin -> "ring_drain_begin"
-  | Ring_drain_end -> "ring_drain_end"
-  | Tenant_scope -> "tenant_scope"
-  | Tenant_unscope -> "tenant_unscope"
-  | Alloc_large -> "alloc_large"
-  | Free_large -> "free_large"
+let kind_code k = match row k with _, code, _ -> code
 
-(* Info records cross a sync point mid-publish; state records must
-   not (their atomicity with the state they mirror is what makes the
-   post-mortem classification exact). *)
-let tearable = function
-  | Op_dispatch | Tenant_scope | Tenant_unscope | Alloc_large | Free_large ->
-    true
-  | Cross_enter | Cross_exit | Stripe_acquire | Stripe_release
-  | Ring_drain_begin | Ring_drain_end ->
-    false
+let kind_name k = match row k with _, _, name -> name
+
+let kind_of_code code =
+  List.find_map (fun (k, c, _) -> if c = code then Some k else None) kinds
 
 (* ---- geometry --------------------------------------------------------- *)
 
@@ -217,7 +173,9 @@ let cksum ~seq ~kind ~a ~b ~c ~stamp =
   let mix h w = ((h * 0x1000193) + w + 0x9E3779B9) land max_int in
   mix (mix (mix (mix (mix (mix 0x811C9DC5 seq) kind) a) b) c) stamp
 
-let record ?(a = 0) ?(b = 0) ?(c = 0) kind =
+(* A [tearable] (info) record crosses a sync point mid-publish; a
+   state record, the default, does not. *)
+let record ?(tearable = false) ?(a = 0) ?(b = 0) ?(c = 0) kind =
   if Control.on () then begin
     let be = !backend in
     let lane = my_lane () in
@@ -237,12 +195,12 @@ let record ?(a = 0) ?(b = 0) ?(c = 0) kind =
     in
     if Defenses.on Flight_publish_last then begin
       payload ();
-      if tearable kind then Control.sync_point ();
+      if tearable then Control.sync_point ();
       be.write base seq
     end
     else begin
       be.write base seq;
-      if tearable kind then Control.sync_point ();
+      if tearable then Control.sync_point ();
       payload ()
     end;
     be.write (w_lane_pos lane) (pos + 1)

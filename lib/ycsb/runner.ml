@@ -56,28 +56,28 @@ module Make (S : Platform.Sync_intf.S) = struct
     mutable misses : int;
   }
 
+  (* Driver-level ingress: the plib backend's own [plib.*] ingress
+     nests under this as a child, so a trace shows the whole op (or
+     batch) as the driver saw it. *)
+  let traced op f =
+    let root = Telemetry.Probe.ingress ~op () in
+    let r = f () in
+    Telemetry.Span.finish root;
+    r
+
   let client_body (w : Workload.t) (db : db) ~tid ~ops (tr : thread_result) =
     let rng = Rng.create (w.Workload.seed + (7919 * tid)) in
     let choose = Workload.chooser w rng in
     for _ = 1 to ops do
       let op = Workload.next_op w rng choose in
       let t0 = S.now_ns () in
-      (* Driver-level ingress: the plib backend's own [plib.*] ingress
-         nests under this as a child, so a trace shows the whole op as
-         the driver saw it. *)
-      let root =
-        Telemetry.Span.ingress
-          ~op:(match op with
-               | Workload.Read _ -> "ycsb.read"
-               | Workload.Update _ -> "ycsb.update")
-          ()
-      in
       (match op with
        | Workload.Read key ->
-         if db.db_read key then tr.hits <- tr.hits + 1
+         if traced "ycsb.read" (fun () -> db.db_read key) then
+           tr.hits <- tr.hits + 1
          else tr.misses <- tr.misses + 1
-       | Workload.Update (key, value) -> ignore (db.db_update key value));
-      Telemetry.Span.finish root;
+       | Workload.Update (key, value) ->
+         ignore (traced "ycsb.update" (fun () -> db.db_update key value)));
       let dt = S.now_ns () - t0 in
       Histogram.record tr.hist dt;
       (match op with
@@ -103,9 +103,7 @@ module Make (S : Platform.Sync_intf.S) = struct
         pending := [];
         npending := 0;
         let t0 = S.now_ns () in
-        let root = Telemetry.Span.ingress ~op:"ycsb.batch" () in
-        let oks = db.b_run batch_ops in
-        Telemetry.Span.finish root;
+        let oks = traced "ycsb.batch" (fun () -> db.b_run batch_ops) in
         let dt = (S.now_ns () - t0) / n in
         List.iter2
           (fun op ok ->

@@ -86,7 +86,7 @@ let assert_telemetry_consistent stats =
   (* Latency histogram summaries parse and are ordered. *)
   List.iter
     (fun op ->
-      match Telemetry.Timers.get op with
+      match Telemetry.Probe.Latency.get op with
       | None -> ()
       | Some h ->
         let module H = Telemetry.Histogram in
@@ -95,7 +95,7 @@ let assert_telemetry_consistent stats =
           Alcotest.fail
             (Printf.sprintf "telemetry: %s percentiles disordered: %d/%d/%d"
                op p50 p99 (H.max_value h)))
-    (Telemetry.Timers.ops ())
+    (Telemetry.Probe.Latency.keys ())
 
 (* ---- Forensic ground truth ----------------------------------------- *)
 

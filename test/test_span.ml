@@ -15,7 +15,7 @@ let fresh () =
      TLS; flush it so it cannot swallow our ingresses as children *)
   Telemetry.Span.flush_aborted ();
   Telemetry.Counters.reset_backend ();
-  Telemetry.Timers.reset ();
+  Telemetry.Probe.Latency.reset ();
   Telemetry.Trace.clear ();
   Telemetry.Trace.set_level Telemetry.Trace.Info;
   Span.set_sampling 1;

@@ -13,7 +13,7 @@ module H = Telemetry.Histogram
 let fresh () =
   Telemetry.Control.set_enabled true;
   C.reset_backend ();
-  Telemetry.Timers.reset ();
+  Telemetry.Probe.Latency.reset ();
   Telemetry.Trace.clear ();
   Telemetry.Trace.set_level Telemetry.Trace.Info;
   Telemetry.Span.flush_aborted ();
@@ -140,25 +140,38 @@ let test_histogram_percentile_edges () =
   Alcotest.(check int) "identical samples, exact p99" 1000
     (H.percentile h1 99.0)
 
+(* The keyed latency table, fed by the probe's dispatch edge: each
+   op's sample is the virtual time its body spends. *)
 let test_timers () =
   fresh ();
-  List.iter (fun v -> Telemetry.Timers.record ~op:"get" v) [ 50; 60; 70 ];
-  Telemetry.Timers.record ~op:"set" 500;
-  Alcotest.(check (list string)) "ops sorted" [ "get"; "set" ]
-    (Telemetry.Timers.ops ());
-  (match Telemetry.Timers.get "get" with
-   | Some h -> Alcotest.(check int) "per-op count" 3 (H.count h)
+  let module L = Telemetry.Probe.Latency in
+  let dispatch ~op ns =
+    Telemetry.Probe.dispatch ~op (fun () -> Vm.Sync.advance ns)
+  in
+  let run f =
+    let vm = Vm.create () in
+    ignore (Vm.spawn vm ~name:"main" f);
+    Vm.run vm
+  in
+  run (fun () ->
+    List.iter (dispatch ~op:"get") [ 50; 60; 70 ];
+    dispatch ~op:"set" 500);
+  Alcotest.(check (list string)) "keys sorted" [ "get"; "set" ] (L.keys ());
+  (match L.get "get" with
+   | Some h ->
+     Alcotest.(check int) "per-op count" 3 (H.count h);
+     Alcotest.(check int) "per-op virtual ns" 180 (H.sum h)
    | None -> Alcotest.fail "get histogram missing");
   Alcotest.(check bool) "kvs carries per-op summaries" true
-    (List.mem_assoc "set:count" (Telemetry.Timers.kvs ()));
+    (List.mem_assoc "set:count" (L.kvs ()));
   Telemetry.Control.set_enabled false;
-  Telemetry.Timers.record ~op:"get" 999_999;
+  run (fun () -> dispatch ~op:"get" 999_999);
   Telemetry.Control.set_enabled true;
-  (match Telemetry.Timers.get "get" with
+  (match L.get "get" with
    | Some h -> Alcotest.(check int) "off means no samples" 3 (H.count h)
    | None -> Alcotest.fail "get histogram missing");
-  Telemetry.Timers.reset ();
-  Alcotest.(check (list string)) "reset clears" [] (Telemetry.Timers.ops ())
+  L.reset ();
+  Alcotest.(check (list string)) "reset clears" [] (L.keys ())
 
 (* ---- Trace ring ------------------------------------------------------ *)
 
@@ -326,7 +339,7 @@ let test_executor_stats_surface () =
   Alcotest.(check int) "curr_items survives reset" 2 (v "curr_items");
   Alcotest.(check int) "total_items survives reset" 2 (v "total_items");
   Alcotest.(check bool) "latency histograms cleared" true
-    (Telemetry.Timers.get "get" = None)
+    (Telemetry.Probe.Latency.get "get" = None)
 
 let test_executor_latency_off () =
   fresh ();
@@ -335,7 +348,7 @@ let test_executor_latency_off () =
   ignore (E.execute st (Get [ "k" ]));
   Telemetry.Control.set_enabled true;
   Alcotest.(check bool) "no histogram recorded while off" true
-    (Telemetry.Timers.get "get" = None)
+    (Telemetry.Probe.Latency.get "get" = None)
 
 (* ---- Protocol conformance: all four stats forms, both codecs -------- *)
 
@@ -679,6 +692,72 @@ let test_flight_settings_surface () =
   Alcotest.(check (option string)) "publish-last surfaced" (Some "1")
     (List.assoc_opt "flight_publish_last" kvs)
 
+(* ---- Probe: one record per chokepoint edge ------------------------- *)
+
+(* A library get crosses once and dispatches one op: whatever the
+   sampling, its lane gains exactly one enter, one exit and one
+   dispatch record; only a sampled request also completes a trace,
+   and it holds the crossing span. *)
+let test_probe_get_edges () =
+  fresh_flight ();
+  let owner = Process.make ~uid:1000 "bk-probe" in
+  let cfg =
+    { Mc_core.Store.default_config with hashpower = 7; lock_count = 8;
+      lru_count = 2; stats_slots = 2 }
+  in
+  let p =
+    Plib.create ~store_cfg:cfg ~path:"/shm/telemetry-probe" ~size:(2 lsl 20)
+      ~owner ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Simos.Sim_fs.unlink "/shm/telemetry-probe";
+      Hodor.Library.release (Plib.library p);
+      C.reset_backend ();
+      Fl.reset_backend ();
+      Telemetry.Span.set_sampling 1)
+    (fun () ->
+      ignore (Plib.set p "k" "v");
+      let get_with ~sampling =
+        Telemetry.Span.set_sampling sampling;
+        Telemetry.Span.reset ();
+        let lane = Fl.my_lane () in
+        let before = List.nth (Fl.lane_counts ()) lane in
+        Alcotest.(check (option string)) "get hits" (Some "v")
+          (Option.map (fun r -> r.Mc_core.Store.value) (Plib.get p "k"));
+        let kinds =
+          List.filter_map
+            (fun (e : Fl.entry) ->
+              if e.e_pos >= before then Some e.e_kind else None)
+            (Fl.dump_lane lane)
+        in
+        let n k = List.length (List.filter (( = ) k) kinds) in
+        List.iter
+          (fun k ->
+            Alcotest.(check int)
+              (Printf.sprintf "sampling %d: one %s" sampling (Fl.kind_name k))
+              1 (n k))
+          [ Fl.Cross_enter; Fl.Cross_exit; Fl.Op_dispatch ];
+        Telemetry.Span.traces ()
+      in
+      Alcotest.(check int) "unsampled: no trace completes" 0
+        (List.length (get_with ~sampling:0));
+      (match get_with ~sampling:1 with
+       | [ tr ] ->
+         Alcotest.(check string) "trace root" "plib.get" tr.Telemetry.Span.root_op;
+         Alcotest.(check bool) "trace holds the crossing span" true
+           (List.exists
+              (fun (sp : Telemetry.Span.span) -> sp.phase = "crossing")
+              tr.spans)
+       | trs ->
+         Alcotest.fail (Printf.sprintf "%d traces, expected 1" (List.length trs)));
+      let lat = Plib.stats ~arg:"latency" p in
+      Alcotest.(check bool) "stats latency carries hodor_call" true
+        (List.mem_assoc "hodor_call:count" lat);
+      (* a library get dispatches [gets]: the typed reply carries cas *)
+      Alcotest.(check (option string)) "stats latency counts both gets"
+        (Some "2") (List.assoc_opt "gets:count" lat))
+
 let () =
   Alcotest.run "telemetry"
     [ ( "counters",
@@ -725,5 +804,7 @@ let () =
           Alcotest.test_case "window wraps" `Quick test_flight_window_wraps;
           Alcotest.test_case "trace snapshot" `Quick
             test_flight_trace_snapshot;
+          Alcotest.test_case "probe: a get's edges" `Quick
+            test_probe_get_edges;
           Alcotest.test_case "settings surface" `Quick
             test_flight_settings_surface ] ) ]
