@@ -77,11 +77,50 @@ let root_flight = 5
 let max_ring_conns = 64
 (** Ring-directory capacity: live ring-mode connections per store. *)
 
-let ring_dir_row = 40
-(** Directory row: in_use, cid, block, sub base, comp base — five
-    64-bit words. [in_use] is written last on allocation and cleared
-    first on teardown, so a kill at any point leaves either a fully
-    described pair or an unreferenced block for recovery to reclaim. *)
+(* The ring directory: [max_ring_conns] rows of five 64-bit words —
+   state (0 free, 1 live, 2 claimed), cid, block, sub base, comp base.
+   A row is claimed before anything is carved for it, so a full
+   directory refuses a connection with nothing to undo. It goes live
+   only once fully described and is freed first on teardown, so a kill
+   at any point leaves either a fully described pair or an unreferenced
+   block; recovery frees the claims a kill left behind. *)
+module Ring_dir = struct
+  let bytes = max_ring_conns * 40
+
+  let word region row k = Region.read_i64 region (row + (8 * k))
+
+  let rows region dir state =
+    List.init max_ring_conns (fun i -> dir + (i * 40))
+    |> List.filter (fun row -> word region row 0 = state)
+
+  let claim region dir =
+    match rows region dir 0 with
+    | [] -> None
+    | row :: _ ->
+      Region.write_i64 region row 2;
+      Some row
+
+  (* [cid; block; sub; comp] into a claimed row, which goes live. *)
+  let publish region row words =
+    List.iteri (fun k v -> Region.write_i64 region (row + 8 + (8 * k)) v) words;
+    Region.write_i64 region row 1
+
+  (* Frees [cid]'s live row; its block and sub base. *)
+  let release region dir ~cid =
+    List.find_opt (fun row -> word region row 1 = cid) (rows region dir 1)
+    |> Option.map (fun row ->
+      Region.write_i64 region row 0;
+      (word region row 2, word region row 3))
+
+  (* (block, [sub; comp]) of every live row. *)
+  let live region dir =
+    List.map
+      (fun row -> (word region row 2, [ word region row 3; word region row 4 ]))
+      (rows region dir 1)
+
+  let reap_claims region dir =
+    List.iter (fun row -> Region.write_i64 region row 0) (rows region dir 2)
+end
 
 let max_tenants = 64
 (** Registry capacity — also the scale the vpkey layer is sized for:
@@ -312,20 +351,15 @@ module Make (S : Platform.Sync_intf.S) = struct
           match Ralloc.get_root t.heap root_rings with
           | 0 -> live
           | dir ->
-            let live = ref (dir :: live) in
-            for i = 0 to max_ring_conns - 1 do
-              let row = dir + (i * ring_dir_row) in
-              if Region.read_i64 t.region row <> 0 then begin
-                live := Region.read_i64 t.region (row + 16) :: !live;
-                Transport.Ring.recover
-                  (Transport.Ring.attach t.region
-                     ~base:(Region.read_i64 t.region (row + 24)));
-                Transport.Ring.recover
-                  (Transport.Ring.attach t.region
-                     ~base:(Region.read_i64 t.region (row + 32)))
-              end
-            done;
-            !live
+            Ring_dir.reap_claims t.region dir;
+            List.fold_left
+              (fun live (block, rings) ->
+                List.iter
+                  (fun base ->
+                    Transport.Ring.(recover (attach t.region ~base)))
+                  rings;
+                block :: live)
+              (dir :: live) (Ring_dir.live t.region dir)
         in
         Ralloc.recover t.heap ~live;
         (* Rebuild the volatile tenant state from durable truth:
@@ -361,30 +395,23 @@ module Make (S : Platform.Sync_intf.S) = struct
                  else Printf.sprintf "%d stripe seq words still odd" !odd) }
           in
           let rings_ck =
-            let bad = ref 0 and seen = ref 0 in
-            (match Ralloc.get_root t.heap root_rings with
-             | 0 -> ()
-             | dir ->
-               for i = 0 to max_ring_conns - 1 do
-                 let row = dir + (i * ring_dir_row) in
-                 if Region.read_i64 t.region row <> 0 then begin
-                   incr seen;
-                   List.iter
-                     (fun base ->
-                       match
-                         Transport.Ring.pending
-                           (Transport.Ring.attach t.region ~base)
-                       with
-                       | Ok _ -> ()
-                       | Error _ -> incr bad)
-                     [ Region.read_i64 t.region (row + 24);
-                       Region.read_i64 t.region (row + 32) ]
-                 end
-               done);
+            let pairs =
+              match Ralloc.get_root t.heap root_rings with
+              | 0 -> []
+              | dir -> Ring_dir.live t.region dir
+            in
+            let bad =
+              List.filter
+                (fun base ->
+                  Result.is_error
+                    Transport.Ring.(pending (attach t.region ~base)))
+                (List.concat_map snd pairs)
+            in
             { Telemetry.Forensics.ck_name = "rings_valid";
-              ck_ok = !bad = 0;
+              ck_ok = bad = [];
               ck_detail =
-                Printf.sprintf "%d live pairs, %d invalid windows" !seen !bad }
+                Printf.sprintf "%d live pairs, %d invalid windows"
+                  (List.length pairs) (List.length bad) }
           in
           let inv_ck =
             match Ralloc.check_invariants t.heap with
@@ -551,16 +578,9 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   (* ---- One command core -----------------------------------------------
 
-     Every library op is executor commands behind one crossing: the
-     engine a server drain runs maps each command to its store call,
-     tenant admission and per-tenant stats included, and {!Typed}
-     decodes the replies exactly as it decodes the socket client's. *)
-
-  (* The executor as this handle runs it: the registry serves `stats
-     tenants`, and [slot] binds the command to that tenant. *)
-  let exec ?slot t cmd =
-    E.execute ~tenants:t.tenants ?slot ~surfaces:(Lazy.force t.surfaces)
-      t.store cmd
+     Every library op is executor commands behind one crossing, run
+     through the pipeline a server drain runs; {!Typed} decodes the
+     replies exactly as it decodes the socket client's. *)
 
   (* The library's door. Library keys are length-framed, like binary
      ones, so the binary codec's rules apply: a key of 1 to 250 bytes
@@ -575,21 +595,18 @@ module Make (S : Platform.Sync_intf.S) = struct
     | _ when List.for_all P.validate_key_binary (Ex.keys_of cmd) -> cmd
     | _ -> P.Invalid P.bad_key_error
 
-  (* Inside the crossing, in one order for every front end: the door,
-     the tenant's crumb and namespace, then Figure 4's copy-in of each
-     key the store will see, before any lock. [body admit unscope] runs
-     the commands through [admit] and its replies through [unscope],
-     which strips the namespace back off. *)
-  let inside ?slot t body =
-    let copy = Ex.map_keys (fun k -> copy_in t (Bytes.unsafe_of_string k)) in
-    match slot with
-    | None -> body (fun c -> copy (door c)) Fun.id
-    | Some slot ->
-      let prefix = Tenant.prefix t.tenants slot in
-      Telemetry.Probe.tenant ~slot (fun () ->
-        body
-          (fun c -> copy (Ex.scope_command ~prefix (door c)))
-          (Ex.unscope_response ~prefix))
+  (* Inside the crossing, past the door: the executor's pipeline, bound
+     to tenant [slot], with Figure 4's copy-in of each key before any
+     lock — unless [copy] is off, for keys the library found itself. *)
+  let run ?slot ?on_op ?(copy = true) ~batch t cmds =
+    let copy_in =
+      if copy then Some (fun k -> copy_in t (Bytes.unsafe_of_string k))
+      else None
+    in
+    E.pipeline ~tenants:t.tenants ?slot ~surfaces:(Lazy.force t.surfaces)
+      ?copy_in ?on_op ~batch t.store cmds
+
+  let scalar ?slot t cmd = snd (List.hd (run ?slot ~batch:false t [ door cmd ]))
 
   (* ---- Multi-tenant surface ------------------------------------------- *)
 
@@ -618,31 +635,35 @@ module Make (S : Platform.Sync_intf.S) = struct
       if vk <= 0 then invalid_arg "Plib: tenant has no vkey";
       ignore (Pku.Vpkey.bind ~owner:uid vk))
 
+  (* A refused registration (a bad or duplicate name, a full registry)
+     leaves the crossing as a value and is raised after it, so the
+     refusal never poisons the library. *)
   let create_tenant t ~name ~uid ?(byte_quota = 0) ?(item_quota = 0) () =
     span_root "create_tenant" @@ fun () ->
     enter t (fun () ->
-      let slot =
-        Tenant.register t.tenants ~name ~uid ~byte_quota ~item_quota
-      in
-      let vk = Pku.Vpkey.alloc ~owner:uid () in
-      Tenant.set_vkey t.tenants slot vk;
-      (* The tenant's vault: one page tagged through the vkey, proving
-         the namespace's protection domain. Readable only under the
-         owner's bound key; quarantined whenever the vkey loses its
-         hardware slot. *)
-      let vault =
+      match Tenant.register t.tenants ~name ~uid ~byte_quota ~item_quota with
+      | exception Invalid_argument m -> Error m
+      | slot ->
+        let vk = Pku.Vpkey.alloc ~owner:uid () in
+        Tenant.set_vkey t.tenants slot vk;
+        (* The tenant's vault: one page tagged through the vkey, proving
+           the namespace's protection domain. Readable only under the
+           owner's bound key; quarantined whenever the vkey loses its
+           hardware slot. *)
+        let vault =
+          Region.kernel_mode (fun () ->
+            Region.create
+              ~name:(Printf.sprintf "%s!vault!%s" t.path name)
+              ~size:Region.page_size ~pkey:Pku.Pkey.default ())
+        in
+        Pku.Vpkey.attach_retag vk (fun hw ->
+          Region.kernel_mode (fun () ->
+            Region.tag_range vault ~off:0 ~len:Region.page_size ~pkey:hw));
         Region.kernel_mode (fun () ->
-          Region.create
-            ~name:(Printf.sprintf "%s!vault!%s" t.path name)
-            ~size:Region.page_size ~pkey:Pku.Pkey.default ())
-      in
-      Pku.Vpkey.attach_retag vk (fun hw ->
-        Region.kernel_mode (fun () ->
-          Region.tag_range vault ~off:0 ~len:Region.page_size ~pkey:hw));
-      Region.kernel_mode (fun () ->
-        Region.write_string vault ~off:8 ("vault:" ^ name));
-      Hashtbl.replace t.vaults slot vault;
-      slot)
+          Region.write_string vault ~off:8 ("vault:" ^ name));
+        Hashtbl.replace t.vaults slot vault;
+        Ok slot)
+    |> Result.fold ~ok:Fun.id ~error:invalid_arg
 
   let find_tenant t name = enter t (fun () -> Tenant.find t.tenants name)
 
@@ -653,8 +674,7 @@ module Make (S : Platform.Sync_intf.S) = struct
    fun cmd ->
     span_root name @@ fun () ->
     (match slot with Some slot -> bind_capability t slot | None -> ());
-    enter t (fun () ->
-      inside ?slot t (fun admit unscope -> unscope (exec ?slot t (admit cmd))))
+    enter t (fun () -> scalar ?slot t cmd)
 
   (* ---- String-keyed operations (OCaml strings are immutable, so the
      copy is for cost and idiom fidelity) -------------------------------- *)
@@ -690,22 +710,20 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* ---- Raw (bytes-keyed) operations: the real protection boundary ---
 
      The trampoline hands the body its snapshot of the argument bytes
-     (with [copy_args]); the body copies them in and runs the command
-     as every op does. *)
-
-  let raw t cmd = exec t (door cmd)
+     (with [copy_args]); the body runs the command as every op does,
+     whose pipeline copies the key in. [set_raw] copies the value in. *)
 
   let get_raw t (key : bytes) =
     span_root "get" @@ fun () ->
-    Hodor.Trampoline.call_with_arg t.lib ~arg:key (fun key ->
-      Typed.get (raw t) (copy_in t key))
+    Hodor.Trampoline.call_with_args t.lib ~args:[ key ] (fun args ->
+      Typed.get (scalar t) (Bytes.unsafe_to_string (List.hd args)))
 
   let set_raw t ?flags ?exptime (key : bytes) (data : bytes) =
     span_root "set" @@ fun () ->
     Hodor.Trampoline.call_with_args t.lib ~args:[ key; data ] (function
       | [ key; data ] ->
-        let key_prot = copy_in t key in
-        Typed.set (raw t) ?flags ?exptime key_prot (copy_in t data)
+        Typed.set (scalar t) ?flags ?exptime (Bytes.unsafe_to_string key)
+          (copy_in t data)
       | _ -> assert false)
 
   (* ---- Tenant-scoped operations ---------------------------------------- *)
@@ -720,22 +738,23 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   (* Tenant-scoped flush: only the tenant's own namespace is swept —
      tenant A's flush storm cannot take tenant B's acked writes. The
-     keys are store keys already, so each delete runs as is, under the
-     tenant's admission. *)
+     read-only walk finds the namespace's keys; each delete then runs,
+     under the tenant's name for the key and its admission, with no
+     copy-in: the library found the keys itself. *)
   let tenant_flush t slot =
     span_root "tenant_flush" @@ fun () ->
     bind_capability t slot;
     enter t (fun () ->
-      inside ~slot t (fun _ _ ->
-        let pred = String.starts_with ~prefix:(Tenant.prefix t.tenants slot) in
-        let keys =
-          Store.fold_keys t.store
-            (fun acc key ~nbytes:_ ~exptime:_ ->
-              if pred key then key :: acc else acc)
-            []
-        in
-        List.iter (fun k -> ignore (exec ~slot t (P.Delete (k, false)))) keys;
-        List.length keys))
+      let prefix = Tenant.prefix t.tenants slot in
+      let keys =
+        Store.fold_keys t.store
+          (fun acc key ~nbytes:_ ~exptime:_ ->
+            if String.starts_with ~prefix key then
+              P.Delete (Ex.unscope_key ~prefix key, false) :: acc
+            else acc)
+          []
+      in
+      List.length (run ~slot ~copy:false ~batch:false t keys))
 
   let tenant_usage t slot =
     enter t (fun () ->
@@ -746,14 +765,11 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* ---- Batch plane: many operations, one crossing --------------------- *)
 
   (* The whole command list rides one trampoline crossing (one pkru
-     swap pair, one stack note), through the same door, scope and
-     copy-in as a single op; then the executor takes the list exactly as
-     a server drain does: groupable runs take their distinct stripes
-     once, ascending, and storage ops keep their own locking. [on_op i
-     r] fires after op [i] fully completed inside the library — an
-     application-level ack: if the calling thread dies mid-batch, every
-     op acked before the kill is still readable after recovery, while
-     the op in flight may have been torn and dropped. *)
+     swap pair, one stack note) through a single op's pipeline, in the
+     stripe groups a server drain takes. [on_op i r] fires after op [i]
+     fully completed inside the library — an application-level ack:
+     every op acked before a mid-batch kill is still readable after
+     recovery; the op in flight may have been torn and dropped. *)
   let crossing ?slot ?on_op name t (cmds : P.command list) =
     match cmds with
     | [] -> []
@@ -761,14 +777,9 @@ module Make (S : Platform.Sync_intf.S) = struct
       span_root name @@ fun () ->
       Option.iter (bind_capability t) slot;
       Hodor.Trampoline.call_batch t.lib ~ops:(List.length cmds) (fun () ->
-        inside ?slot t (fun admit unscope ->
-          List.map
-            (fun (_, r) -> unscope r)
-            (E.run_batch ?on_op ~tenants:t.tenants ?slot
-               ~surfaces:(Lazy.force t.surfaces) t.store
-               (List.map admit cmds))))
+        List.map snd (run ?slot ?on_op ~batch:true t (List.map door cmds)))
 
-  let batch ?on_op t cmds = crossing ?on_op "batch" t cmds
+  let batch ?slot ?on_op t cmds = crossing ?slot ?on_op "batch" t cmds
 
   (* Multi-get is a batch of one-key gets: an all-get run, so with the
      seqlock read path on it holds no stripes at all. *)
@@ -853,9 +864,8 @@ module Make (S : Platform.Sync_intf.S) = struct
     Region.kernel_mode (fun () ->
       match Ralloc.get_root t.heap root_rings with
       | 0 ->
-        let dir = Ralloc.alloc t.heap (max_ring_conns * ring_dir_row) in
-        Region.fill t.region ~off:dir ~len:(max_ring_conns * ring_dir_row)
-          '\000';
+        let dir = Ralloc.alloc t.heap Ring_dir.bytes in
+        Region.fill t.region ~off:dir ~len:Ring_dir.bytes '\000';
         Ralloc.set_root t.heap root_rings dir;
         dir
       | dir -> dir)
@@ -876,64 +886,39 @@ module Make (S : Platform.Sync_intf.S) = struct
     in
     let rc_alloc cid =
       Region.kernel_mode (fun () ->
-        let block = Ralloc.alloc t.heap ((2 * span) + page) in
-        let sub_base = (block + page - 1) / page * page in
-        let comp_base = sub_base + span in
-        let sub =
-          Transport.Ring.init t.region ~base:sub_base ~slots:rcfg.r_slots
-            ~slot_bytes:rcfg.r_slot_bytes
-        in
-        let comp =
-          Transport.Ring.init t.region ~base:comp_base ~slots:rcfg.r_slots
-            ~slot_bytes:rcfg.r_slot_bytes
-        in
-        (* owner 0: any process of this simulation may bind — the
-           capability is the vkey id held in the connection object,
-           private to the two endpoints *)
-        let vk = Pku.Vpkey.alloc () in
-        Pku.Vpkey.attach_retag vk (fun hw ->
-          Region.kernel_mode (fun () ->
-            Region.tag_range t.region ~off:sub_base ~len:(2 * span) ~pkey:hw));
-        let row =
-          let rec scan i =
-            if i >= max_ring_conns then
-              invalid_arg "Plib: ring directory full"
-            else if Region.read_i64 t.region (dir + (i * ring_dir_row)) = 0
-            then dir + (i * ring_dir_row)
-            else scan (i + 1)
+        Ring_dir.claim t.region dir
+        |> Option.map (fun row ->
+          let block = Ralloc.alloc t.heap ((2 * span) + page) in
+          let sub_base = (block + page - 1) / page * page in
+          let comp_base = sub_base + span in
+          let ring base =
+            Transport.Ring.init t.region ~base ~slots:rcfg.r_slots
+              ~slot_bytes:rcfg.r_slot_bytes
           in
-          scan 0
-        in
-        Region.write_i64 t.region (row + 8) cid;
-        Region.write_i64 t.region (row + 16) block;
-        Region.write_i64 t.region (row + 24) sub_base;
-        Region.write_i64 t.region (row + 32) comp_base;
-        Region.write_i64 t.region row 1 (* in_use last *);
-        { Remote.T.ra_sub = sub; ra_comp = comp; ra_vkey = vk })
+          let sub = ring sub_base in
+          let comp = ring comp_base in
+          (* owner 0: any process of this simulation may bind — the
+             capability is the vkey id held in the connection object,
+             private to the two endpoints *)
+          let vk = Pku.Vpkey.alloc () in
+          Pku.Vpkey.attach_retag vk (fun hw ->
+            Region.kernel_mode (fun () ->
+              Region.tag_range t.region ~off:sub_base ~len:(2 * span)
+                ~pkey:hw));
+          Ring_dir.publish t.region row [ cid; block; sub_base; comp_base ];
+          { Remote.T.ra_sub = sub; ra_comp = comp; ra_vkey = vk }))
     in
     let rc_free cid (ra : Remote.T.ring_attach) =
       Region.kernel_mode (fun () ->
-        let rec scan i =
-          if i >= max_ring_conns then ()
-          else
-            let row = dir + (i * ring_dir_row) in
-            if
-              Region.read_i64 t.region row <> 0
-              && Region.read_i64 t.region (row + 8) = cid
-            then begin
-              let block = Region.read_i64 t.region (row + 16) in
-              let sub_base = Region.read_i64 t.region (row + 24) in
-              Region.write_i64 t.region row 0 (* in_use first *);
-              (* retire the vkey (quarantines the pages), hand them
-                 back to the library's own key, free the block *)
-              Pku.Vpkey.free ra.Remote.T.ra_vkey;
-              Region.tag_range t.region ~off:sub_base ~len:(2 * span)
-                ~pkey:(Hodor.Library.pkey t.lib);
-              Ralloc.free t.heap block
-            end
-            else scan (i + 1)
-        in
-        scan 0)
+        match Ring_dir.release t.region dir ~cid with
+        | None -> ()
+        | Some (block, sub_base) ->
+          (* retire the vkey (quarantines the pages), hand them back to
+             the library's own key, free the block *)
+          Pku.Vpkey.free ra.Remote.T.ra_vkey;
+          Region.tag_range t.region ~off:sub_base ~len:(2 * span)
+            ~pkey:(Hodor.Library.pkey t.lib);
+          Ralloc.free t.heap block)
     in
     { Remote.rc_cfg = rcfg; rc_alloc; rc_free }
 

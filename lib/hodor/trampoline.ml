@@ -200,19 +200,9 @@ let call_batch (lib : Library.t) ~(ops : int) (f : unit -> 'a) : 'a =
   cross ~batch:ops lib f
 
 (* Trampoline-level argument copying (optional in Hodor; ablation
-   abl3): snapshot the caller's buffer into the library domain before
-   the body runs, so concurrent application threads cannot retarget
-   it mid-call. *)
-let call_with_arg (lib : Library.t) ~(arg : bytes) (f : bytes -> 'a) : 'a =
-  if Library.copy_args lib then begin
-    let snapshot = Bytes.copy arg in
-    Control.advance (Platform.Cost_model.memcpy_cost (Bytes.length arg));
-    call lib (fun () -> f snapshot)
-  end
-  else call lib (fun () -> f arg)
-
-(* Multi-argument variant: snapshot every buffer when the library asks
-   for trampoline-level copying. *)
+   abl3): snapshot every buffer into the library domain before the
+   body runs, so concurrent application threads cannot retarget them
+   mid-call. *)
 let call_with_args (lib : Library.t) ~(args : bytes list) (f : bytes list -> 'a)
   : 'a =
   if Library.copy_args lib then begin

@@ -35,12 +35,10 @@ val call_batch : Library.t -> ops:int -> (unit -> 'a) -> 'a
     measurable. [ops] is the number of operations the body executes;
     raises [Invalid_argument] if < 1. *)
 
-val call_with_arg : Library.t -> arg:bytes -> (bytes -> 'a) -> 'a
-(** Like {!call}; when the library was created with [copy_args], [f]
-    receives a snapshot of [arg] taken before entry, so concurrent
-    application threads cannot retarget it mid-call. *)
-
 val call_with_args : Library.t -> args:bytes list -> (bytes list -> 'a) -> 'a
+(** Like {!call}; when the library was created with [copy_args], [f]
+    receives snapshots of [args] taken before entry, so concurrent
+    application threads cannot retarget them mid-call. *)
 
 val on_library_stack : unit -> bool
 (** True while the calling thread executes inside some library call

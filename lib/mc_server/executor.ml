@@ -1,21 +1,20 @@
 (** Mapping from protocol commands to store operations: the request
-    execution engine shared by the ASCII and binary paths of the
-    baseline server. *)
+    pipeline every front end runs — socket and ring drains of both
+    codecs, and the protected library's own calls. *)
 
 module P = Mc_protocol.Types
 module Tenant = Mc_core.Tenant
 
 (* ---- Tenant scoping (connection-bound identity) ----------------------
 
-   A connection bound to a tenant never addresses raw store keys: the
-   server rewrites every key-carrying command into the tenant's
-   [<name>/] namespace {e before} execution, and strips the prefix
-   back out of the values on the way back, so the client sees its own
-   flat key space. The rewrite happens host-side from the
-   connection-bound identity — no byte sequence the client sends can
-   escape its prefix. With [Defenses.Tenant_namespace] off, keys pass
-   through unscoped (the forged-prefix breach) and even [flush_all]
-   reaches the whole store. *)
+   A caller bound to a tenant never addresses raw store keys: every
+   key-carrying command is rewritten into the tenant's [<name>/]
+   namespace {e before} execution, and the prefix stripped back out of
+   the values on the way back, so the caller sees its own flat key
+   space. The rewrite happens host-side from the bound identity — no
+   byte sequence the caller sends can escape its prefix. With
+   [Defenses.Tenant_namespace] off, keys pass through unscoped (the
+   forged-prefix breach) and even [flush_all] reaches the whole store. *)
 
 (* Every key a command carries, rewritten by [f]. *)
 let map_keys f (cmd : P.command) : P.command =
@@ -58,20 +57,18 @@ let scope_command ~prefix (cmd : P.command) : P.command =
       P.Invalid "flush_all forbidden on tenant connections"
     | c -> map_keys (( ^ ) prefix) c
 
+(* A store key under the name its tenant knows it by. *)
+let unscope_key ~prefix k =
+  if Defenses.on Tenant_namespace && String.starts_with ~prefix k then
+    String.sub k (String.length prefix) (String.length k - String.length prefix)
+  else k
+
 let unscope_response ~prefix (resp : P.response) : P.response =
-  if not (Defenses.on Tenant_namespace) then resp
-  else
-    match resp with
-    | P.Values { with_cas; vals } ->
-      let pl = String.length prefix in
-      let strip v =
-        let k = v.P.v_key in
-        if String.starts_with ~prefix k then
-          { v with P.v_key = String.sub k pl (String.length k - pl) }
-        else v
-      in
-      P.Values { with_cas; vals = List.map strip vals }
-    | r -> r
+  match resp with
+  | P.Values { with_cas; vals } when Defenses.on Tenant_namespace ->
+    let strip v = { v with P.v_key = unscope_key ~prefix v.P.v_key } in
+    P.Values { with_cas; vals = List.map strip vals }
+  | r -> r
 
 (* The `stats` surfaces a deployment serves from state outside the
    store: the heap observatory and (for the plib build) the post-mortem
@@ -343,20 +340,28 @@ struct
     in
     go [] cmds
 
-  (* The batch as a connection sends it. Bound to tenant [slot], every
-     command is rewritten into the tenant's namespace first and every
-     reply stripped of it again, so the client sees its own flat key
-     space and the store only ever sees scoped keys; the pairs carry
-     the commands as sent. *)
-  let execute_batch ?tenants ?slot ?surfaces store (cmds : P.command list) :
-      (P.command * P.response) list =
+  let run_cmds ?tenants ?slot ?surfaces ?copy_in ?on_op ~batch store cmds =
+    let cmds =
+      match copy_in with None -> cmds | Some f -> List.map (map_keys f) cmds
+    in
+    if batch then run_batch ?on_op ?tenants ?slot ?surfaces store cmds
+    else List.map (fun c -> (c, execute ?tenants ?slot ?surfaces store c)) cmds
+
+  (* The request pipeline every front end runs inside its crossing: each
+     command scoped into tenant [slot]'s namespace under the one tenant
+     edge, Figure 4's [copy_in] of every key the store will see, the
+     commands run one by one or, with [batch], in stripe groups, and the
+     replies unscoped. The pairs carry the commands as sent. *)
+  let pipeline ?tenants ?slot ?surfaces ?copy_in ?on_op ~batch store
+      (cmds : P.command list) : (P.command * P.response) list =
     match (tenants, slot) with
-    | Some reg, Some slot ->
-      let prefix = Tenant.prefix reg slot in
-      List.map2
-        (fun cmd (_, resp) -> (cmd, unscope_response ~prefix resp))
-        cmds
-        (run_batch ~tenants:reg ~slot ?surfaces store
-           (List.map (scope_command ~prefix) cmds))
-    | _ -> run_batch ?tenants ?surfaces store cmds
+    | Some reg, Some s ->
+      let prefix = Tenant.prefix reg s in
+      Telemetry.Probe.tenant ~slot:s (fun () ->
+        List.map2
+          (fun cmd (_, resp) -> (cmd, unscope_response ~prefix resp))
+          cmds
+          (run_cmds ?tenants ?slot ?surfaces ?copy_in ?on_op ~batch store
+             (List.map (scope_command ~prefix) cmds)))
+    | _ -> run_cmds ?tenants ?slot ?surfaces ?copy_in ?on_op ~batch store cmds
 end

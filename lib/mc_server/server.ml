@@ -84,7 +84,8 @@ struct
       server just calls these at accept/teardown. *)
   type ring_ctx = {
     rc_cfg : ring_config;
-    rc_alloc : int -> T.ring_attach;  (** cid -> sealed ring pair *)
+    rc_alloc : int -> T.ring_attach option;
+    (** cid -> sealed ring pair; [None] when the directory is full *)
     rc_free : int -> T.ring_attach -> unit;
   }
 
@@ -145,12 +146,6 @@ struct
     Hashtbl.remove t.slot_of cid;
     Mutex.unlock t.conns_lock
 
-  let slot_of t cid =
-    Mutex.lock t.conns_lock;
-    let r = Hashtbl.find_opt t.slot_of cid in
-    Mutex.unlock t.conns_lock;
-    r
-
   let buffer_of buffers cid =
     match Hashtbl.find_opt buffers cid with
     | Some b -> b
@@ -163,7 +158,10 @@ struct
 
   (* Parse every complete request buffered for a connection and consume
      its bytes. [`Wait]: nothing complete yet (an empty buffer or an
-     incomplete prefix) — wait for the next chunk. *)
+     incomplete prefix) — wait for the next chunk. A quit closes the
+     connection: everything before it still executes, anything after it
+     is discarded with the connection (what a socket close does to
+     pipelined bytes). *)
   let parse_buffered t buf =
     let data = Buffer.contents buf in
     if String.length data = 0 then `Wait
@@ -175,27 +173,24 @@ struct
         Buffer.clear buf;
         Buffer.add_substring buf data consumed (String.length data - consumed);
         S.advance (List.length cmds * CM.current.proto_parse);
-        `Cmds cmds
+        let rec split acc = function
+          | [] -> `Cmds (List.rev acc, false)
+          | P.Quit :: _ -> `Cmds (List.rev acc, true)
+          | c :: tl -> split (c :: acc) tl
+        in
+        split [] cmds
       | exception P.Need_more_data -> `Wait
       | exception P.Parse_error m -> `Garbage m
 
-  (* Quit closes the connection; everything before it still executes,
-     anything after it is discarded with the connection (what a socket
-     close does to pipelined bytes). *)
-  let split_quit cmds =
-    let rec split acc = function
-      | [] -> (List.rev acc, false)
-      | P.Quit :: _ -> (List.rev acc, true)
-      | c :: tl -> split (c :: acc) tl
-    in
-    split [] cmds
-
-  (* Runs inside the crossing. On a tenant-bound connection the
-     executor scopes every key into the slot's namespace, admits
-     storage against its quotas and rolls up its stats — the registry
-     lives in the protected heap. *)
-  let execute t slot cmds =
-    E.execute_batch ?tenants:t.tenants ?slot ~surfaces:t.surfaces t.store cmds
+  (* Runs inside the crossing: the executor's pipeline, under the
+     connection's tenant binding — the registry lives in the protected
+     heap. *)
+  let execute t cid cmds =
+    Mutex.lock t.conns_lock;
+    let slot = Hashtbl.find_opt t.slot_of cid in
+    Mutex.unlock t.conns_lock;
+    E.pipeline ?tenants:t.tenants ?slot ~surfaces:t.surfaces ~batch:true
+      t.store cmds
 
   (* One output buffer for the whole batch, one send. *)
   let send_replies t conn pairs =
@@ -210,59 +205,53 @@ struct
         pairs;
       if Buffer.length out > 0 then T.server_send conn (Buffer.contents out))
 
-  (* Resync by dropping the buffered garbage. *)
-  let reject_garbage t conn buf m =
-    Buffer.clear buf;
-    S.advance CM.current.proto_pack;
-    T.server_send conn (encode_reply t.cfg (P.Invalid m) (P.Client_error m))
+  (* The tail of every drain, socket or ring: reply to what ran, or drop
+     the garbage and report it, and settle the trace [root]. Leftover
+     bytes go through the socket drain's re-entry, which an empty
+     buffer skips. [`Quit]: the caller closes the connection. *)
+  let rec settle t conn cid buf root = function
+    | `Pairs (pairs, quit) ->
+      send_replies t conn pairs;
+      Telemetry.Span.finish root;
+      if quit then `Quit else drain t conn cid buf
+    | `Garbage m ->
+      Buffer.clear buf;
+      S.advance CM.current.proto_pack;
+      T.server_send conn (encode_reply t.cfg (P.Invalid m) (P.Client_error m));
+      Telemetry.Span.drop root;
+      `Open
+    | `Wait ->
+      Telemetry.Span.drop root;
+      `Open
 
-  (* Each worker owns an event loop over its queue. A read from a
-     socket delivers an arbitrary byte chunk — possibly a fragment of
-     one request, possibly several pipelined requests — so the worker
-     keeps a per-connection reassembly buffer. The batch plane drains
-     {e every} complete request out of it at once: one parse pass, one
-     wrapped (= one protection crossing) batch execution with grouped
-     stripe locking, one reply buffer, one send. *)
+  (* A socket read delivers an arbitrary byte chunk — possibly a
+     fragment of one request, possibly several pipelined requests — so
+     each connection keeps a reassembly buffer. A drain takes {e every}
+     complete request out of it at once: one parse pass, one wrapped (=
+     one protection crossing) batch execution with grouped stripe
+     locking, one reply buffer, one send. The trace is backdated to
+     [enq_at], the socket enqueue stamp of the oldest chunk served, so
+     the time a request sat in the worker's queue is its own [queue]
+     phase; re-entries pass none. *)
+  and drain ?enq_at t conn cid buf =
+    if Buffer.length buf = 0 then `Open
+    else
+      let root =
+        Telemetry.Probe.ingress ?queued_since:enq_at ~op:"srv.batch" ()
+      in
+      settle t conn cid buf root
+        (match parse_buffered t buf with
+         | `Cmds ([], quit) -> `Pairs ([], quit)
+         | `Cmds (cmds, quit) ->
+           `Pairs
+             ( t.wrap.wrap ~ops:(List.length cmds) (fun () ->
+                 execute t cid cmds),
+               quit )
+         | (`Wait | `Garbage _) as o -> o)
+
+  (* Each worker owns an event loop over its queue. *)
   let worker_loop t inbox =
     let buffers : (int, Buffer.t) Hashtbl.t = Hashtbl.create 16 in
-    (* [enq_at] is the socket enqueue stamp of the oldest chunk this
-       drain is serving: the trace is backdated to it, so the time a
-       request sat in the worker's event queue appears as its own
-       [queue] phase. Re-entries (leftover pipelined bytes) pass no
-       stamp — those bytes were just produced, nothing queued. *)
-    let rec drain ?enq_at conn cid buf =
-      if Buffer.length buf > 0 then begin
-        let root =
-          Telemetry.Probe.ingress ?queued_since:enq_at ~op:"srv.batch" ()
-        in
-        match parse_buffered t buf with
-        | `Wait -> Telemetry.Span.drop root
-        | `Garbage m ->
-          reject_garbage t conn buf m;
-          Telemetry.Span.drop root
-        | `Cmds cmds ->
-          let cmds, quit = split_quit cmds in
-          let slot = slot_of t cid in
-          let pairs =
-            match cmds with
-            | [] -> []
-            | cmds ->
-              t.wrap.wrap ~ops:(List.length cmds) (fun () ->
-                execute t slot cmds)
-          in
-          send_replies t conn pairs;
-          Telemetry.Span.finish root;
-          if quit then begin
-            T.close_conn conn;
-            drop_conn t cid;
-            Hashtbl.remove buffers cid
-          end
-          else
-            (* Whatever stayed buffered is an incomplete prefix — or
-               garbage, which the re-entry reports and drops. *)
-            drain conn cid buf
-      end
-    in
     let rec loop () =
       match T.worker_drain inbox with
       | exception S.Closed -> ()
@@ -281,26 +270,19 @@ struct
           msgs;
         List.iter
           (fun (cid, at) ->
-            drain ~enq_at:at (find_conn t cid) cid (buffer_of buffers cid))
+            let conn = find_conn t cid in
+            match drain ~enq_at:at t conn cid (buffer_of buffers cid) with
+            | `Open -> ()
+            | `Quit ->
+              T.close_conn conn;
+              drop_conn t cid;
+              Hashtbl.remove buffers cid)
           (List.rev !touched);
         loop ()
     in
     loop ()
 
   (* ---- shared-ring mode ---------------------------------------------- *)
-
-  let ring_state t cid =
-    Mutex.lock t.conns_lock;
-    let st =
-      match Hashtbl.find_opt t.ring_states cid with
-      | Some st -> st
-      | None ->
-        let st = fresh_wstate () in
-        Hashtbl.replace t.ring_states cid st;
-        st
-    in
-    Mutex.unlock t.conns_lock;
-    st
 
   let release_ring_conn t wi conn =
     let cid = conn.T.cid in
@@ -314,24 +296,17 @@ struct
     Mutex.unlock t.conns_lock;
     drop_conn t cid
 
-  (* Validation caught forged slot headers: kill this connection only.
-     Its rings were private to its vkey, so nothing it stomped can have
-     reached another connection or the library's own state. *)
-  let bounce_ring_conn t wi conn =
-    T.ring_bounce conn;
-    release_ring_conn t wi conn
-
   (* One drain = one wrapped execution = one protection crossing. The
      ring consume (copy-in) runs *inside* the crossing, like the
      paper's copy_in idiom — the bytes leave the client-writable pages
      before the parser trusts them — and the parse + grouped execution
-     of everything the ring held rides the same crossing. *)
-  let ring_drain t conn cid buf ~msgs ~first_stamp =
-    let st = ring_state t cid in
+     of everything the ring held rides the same crossing; the rest is
+     the socket drain's tail. [`Bounce]: forged slot headers. *)
+  let ring_drain t conn st buf ~msgs ~first_stamp =
+    let cid = conn.T.cid in
     let root =
       Telemetry.Probe.ingress ~queued_since:first_stamp ~op:"srv.ring" ()
     in
-    let slot = slot_of t cid in
     let outcome =
       t.wrap.wrap ~ops:(max 1 msgs) (fun () ->
         (* An abrupt kill leaves flag and records saying mid-drain. *)
@@ -344,25 +319,18 @@ struct
           List.iter (fun (m, _stamp) -> Buffer.add_string buf m) chunks;
           match parse_buffered t buf with
           | `Wait -> `Pairs ([], false)
-          | `Garbage m -> `Garbage m
-          | `Cmds cmds ->
-            let cmds, quit = split_quit cmds in
-            `Pairs (execute t slot cmds, quit)))
+          | `Cmds (cmds, quit) -> `Pairs (execute t cid cmds, quit)
+          | `Garbage _ as o -> o))
     in
     match outcome with
     | `Forged ->
       Telemetry.Span.drop root;
       `Bounce
-    | `Garbage m ->
-      reject_garbage t conn buf m;
-      Telemetry.Span.drop root;
-      `Ok
-    | `Pairs (pairs, quit) ->
+    | `Garbage _ as o -> settle t conn cid buf root o
+    | `Pairs _ as o ->
       st.w_drains <- st.w_drains + 1;
       st.w_ops <- st.w_ops + max 1 msgs;
-      send_replies t conn pairs;
-      Telemetry.Span.finish root;
-      if quit then `Quit else `Ok
+      settle t conn cid buf root o
 
   (* The ring worker's event loop. Instead of blocking on the socket
      queue it polls its connections' submission rings (shared-memory
@@ -388,12 +356,24 @@ struct
       let gen = Atomic.get t.ring_gen in
       if fst !cached <> gen then begin
         Mutex.lock t.conns_lock;
-        let l = Hashtbl.fold (fun _ c acc -> c :: acc) t.ring_conns.(wi) [] in
+        let l =
+          Hashtbl.fold
+            (fun cid c acc -> (c, Hashtbl.find t.ring_states cid) :: acc)
+            t.ring_conns.(wi) []
+        in
         Mutex.unlock t.conns_lock;
-        let l = List.sort (fun a b -> compare a.T.cid b.T.cid) l in
-        cached := (gen, List.map (fun c -> (c, ring_state t c.T.cid)) l)
+        cached :=
+          (gen, List.sort (fun (a, _) (b, _) -> compare a.T.cid b.T.cid) l)
       end;
       snd !cached
+    in
+    (* A bounce kills the connection for forged slot headers. Its rings
+       were private to its vkey, so nothing it stomped can have reached
+       another connection or the library's own state. *)
+    let close ?(bounce = false) conn =
+      if bounce then T.ring_bounce conn else T.close_conn conn;
+      release_ring_conn t wi conn;
+      Hashtbl.remove buffers conn.T.cid
     in
     (* the waits of one idle window: the nap, then the backoff *)
     let idle_waits () =
@@ -405,11 +385,9 @@ struct
       let acted = ref false in
       List.iter
         (fun (conn, st) ->
-          let cid = conn.T.cid in
           match T.ring_pending conn with
           | Error _ ->
-            bounce_ring_conn t wi conn;
-            Hashtbl.remove buffers cid;
+            close ~bounce:true conn;
             acted := true
           | Ok None -> st.w_occ <- 0
           | Ok (Some p) -> (
@@ -417,18 +395,13 @@ struct
             acted := true;
             T.ring_arm conn false;
             match
-              ring_drain t conn cid (buffer_of buffers cid)
+              ring_drain t conn st (buffer_of buffers conn.T.cid)
                 ~msgs:p.Transport.Ring.p_msgs
                 ~first_stamp:p.Transport.Ring.p_first_stamp
             with
-            | `Ok -> ()
-            | `Quit ->
-              T.close_conn conn;
-              release_ring_conn t wi conn;
-              Hashtbl.remove buffers cid
-            | `Bounce ->
-              bounce_ring_conn t wi conn;
-              Hashtbl.remove buffers cid))
+            | `Open -> ()
+            | `Quit -> close conn
+            | `Bounce -> close ~bounce:true conn))
         (my_conns ());
       match waits with
       | _ when !acted -> loop (idle_waits ())
@@ -488,36 +461,42 @@ struct
 
   let acceptor_loop t =
     let next = ref 0 in
+    let refuse cid why =
+      Telemetry.Trace.emit ~sev:Telemetry.Trace.Warn ~subsys:"server"
+        (Printf.sprintf "refused conn %d: %s" cid why);
+      false
+    in
     let register conn =
       let cid = conn.T.cid in
       match resolve_tenant t cid with
       | Error name ->
-        Telemetry.Trace.emit ~sev:Telemetry.Trace.Warn ~subsys:"server"
-          (Printf.sprintf "refused conn %d: %S is not a registered tenant" cid
-             name);
-        false
-      | Ok slot ->
-        (match t.ring_ctx with
-         | Some rc ->
-           let ra = rc.rc_alloc cid in
-           T.attach_rings conn ra;
-           (* the worker may already be parked: the first send must find
-              the doorbell armed *)
-           T.ring_arm conn true
-         | None -> ());
-        Mutex.lock t.conns_lock;
-        Hashtbl.replace t.conns cid conn;
-        (match t.ring_ctx with
-         | Some _ ->
-           Hashtbl.replace t.ring_conns.(!next mod t.cfg.workers) cid conn;
-           Hashtbl.replace t.ring_states cid (fresh_wstate ());
-           Atomic.incr t.ring_gen
-         | None -> ());
-        (* bind the tenant identity before the client is released, so no
-           request can race ahead of its own scoping *)
-        Option.iter (Hashtbl.replace t.slot_of cid) slot;
-        Mutex.unlock t.conns_lock;
-        true
+        refuse cid (Printf.sprintf "%S is not a registered tenant" name)
+      | Ok slot -> (
+        match Option.map (fun rc -> rc.rc_alloc cid) t.ring_ctx with
+        | Some None ->
+          Telemetry.Counters.incr Telemetry.Counters.Id.ring_refused;
+          refuse cid "the ring directory is full"
+        | rings ->
+          Option.iter
+            (fun ra ->
+              T.attach_rings conn ra;
+              (* the worker may already be parked: the first send must
+                 find the doorbell armed *)
+              T.ring_arm conn true)
+            (Option.join rings);
+          Mutex.lock t.conns_lock;
+          Hashtbl.replace t.conns cid conn;
+          (match t.ring_ctx with
+           | Some _ ->
+             Hashtbl.replace t.ring_conns.(!next mod t.cfg.workers) cid conn;
+             Hashtbl.replace t.ring_states cid (fresh_wstate ());
+             Atomic.incr t.ring_gen
+           | None -> ());
+          (* bind the tenant identity before the client is released, so
+             no request can race ahead of its own scoping *)
+          Option.iter (Hashtbl.replace t.slot_of cid) slot;
+          Mutex.unlock t.conns_lock;
+          true)
     in
     let rec loop () =
       match

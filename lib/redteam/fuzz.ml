@@ -102,7 +102,7 @@ let fresh_registry () =
    buffer, parse a batch, execute it in one go, encode replies
    honoring suppression, repeat until the buffer yields nothing
    more. A Parse_error answers CLIENT_ERROR and drops the rest of the
-   buffer, exactly as the server does before killing the connection.
+   buffer, exactly as the server does.
    [tenants]/[slot] bind the connection to a tenant: the executor then
    scopes, admits and unscopes exactly as it does for a server's bound
    connection. *)
@@ -115,11 +115,6 @@ let drain ?tenants ?slot store proto (input : string) :
     match proto with
     | Ascii -> A.encode_response resp
     | Binary -> B.encode_reply ~for_cmd:cmd resp
-  in
-  let parse_error_reply m =
-    match proto with
-    | Ascii -> A.encode_response (P.Client_error m)
-    | Binary -> ""  (* binary servers just drop the connection *)
   in
   let buf = ref input in
   let out = Buffer.create 256 in
@@ -153,7 +148,7 @@ let drain ?tenants ?slot store proto (input : string) :
            end
            else begin
              buf := String.sub !buf consumed (String.length !buf - consumed);
-             let pairs = E.execute_batch ?tenants ?slot store cmds in
+             let pairs = E.pipeline ?tenants ?slot ~batch:true store cmds in
              List.iter
                (fun (cmd, resp) ->
                  if not (P.suppress_reply cmd resp) then
@@ -161,7 +156,8 @@ let drain ?tenants ?slot store proto (input : string) :
                pairs
            end
          | exception P.Parse_error m ->
-           Buffer.add_string out (parse_error_reply m);
+           Buffer.add_string out
+             (encode_reply (P.Invalid m) (P.Client_error m));
            buf := "";
            continue := false
          | exception P.Need_more_data -> continue := false

@@ -95,7 +95,8 @@ module Id = struct
      completions that found the client parked and paid its wakeup, and
      messages either consumer read before the virtual time its producer
      stamped them at (ring slots are host memory, so a consumer can see
-     a publish from its producer's future; see EXPERIMENTS.md). *)
+     a publish from its producer's future; see EXPERIMENTS.md), and
+     connections refused because the ring directory was full. *)
   let ring_submits = 38
   let ring_doorbells = 39
   let ring_drains = 40
@@ -105,10 +106,11 @@ module Id = struct
   let ring_kills = 44
   let ring_wakes = 45
   let ring_early_reads = 46
+  let ring_refused = 47
 
   (* Per-pkey fault counts occupy the tail: [pku_fault_pkey + k] for
      pkey k in [0, pkeys). *)
-  let pku_fault_pkey = 47
+  let pku_fault_pkey = 48
 
   let pkeys = 16
 
@@ -152,7 +154,8 @@ let names =
       (Id.ring_completions, "ring_completions");
       (Id.ring_full_waits, "ring_full_waits");
       (Id.ring_kills, "ring_kills"); (Id.ring_wakes, "ring_wakes");
-      (Id.ring_early_reads, "ring_early_reads") ];
+      (Id.ring_early_reads, "ring_early_reads");
+      (Id.ring_refused, "ring_refused") ];
   for k = 0 to Id.pkeys - 1 do
     a.(Id.pku_fault_pkey + k) <- Printf.sprintf "pku_fault_pkey:%d" k
   done;
@@ -247,7 +250,7 @@ let ring_kvs () =
   List.map kv
     [ Id.ring_submits; Id.ring_doorbells; Id.ring_drains;
       Id.ring_drain_ops; Id.ring_completions; Id.ring_full_waits;
-      Id.ring_kills; Id.ring_wakes; Id.ring_early_reads ]
+      Id.ring_kills; Id.ring_wakes; Id.ring_early_reads; Id.ring_refused ]
 
 let all_kvs () =
   List.filter_map

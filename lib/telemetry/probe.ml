@@ -150,8 +150,11 @@ let ring_drain ~draining ~conn ~msgs f =
 (** A kill inside [f] leaves [Tenant_scope] as the lane's last tenant
     record, so the forensic report names the tenant. *)
 let tenant ~slot f =
-  crumb Tenant_scope ~a:slot;
-  Fun.protect ~finally:(fun () -> crumb Tenant_unscope ~a:slot) f
+  if not (Control.on ()) then f ()
+  else begin
+    crumb Tenant_scope ~a:slot;
+    Fun.protect ~finally:(fun () -> crumb Tenant_unscope ~a:slot) f
+  end
 
 (** [queued_since] backdates the root to the enqueue stamp and adds a
     closed [queue] child over exactly the queueing window. *)

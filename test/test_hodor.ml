@@ -232,11 +232,11 @@ let test_arg_copy_snapshot () =
   with_lib ~copy_args:true (fun lib ->
     let buf = Bytes.of_string "secret" in
     let seen_inside =
-      Trampoline.call_with_arg lib ~arg:buf (fun snapshot ->
+      Trampoline.call_with_args lib ~args:[ buf ] (fun snapshots ->
         (* a concurrent client thread could be scribbling on [buf];
            the library must be working on its own copy *)
         Bytes.set buf 0 'X';
-        Bytes.to_string snapshot)
+        Bytes.to_string (List.hd snapshots))
     in
     Alcotest.(check string) "snapshot unaffected by caller mutation" "secret"
       seen_inside)
@@ -244,8 +244,9 @@ let test_arg_copy_snapshot () =
 let test_arg_no_copy_shares () =
   with_lib ~copy_args:false (fun lib ->
     let buf = Bytes.of_string "shared" in
-    Trampoline.call_with_arg lib ~arg:buf (fun inside ->
-      Alcotest.(check bool) "same buffer without copying" true (inside == buf)))
+    Trampoline.call_with_args lib ~args:[ buf ] (fun inside ->
+      Alcotest.(check bool) "same buffer without copying" true
+        (List.hd inside == buf)))
 
 let test_two_libraries_distinct_keys () =
   with_lib (fun lib_a ->

@@ -590,8 +590,8 @@ let test_server_stats_surface_schema () =
           "trace_level"; "trace_sample_every" ] );
       ( "rings",
         [ "ring_completions"; "ring_doorbells"; "ring_drain_ops"; "ring_drains";
-          "ring_early_reads"; "ring_full_waits"; "ring_kills"; "ring_submits";
-          "ring_wakes";
+          "ring_early_reads"; "ring_full_waits"; "ring_kills"; "ring_refused";
+          "ring_submits"; "ring_wakes";
           "rings:conn<n>:drains"; "rings:conn<n>:occupancy";
           "rings:conn<n>:ops" ] );
       ( "tenants",
@@ -783,6 +783,24 @@ let outcome f = function
   | D_delete k -> if f.f_delete k then "deleted" else "not found"
   | D_touch k -> if f.f_touch k 3600 then "touched" else "not found"
 
+(* One op as the protocol command a batch carries. *)
+let command = function
+  | D_set (k, v) ->
+    P.Set { P.key = k; flags = 0; exptime = 0; data = v; noreply = false }
+  | D_get k -> P.Gets [ k ]
+  | D_delete k -> P.Delete (k, false)
+  | D_touch k -> P.Touch (k, 3600, false)
+
+(* A front end over replies already in hand, decoded as the scalar ops
+   decode theirs. *)
+let replay (replies : P.response Queue.t) =
+  let rt _ = Queue.pop replies in
+  { f_set = (fun k v -> Core.Typed.set rt k v);
+    f_get =
+      (fun k -> Option.map (fun r -> r.Store.value) (Core.Typed.get rt k));
+    f_delete = Core.Typed.delete rt;
+    f_touch = Core.Typed.touch rt }
+
 (* Each front end gets a fresh handle and runs the whole stream as
    tenant "dt"; the result is the per-op outcomes, the tenant's usage
    and its `stats tenants` rows. *)
@@ -801,6 +819,20 @@ let run_front ~seed how =
                           (Plib.tenant_get p slot k));
             f_delete = (fun k -> Plib.tenant_delete p slot k);
             f_touch = (fun k e -> Plib.tenant_touch p slot k e) })
+    | `Batch ->
+      (* chunks of 8, each one [Plib.batch] crossing bound to the tenant *)
+      let rec chunks ops =
+        if ops = [] then []
+        else
+          let chunk = List.filteri (fun i _ -> i < 8) ops in
+          let replies =
+            as_uid 4961 (fun () -> Plib.batch ~slot p (List.map command chunk))
+          in
+          let front = replay (Queue.of_seq (List.to_seq replies)) in
+          let here = List.map (outcome front) chunk in
+          here @ chunks (List.filteri (fun i _ -> i >= 8) ops)
+      in
+      chunks (diff_stream ~seed)
     | `Socket (protocol, rings) ->
       let name = Printf.sprintf "tenant-diff-srv-%d" !fresh_id in
       let srv =
@@ -851,11 +883,34 @@ let test_differential_front_ends () =
       Alcotest.(check (pair int int)) (label ^ ": tenant_usage") ref_usage usage;
       Alcotest.(check (list (pair string string)))
         (label ^ ": stats tenants rows") ref_rows rows)
-    [ ("socket ascii", `Socket (Mc_server.Server.Ascii, None));
+    [ ("plib batch", `Batch);
+      ("socket ascii", `Socket (Mc_server.Server.Ascii, None));
       ("socket binary", `Socket (Mc_server.Server.Binary, None));
       ("ring binary",
        `Socket
          (Mc_server.Server.Binary, Some Mc_server.Server.default_ring_config)) ]
+
+(* A refused registration is the caller's error, not a crash inside the
+   library: a duplicate name, a name with a slash and a 65th tenant are
+   each refused with [Invalid_argument], and the library serves on. *)
+let test_refused_create_tenant_keeps_library () =
+  with_plib @@ fun p ~owner:_ ->
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s was registered" what
+    | exception Invalid_argument _ -> ()
+  in
+  ignore (Plib.create_tenant p ~name:"t0" ~uid:4970 ());
+  refused "a duplicate" (fun () ->
+    Plib.create_tenant p ~name:"t0" ~uid:4970 ());
+  refused "a slash" (fun () -> Plib.create_tenant p ~name:"a/b" ~uid:4970 ());
+  for i = 1 to Tenant.max_tenants (Plib.tenants p) - 1 do
+    ignore (Plib.create_tenant p ~name:(Printf.sprintf "t%d" i) ~uid:4970 ())
+  done;
+  refused "a 65th tenant" (fun () ->
+    Plib.create_tenant p ~name:"one-too-many" ~uid:4970 ());
+  Alcotest.(check bool) "the library still stores" true
+    (Plib.set p "k" "v" = Store.Stored)
 
 (* ---- seeded cross-tenant isolation sweep under the VM ----------------- *)
 
@@ -1181,7 +1236,9 @@ let () =
           Alcotest.test_case "stats tenants rollup" `Quick
             test_stats_tenants_rollup;
           Alcotest.test_case "replaces keep usage exact" `Quick
-            test_replace_usage_matches_recount ] );
+            test_replace_usage_matches_recount;
+          Alcotest.test_case "a refused tenant keeps the library" `Quick
+            test_refused_create_tenant_keeps_library ] );
       ( "server",
         [ Alcotest.test_case "ascii codec" `Quick test_server_ascii_tenants;
           Alcotest.test_case "binary codec" `Quick test_server_binary_tenants;

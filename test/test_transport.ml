@@ -501,7 +501,9 @@ module CS = Cl.Sock
 
 let ring_srv_fresh = ref 0
 
-let with_plib_conns ?(vm = Vm.create ()) ~rings ~n f =
+(* [f plib name] runs against a server called [name] in front of
+   [plib]. *)
+let with_plib_srv ?(vm = Vm.create ()) ~rings f =
   incr ring_srv_fresh;
   let id = !ring_srv_fresh in
   let path = Printf.sprintf "/shm/ring-srv-%d" id in
@@ -526,10 +528,14 @@ let with_plib_conns ?(vm = Vm.create ()) ~rings ~n f =
                ~cfg:{ Mc_server.Server.default_config with workers = 1 }
                ?rings plib ~name
            in
-           out := Some (f (List.init n (fun _ -> CS.connect ~name ())));
+           out := Some (f plib name);
            Cl.Plib.stop_remote srv));
       Vm.run vm;
       Option.get !out)
+
+let with_plib_conns ?vm ~rings ~n f =
+  with_plib_srv ?vm ~rings (fun _ name ->
+    f (List.init n (fun _ -> CS.connect ~name ())))
 
 let with_plib_server ?vm ~rings f =
   with_plib_conns ?vm ~rings ~n:1 (fun cs -> f (List.hd cs))
@@ -900,6 +906,59 @@ let test_ring_worker_releases_while_spinning () =
         killed)
     [ ("quit", CS.quit); ("bounce", forge_overfill) ]
 
+(* A request and a malformed frame in one send: every transport answers
+   the request, then reports the garbage, and the connection's next
+   request is served as usual. Garbage left buffered would never be
+   reported, and the next request would be read behind it. *)
+let test_request_then_garbage () =
+  List.iter
+    (fun rings ->
+      let label = if rings then "ring" else "socket" in
+      with_plib_server ~rings (fun c ->
+        ignore (CS.set c "k" "v");
+        let cmd = P.Gets [ "k" ] in
+        CS.T.client_send c.CS.conn
+          (Mc_protocol.Binary.encode_command cmd ^ String.make 24 '\000');
+        let st = CS.stream c in
+        check_hit (label ^ ": the request") "v" (CS.await st cmd);
+        (* the binary codec reports garbage as an error-status frame *)
+        Alcotest.(check bool) (label ^ ": the garbage reported") true
+          (CS.await st P.Noop = P.Error);
+        match CS.get c "k" with
+        | Some r ->
+          Alcotest.(check string) (label ^ ": next request") "v"
+            r.Mc_core.Store.value
+        | None -> Alcotest.fail (label ^ ": next request missed")))
+    [ false; true ]
+
+(* The ring directory holds 64 connections. The 65th connect is refused
+   cleanly, counted, and carves nothing out of the heap; once a
+   connection closes, its row serves the next connect. *)
+let test_ring_directory_full () =
+  let refused = TC.read TC.Id.ring_refused in
+  with_plib_srv ~rings:true (fun plib name ->
+    let cs = List.init 64 (fun _ -> CS.connect ~name ()) in
+    let used () =
+      Shm.Region.kernel_mode (fun () ->
+        let heap = Cl.Plib.heap plib in
+        Ralloc.flush_thread_cache heap;
+        Ralloc.used_bytes heap)
+    in
+    let before = used () in
+    (match CS.connect ~name () with
+     | _ -> Alcotest.fail "the 65th connection was accepted"
+     | exception Failure _ -> ());
+    Alcotest.(check int) "the refusal carved nothing" before (used ());
+    Alcotest.(check int) "counted" 1 (TC.read TC.Id.ring_refused - refused);
+    Alcotest.(check (option string)) "listed in stats rings" (Some "1")
+      (List.assoc_opt "ring_refused" (Cl.Plib.stats ~arg:"rings" plib)
+       |> Option.map (fun v -> string_of_int (int_of_string v - refused)));
+    CS.quit (List.nth cs 1);
+    idle ();
+    match CS.connect ~name () with
+    | _ -> ()
+    | exception Failure m -> Alcotest.fail ("a freed row was not reused: " ^ m))
+
 let ring_server_tests =
   [ Alcotest.test_case "lone request drains at once" `Quick
       test_ring_lone_request_no_wait;
@@ -919,7 +978,11 @@ let ring_server_tests =
     Alcotest.test_case "worker parks after the window" `Quick
       test_ring_worker_parks_after_window;
     Alcotest.test_case "worker releases while spinning" `Quick
-      test_ring_worker_releases_while_spinning ]
+      test_ring_worker_releases_while_spinning;
+    Alcotest.test_case "request then garbage in one send" `Quick
+      test_request_then_garbage;
+    Alcotest.test_case "a full ring directory refuses cleanly" `Quick
+      test_ring_directory_full ]
 
 let () =
   Alcotest.run "transport"
