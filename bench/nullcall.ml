@@ -67,7 +67,7 @@ let tenant_burst = 64
 let tenant_bursts = 96
 
 let tenant_point ~tenants =
-  Pku.Vpkey.reset ();
+  Machine.run (Machine.create ()) @@ fun () ->
   let owner = Simos.Process.make ~uid:1000 (fresh_name "memcached-bk") in
   let path = fresh_name "/dev/shm/vpk" in
   let plib =
@@ -106,7 +106,6 @@ let tenant_point ~tenants =
   in
   Simos.Sim_fs.unlink path;
   Hodor.Library.release (Plib.library plib);
-  Pku.Vpkey.reset ();
   res
 
 let tenant_sweep () =

@@ -9,7 +9,7 @@
 
 module S = Vm.Sync
 module Client = Core.Client.Make (Vm.Sync)
-module Server = Mc_server.Server.Make (Vm.Sync)
+module Server = Mc_server.Server.Make (Vm.Sync) (Client.T)
 module Run = Ycsb.Runner.Make (Vm.Sync)
 module CM = Platform.Cost_model
 

@@ -7,7 +7,7 @@
 
 module S = Vm.Sync
 module Client = Core.Client.Make (Vm.Sync)
-module Server = Mc_server.Server.Make (Vm.Sync)
+module Server = Mc_server.Server.Make (Vm.Sync) (Client.T)
 open Core.Errors
 
 let pages = 200

@@ -18,8 +18,12 @@
     right after the trampoline returns (§3.1). *)
 
 module Make (S : Platform.Sync_intf.S) = struct
-  module Plib = Plib_store.Make (S)
-  module Sock = Socket_client.Make (S)
+  (* One transport for the library's server and every socket client,
+     so they share one listener namespace; pass it to a standalone
+     [Mc_server.Server.Make (S) (T)] too. *)
+  module T = Transport.Sock.Make (S)
+  module Plib = Plib_store.Make (S) (T)
+  module Sock = Socket_client.Make (S) (T)
 
   type backend = Plib_backend of Plib.t | Socket_backend of Sock.t
 

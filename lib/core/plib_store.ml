@@ -126,13 +126,16 @@ let max_tenants = 64
 (** Registry capacity — also the scale the vpkey layer is sized for:
     64 virtual keys multiplexed onto the 16 hardware slots. *)
 
-module Make (S : Platform.Sync_intf.S) = struct
+module Make
+    (S : Platform.Sync_intf.S)
+    (T : module type of Transport.Sock.Make (S)) =
+struct
   module Store =
     Mc_core.Store.Make (Mc_core.Shared_memory) (Mc_core.Ralloc_alloc) (S)
 
   (* The server the hybrid deployment starts ({!serve_remote}); the
      batch plane runs its executor too. *)
-  module Remote = Mc_server.Server.Make_hybrid (S)
+  module Remote = Mc_server.Server.Make_hybrid (S) (T)
   module E = Remote.E
 
   module Tenant = Mc_core.Tenant
@@ -906,16 +909,16 @@ module Make (S : Platform.Sync_intf.S) = struct
               Region.tag_range t.region ~off:sub_base ~len:(2 * span)
                 ~pkey:hw));
           Ring_dir.publish t.region row [ cid; block; sub_base; comp_base ];
-          { Remote.T.ra_sub = sub; ra_comp = comp; ra_vkey = vk }))
+          { T.ra_sub = sub; ra_comp = comp; ra_vkey = vk }))
     in
-    let rc_free cid (ra : Remote.T.ring_attach) =
+    let rc_free cid (ra : T.ring_attach) =
       Region.kernel_mode (fun () ->
         match Ring_dir.release t.region dir ~cid with
         | None -> ()
         | Some (block, sub_base) ->
           (* retire the vkey (quarantines the pages), hand them back to
              the library's own key, free the block *)
-          Pku.Vpkey.free ra.Remote.T.ra_vkey;
+          Pku.Vpkey.free ra.T.ra_vkey;
           Region.tag_range t.region ~off:sub_base ~len:(2 * span)
             ~pkey:(Hodor.Library.pkey t.lib);
           Ralloc.free t.heap block)

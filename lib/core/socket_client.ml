@@ -6,8 +6,10 @@
 module P = Mc_protocol.Types
 module CM = Platform.Cost_model
 
-module Make (S : Platform.Sync_intf.S) = struct
-  module T = Transport.Sock.Make (S)
+module Make
+    (S : Platform.Sync_intf.S)
+    (T : module type of Transport.Sock.Make (S)) =
+struct
 
   type protocol = Ascii | Binary
 

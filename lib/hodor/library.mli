@@ -33,8 +33,6 @@ exception Region_already_protected of string
     claimed the region — admitting the claim would retag the victim's
     pages under the claimant's key. *)
 
-val default_grace_ns : int
-
 val create :
   ?protection:protection ->
   ?grace_ns:int ->

@@ -54,17 +54,16 @@ type verdict = Admitted of report | Rejected of string
 (* Trampolines the loader itself installed, keyed by binary name and
    pinned to an image digest: a binary's own trampoline table is
    attacker-authored, so admission only trusts entries recorded here,
-   and only when the image has not changed since installation. *)
-let installed_trampolines : (string, string * int list) Hashtbl.t =
-  Hashtbl.create 8
+   and only when the image has not changed since installation. The
+   records are the machine's. *)
+let installed_trampolines : (string, string * int list) Hashtbl.t Machine.key =
+  Machine.new_key (fun () -> Hashtbl.create 8)
 
 let digest b = Digest.string (Pku.Insn.byte_image b)
 
 let install_trampolines (b : Pku.Insn.binary) =
-  Hashtbl.replace installed_trampolines b.Pku.Insn.binary_name
+  Hashtbl.replace (Machine.get installed_trampolines) b.Pku.Insn.binary_name
     (digest b, b.Pku.Insn.trampoline_addrs)
-
-let forget_trampolines () = Hashtbl.reset installed_trampolines
 
 let reject reason =
   Telemetry.Counters.incr Telemetry.Counters.Id.loader_rejects;
@@ -76,7 +75,7 @@ let admit (dr : Pku.Debug_regs.t) (b : Pku.Insn.binary) : verdict =
   else begin
     let name = b.Pku.Insn.binary_name in
     let claimed = b.Pku.Insn.trampoline_addrs in
-    let recorded = Hashtbl.find_opt installed_trampolines name in
+    let recorded = Hashtbl.find_opt (Machine.get installed_trampolines) name in
     let trampoline_check =
       match claimed, recorded with
       | [], _ -> Ok []

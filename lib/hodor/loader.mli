@@ -23,10 +23,8 @@ type verdict = Admitted of report | Rejected of string
 val install_trampolines : Pku.Insn.binary -> unit
 (** Record that the loader itself installed this binary's trampolines
     (the trusted link step). The record is pinned to a digest of the
-    byte image: a patched or renamed binary cannot inherit it. *)
-
-val forget_trampolines : unit -> unit
-(** Drop all installation records (test isolation). *)
+    byte image: a patched or renamed binary cannot inherit it. The
+    records belong to the current {!Machine}. *)
 
 val admit : Pku.Debug_regs.t -> Pku.Insn.binary -> verdict
 (** Full admission: claimed trampolines must match the loader's own

@@ -18,34 +18,7 @@
 module Layout : sig
   val header_size : int
 
-  val it_h_next : int
-  val it_lru_next : int
-  val it_lru_prev : int
-  val it_cas : int
-  val it_exptime : int
-  val it_flags : int
-  val it_nkey : int
-  val it_nbytes : int
-  val it_refcount : int
-  val it_lru_id : int
-  val it_state : int
-  val it_hash : int
-  val it_time : int
-
-  val state_linked : int
-  val state_fetched : int
-
-  val ctl_hashpower : int
-  val ctl_lru_count : int
-  val ctl_stats_slots : int
   val ctl_cas : int
-  val ctl_buckets : int
-  val ctl_lru : int
-  val ctl_stats : int
-  val ctl_oldest_live : int
-  val ctl_lock_count : int
-  val ctl_seqs : int
-  val ctl_size : int
 end
 
 type config = {

@@ -72,9 +72,9 @@ let in_ring_drain_now () = !(Tls.get in_ring_drain)
 module Make_generic
     (M : Mc_core.Memory_intf.MEMORY)
     (A : Mc_core.Memory_intf.ALLOCATOR)
-    (S : Platform.Sync_intf.S) =
+    (S : Platform.Sync_intf.S)
+    (T : module type of Transport.Sock.Make (S)) =
 struct
-  module T = Transport.Sock.Make (S)
   module E = Executor.Make (M) (A) (S)
   module Store = E.Store
 
@@ -599,8 +599,11 @@ struct
 end
 
 (* The classic baseline: a private slab-backed store behind sockets. *)
-module Make (S : Platform.Sync_intf.S) = struct
-  include Make_generic (Mc_core.Private_memory) (Mc_core.Slab) (S)
+module Make
+    (S : Platform.Sync_intf.S)
+    (T : module type of Transport.Sock.Make (S)) =
+struct
+  include Make_generic (Mc_core.Private_memory) (Mc_core.Slab) (S) (T)
 
   let start ?(cfg = default_config) ?prebuilt ~name () =
     let store =
@@ -617,5 +620,7 @@ end
 (* The hybrid deployment (§6): the bookkeeping process exposes its
    shared, Hodor-protected store over sockets for remote clients while
    local clients keep calling through trampolines. *)
-module Make_hybrid (S : Platform.Sync_intf.S) =
-  Make_generic (Mc_core.Shared_memory) (Mc_core.Ralloc_alloc) (S)
+module Make_hybrid
+    (S : Platform.Sync_intf.S)
+    (T : module type of Transport.Sock.Make (S)) =
+  Make_generic (Mc_core.Shared_memory) (Mc_core.Ralloc_alloc) (S) (T)

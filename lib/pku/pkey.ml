@@ -2,7 +2,8 @@
 
     Key 0 is the conventional "unrestricted" key that tags ordinary
     memory; keys 1-15 are allocatable, mirroring Linux's
-    [pkey_alloc(2)] interface. *)
+    [pkey_alloc(2)] interface. Which keys are taken is the kernel's
+    business: each {!Machine} has its own table. *)
 
 type t = int
 
@@ -12,38 +13,27 @@ let default : t = 0
 
 exception Out_of_keys
 
-let allocated = Array.make count false
+type table = { allocated : bool array; lock : Mutex.t }
 
-let () = allocated.(0) <- true
+let table_key =
+  Machine.new_key (fun () ->
+    let allocated = Array.make count false in
+    allocated.(0) <- true;
+    { allocated; lock = Mutex.create () })
 
-let alloc_lock = Mutex.create ()
-
-(* Syscall gate, installed by Simos.Process at startup: pkey_alloc(2),
-   pkey_free(2) and pkey_mprotect(2) are real syscalls, so a
-   seccomp-style filter must see them. A hook (rather than a direct
-   call) keeps the dependency arrow pointing simos -> pku. *)
-let syscall_gate = ref (fun (_ : [ `Alloc | `Free | `Mprotect ]) -> ())
-
-let set_syscall_gate f = syscall_gate := f
-
-let gate sc = !syscall_gate sc
-
+(* pkey_alloc(2), pkey_free(2) and pkey_mprotect(2) are real
+   syscalls, so the machine's seccomp-style gate (installed by
+   Simos.Process, which keeps the arrow pointing simos -> pku) sees
+   them. *)
 let alloc () : t =
-  gate `Alloc;
-  Mutex.lock alloc_lock;
+  Machine.syscall_gate () `Alloc;
+  let { allocated; lock } = Machine.get table_key in
   let rec find i =
-    if i >= count then begin
-      Mutex.unlock alloc_lock;
-      raise Out_of_keys
-    end
-    else if not allocated.(i) then begin
-      allocated.(i) <- true;
-      Mutex.unlock alloc_lock;
-      i
-    end
-    else find (i + 1)
+    if i >= count then raise Out_of_keys
+    else if allocated.(i) then find (i + 1)
+    else (allocated.(i) <- true; i)
   in
-  find 1
+  Mutex.protect lock (fun () -> find 1)
 
 (* Freeing a key that is not allocated is refused: the old silent
    version let a double-[free] release a key that had already been
@@ -51,11 +41,12 @@ let alloc () : t =
    domains (the double-admission attack in lib/redteam). *)
 let free (k : t) =
   if k <= 0 || k >= count then invalid_arg "Pkey.free";
-  gate `Free;
-  Mutex.lock alloc_lock;
+  Machine.syscall_gate () `Free;
+  let { allocated; lock } = Machine.get table_key in
+  Mutex.lock lock;
   let was = allocated.(k) in
   allocated.(k) <- false;
-  Mutex.unlock alloc_lock;
+  Mutex.unlock lock;
   if not was then
     invalid_arg (Printf.sprintf "Pkey.free: pkey%d is not allocated" k)
 

@@ -1,6 +1,7 @@
 (** Protection keys: PKU associates one of 16 keys with each page.
     Key 0 is the conventional "unrestricted" key; keys 1-15 are
-    allocatable, mirroring [pkey_alloc(2)]. *)
+    allocatable, mirroring [pkey_alloc(2)]. Each {!Machine} has its own
+    16 keys. *)
 
 type t = int
 
@@ -13,20 +14,13 @@ val default : t
 exception Out_of_keys
 
 val alloc : unit -> t
-(** A fresh key in 1..15. @raise Out_of_keys when all are taken. *)
+(** A fresh key in 1..15 of the current machine.
+    @raise Out_of_keys when all are taken. *)
 
 val free : t -> unit
 (** @raise Invalid_argument if the key is out of range {e or not
     currently allocated} — a silent double-free would hand an already
     recycled key back to the pool, merging two protection domains. *)
-
-val set_syscall_gate : ([ `Alloc | `Free | `Mprotect ] -> unit) -> unit
-(** Install the seccomp-style gate consulted before [pkey_alloc],
-    [pkey_free] and a user-mode [pkey_mprotect] (wired up by
-    [Simos.Process]; no-op by default). *)
-
-val gate : [ `Alloc | `Free | `Mprotect ] -> unit
-(** Consult the installed gate for one syscall. *)
 
 val is_valid : t -> bool
 

@@ -18,28 +18,34 @@ type vk = {
 
 let default_hw_cap = 12
 
-let lock = Mutex.create ()
+(* One machine's slot table, guarded by [lock]. The counters are
+   monotonic (telemetry mirrors them, but the bench needs them with
+   TELEMETRY=off too). *)
+type state = {
+  lock : Mutex.t;
+  table : (int, vk) Hashtbl.t;
+  slots : (Pkey.t, vk) Hashtbl.t;
+  mutable pool : Pkey.t list;  (* hw keys we own, currently free *)
+  mutable quarantine : Pkey.t option;
+  mutable hw_cap : int;
+  mutable next_id : int;
+  mutable clock : int;
+  mutable n_binds : int;
+  mutable n_misses : int;
+  mutable n_evictions : int;
+}
 
-(* Everything below the lock line is guarded by [lock]. *)
-let table : (int, vk) Hashtbl.t = Hashtbl.create 64
-let slots : (Pkey.t, vk) Hashtbl.t = Hashtbl.create 16
-let pool : Pkey.t list ref = ref [] (* hw keys we own, currently free *)
-let quarantine : Pkey.t option ref = ref None
-let hw_cap = ref default_hw_cap
-let next_id = ref 1
-let clock = ref 0
+let fresh () =
+  { lock = Mutex.create (); table = Hashtbl.create 64;
+    slots = Hashtbl.create 16; pool = []; quarantine = None;
+    hw_cap = default_hw_cap; next_id = 1; clock = 0; n_binds = 0;
+    n_misses = 0; n_evictions = 0 }
 
-(* Monotonic process-local stats (telemetry mirrors them, but the
-   bench needs them with TELEMETRY=off too). *)
-let n_binds = ref 0
-let n_misses = ref 0
-let n_evictions = ref 0
+let state_key = Machine.new_key fresh
 
 let locked f =
-  Mutex.lock lock;
-  match f () with
-  | v -> Mutex.unlock lock; v
-  | exception e -> Mutex.unlock lock; raise e
+  let st = Machine.get state_key in
+  Mutex.protect st.lock (fun () -> f st)
 
 (* Eviction, rebind and free re-tag a vkey's memory: one
    pkey_mprotect per range walked, the seat of libmpk's slot-miss
@@ -52,7 +58,7 @@ let charge_retags walked =
 
 let retagging f =
   let walked = ref 0 in
-  match locked (fun () -> f walked) with
+  match locked (fun st -> f st walked) with
   | v -> charge_retags walked; v
   | exception e -> charge_retags walked; raise e
 
@@ -60,22 +66,22 @@ let retag walked vk k =
   walked := !walked + List.length vk.retags;
   List.iter (fun f -> f k) vk.retags
 
-let find_locked id =
-  match Hashtbl.find_opt table id with
+let find_locked st id =
+  match Hashtbl.find_opt st.table id with
   | Some vk -> vk
   | None -> raise (Unknown_vkey id)
 
-let quarantine_locked () =
-  match !quarantine with
+let quarantine_locked st =
+  match st.quarantine with
   | Some k -> k
   | None ->
     let k = Pkey.alloc () in
-    quarantine := Some k;
+    st.quarantine <- Some k;
     k
 
 (* Pick the least-recently-bound vkey, quarantine its ranges, and hand
    its slot to the caller. *)
-let evict_one_locked walked =
+let evict_one_locked st walked =
   if not (Defenses.on Vkey_eviction) then raise Pkey.Out_of_keys;
   let victim =
     Hashtbl.fold
@@ -83,40 +89,40 @@ let evict_one_locked walked =
         match best with
         | Some b when b.last_use <= vk.last_use -> best
         | _ -> Some vk)
-      slots None
+      st.slots None
   in
   match victim with
   | None -> raise Pkey.Out_of_keys (* cap 0 and empty pool: impossible *)
   | Some vk ->
     let k = match vk.hw with Some k -> k | None -> assert false in
-    Hashtbl.remove slots k;
+    Hashtbl.remove st.slots k;
     vk.hw <- None;
-    if Defenses.on Vkey_quarantine then retag walked vk (quarantine_locked ());
-    incr n_evictions;
+    if Defenses.on Vkey_quarantine then retag walked vk (quarantine_locked st);
+    st.n_evictions <- st.n_evictions + 1;
     Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_evictions;
     k
 
-let acquire_slot_locked walked =
-  match !pool with
-  | k :: rest -> pool := rest; k
+let acquire_slot_locked st walked =
+  match st.pool with
+  | k :: rest -> st.pool <- rest; k
   | [] ->
-    if Hashtbl.length slots < !hw_cap then
-      (try Pkey.alloc () with Pkey.Out_of_keys -> evict_one_locked walked)
-    else evict_one_locked walked
+    if Hashtbl.length st.slots < st.hw_cap then
+      (try Pkey.alloc () with Pkey.Out_of_keys -> evict_one_locked st walked)
+    else evict_one_locked st walked
 
-let bind_locked walked vk =
-  incr clock;
-  vk.last_use <- !clock;
-  incr n_binds;
+let bind_locked st walked vk =
+  st.clock <- st.clock + 1;
+  vk.last_use <- st.clock;
+  st.n_binds <- st.n_binds + 1;
   Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_binds;
   match vk.hw with
   | Some k -> k
   | None ->
-    incr n_misses;
+    st.n_misses <- st.n_misses + 1;
     Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_slot_misses;
-    let k = acquire_slot_locked walked in
+    let k = acquire_slot_locked st walked in
     vk.hw <- Some k;
-    Hashtbl.replace slots k vk;
+    Hashtbl.replace st.slots k vk;
     (* lazy sync: the ranges were parked on the quarantine key since
        our eviction; re-tag them to the slot we just won *)
     retag walked vk k;
@@ -132,97 +138,107 @@ let check_owner vk = function
               vk.id vk.owner o))
 
 let alloc ?(owner = 0) () =
-  locked (fun () ->
-      let id = !next_id in
-      incr next_id;
-      Hashtbl.replace table id
+  locked (fun st ->
+      let id = st.next_id in
+      st.next_id <- id + 1;
+      Hashtbl.replace st.table id
         { id; owner; hw = None; last_use = 0; retags = [] };
       id)
 
 let restore ~id ~owner =
-  locked (fun () ->
-      if not (Hashtbl.mem table id) then
-        Hashtbl.replace table id
+  locked (fun st ->
+      if not (Hashtbl.mem st.table id) then
+        Hashtbl.replace st.table id
           { id; owner; hw = None; last_use = 0; retags = [] };
-      if id >= !next_id then next_id := id + 1)
+      if id >= st.next_id then st.next_id <- id + 1)
 
 let free id =
-  retagging (fun walked ->
-      let vk = find_locked id in
+  retagging (fun st walked ->
+      let vk = find_locked st id in
       (match vk.hw with
        | Some k ->
-         Hashtbl.remove slots k;
+         Hashtbl.remove st.slots k;
          vk.hw <- None;
-         pool := k :: !pool
+         st.pool <- k :: st.pool
        | None -> ());
       (* the id is dead; its memory must not stay readable under a
          recycled slot *)
-      if vk.retags <> [] then retag walked vk (quarantine_locked ());
-      Hashtbl.remove table id)
+      if vk.retags <> [] then retag walked vk (quarantine_locked st);
+      Hashtbl.remove st.table id)
 
 let bind ?owner id =
-  retagging (fun walked ->
-      let vk = find_locked id in
+  retagging (fun st walked ->
+      let vk = find_locked st id in
       check_owner vk owner;
-      bind_locked walked vk)
+      bind_locked st walked vk)
 
-let hw_key id = locked (fun () -> (find_locked id).hw)
+let hw_key id = locked (fun st -> (find_locked st id).hw)
 
-let owner_of id = locked (fun () -> (find_locked id).owner)
+let owner_of id = locked (fun st -> (find_locked st id).owner)
 
 let attach_retag id f =
-  locked (fun () ->
-      let vk = find_locked id in
+  locked (fun st ->
+      let vk = find_locked st id in
       vk.retags <- f :: vk.retags;
       (* apply the current mapping right away: bound -> the live slot,
          unbound -> quarantined until the next bind *)
       match vk.hw with
       | Some k -> f k
-      | None -> f (quarantine_locked ()))
+      | None -> f (quarantine_locked st))
 
 let quarantine_key () = locked quarantine_locked
 
 (* ---- per-thread pkru shadow ----------------------------------------- *)
 
 (* (vkey id, hw slot at grant time) for every vkey this thread has
-   enabled. The slot table can move bindings underneath us; crossings
-   call [sync_thread] to reconcile. *)
-let shadow_key : (int * Pkey.t) list ref Tls.key =
-  Tls.new_key (fun () -> ref [])
+   enabled on the slot table [owner]. The slot table can move bindings
+   underneath us; crossings call [sync_thread] to reconcile. A thread
+   that meets another table (a fresh machine, or the table rebuilt
+   after {!bookkeeper_died}) starts with no grants there. *)
+type shadow = { mutable owner : state; mutable grants : (int * Pkey.t) list }
+
+let shadow_key : shadow Tls.key =
+  Tls.new_key (fun () -> { owner = Machine.get state_key; grants = [] })
+
+let shadow () =
+  let s = Tls.get shadow_key and st = Machine.get state_key in
+  if s.owner != st then (s.owner <- st; s.grants <- []);
+  s
 
 let enable ?owner id =
   let k = bind ?owner id in
   Pkru.wrpkru (Pkru.set_perm (Pkru.read ()) k Pkru.Enable);
-  let s = Tls.get shadow_key in
-  s := (id, k) :: List.remove_assoc id !s;
+  let s = shadow () in
+  s.grants <- (id, k) :: List.remove_assoc id s.grants;
   k
 
 let disable id =
-  let s = Tls.get shadow_key in
-  match List.assoc_opt id !s with
+  let s = shadow () in
+  match List.assoc_opt id s.grants with
   | None -> ()
   | Some k ->
-    s := List.remove_assoc id !s;
-    if not (List.exists (fun (_, k') -> k' = k) !s) then
+    s.grants <- List.remove_assoc id s.grants;
+    if not (List.exists (fun (_, k') -> k' = k) s.grants) then
       Pkru.wrpkru (Pkru.set_perm (Pkru.read ()) k Pkru.Access_disable)
 
 let sync_thread () =
-  let s = Tls.get shadow_key in
-  match !s with
+  match (Tls.get shadow_key).grants with
   | [] -> ()
-  | entries ->
+  | _ ->
+    let s = shadow () in
+    let entries = s.grants in
     (* Re-derive each grant from the slot table: dead vkeys drop, moved
        vkeys re-bind (no ownership check — the thread held the grant). *)
     let survivors =
-      retagging (fun walked ->
+      retagging (fun st walked ->
           List.filter_map
             (fun (id, k) ->
-              match Hashtbl.find_opt table id with
+              match Hashtbl.find_opt st.table id with
               | None -> None
               | Some vk ->
                 (match vk.hw with
                  | Some k' when k' = k -> Some (id, k)
-                 | _ -> Some (id, bind_locked walked vk)))
+                 | _ -> Some (id, bind_locked st walked vk)))
             entries)
     in
     let new_ks = List.map snd survivors in
@@ -235,26 +251,26 @@ let sync_thread () =
     in
     let v = List.fold_left (fun v k -> Pkru.set_perm v k Pkru.Enable) v new_ks in
     if v <> Pkru.read () then Pkru.wrpkru v;
-    s := survivors
+    s.grants <- survivors
 
 (* ---- capacity / introspection --------------------------------------- *)
 
-let set_hw_cap n = locked (fun () -> hw_cap := max 1 (min 14 n))
+let set_hw_cap n = locked (fun st -> st.hw_cap <- max 1 (min 14 n))
 
-let slots_in_use () = locked (fun () -> Hashtbl.length slots)
+let slots_in_use () = locked (fun st -> Hashtbl.length st.slots)
 
-let live_vkeys () = locked (fun () -> Hashtbl.length table)
+let live_vkeys () = locked (fun st -> Hashtbl.length st.table)
 
-let binds () = !n_binds
-let slot_misses () = !n_misses
-let evictions () = !n_evictions
+let binds () = (Machine.get state_key).n_binds
+let slot_misses () = (Machine.get state_key).n_misses
+let evictions () = (Machine.get state_key).n_evictions
 
 let check_invariants () =
-  locked (fun () ->
-      if Hashtbl.length slots > !hw_cap then
+  locked (fun st ->
+      if Hashtbl.length st.slots > st.hw_cap then
         failwith
           (Printf.sprintf "Vpkey: %d slots bound, cap %d"
-             (Hashtbl.length slots) !hw_cap);
+             (Hashtbl.length st.slots) st.hw_cap);
       Hashtbl.iter
         (fun k vk ->
           (match vk.hw with
@@ -266,27 +282,21 @@ let check_invariants () =
                   (match vk.hw with
                    | None -> "nothing"
                    | Some k' -> Printf.sprintf "slot %d" k')));
-          if not (Hashtbl.mem table vk.id) then
+          if not (Hashtbl.mem st.table vk.id) then
             failwith (Printf.sprintf "Vpkey: slot %d holds dead vkey%d" k vk.id);
-          match !quarantine with
+          match st.quarantine with
           | Some q when q = k -> failwith "Vpkey: quarantine key used as a slot"
           | _ -> ())
-        slots)
+        st.slots)
 
-let reset () =
-  locked (fun () ->
+(* The slot table is the bookkeeping process's memory: when it dies,
+   the kernel takes its hardware keys back and the table is gone.
+   What survives is what was persisted (the tenant registry), which
+   recovery replays through {!restore}. *)
+let bookkeeper_died () =
+  locked (fun st ->
       let free_hw k = try Pkey.free k with Invalid_argument _ -> () in
-      Hashtbl.iter (fun k _ -> free_hw k) slots;
-      List.iter free_hw !pool;
-      (match !quarantine with Some k -> free_hw k | None -> ());
-      Hashtbl.reset table;
-      Hashtbl.reset slots;
-      pool := [];
-      quarantine := None;
-      hw_cap := default_hw_cap;
-      next_id := 1;
-      clock := 0;
-      n_binds := 0;
-      n_misses := 0;
-      n_evictions := 0);
-  Tls.get shadow_key := []
+      Hashtbl.iter (fun k _ -> free_hw k) st.slots;
+      List.iter free_hw st.pool;
+      Option.iter free_hw st.quarantine;
+      Machine.set state_key (fresh ()))

@@ -19,7 +19,13 @@
       pkru and on which hardware slot; {!sync_thread} — called by the
       Hodor trampoline on every crossing — revokes rights on slots
       whose binding moved and re-establishes them on the vkey's
-      current slot, so slot reuse never leaks rights across vkeys.
+      current slot, so across a crossing slot reuse never leaks rights
+      across vkeys. Ring access windows do not hold this yet: a ring
+      client never crosses, so a grant it took at attach survives its
+      slot's eviction and opens whatever vkey lands in that slot next.
+
+    Each {!Machine} has its own slot table (vkeys, slots, cap,
+    counters); every call below acts on the calling thread's.
 
     Binds, slot misses and evictions are counted in
     [Telemetry.Counters] ([vpkey_binds] / [vpkey_slot_misses] /
@@ -110,7 +116,7 @@ val slots_in_use : unit -> int
 val live_vkeys : unit -> int
 
 val binds : unit -> int
-(** Process-lifetime bind count (monotonic; reset by {!reset}). *)
+(** Binds on the machine's slot table (monotonic). *)
 
 val slot_misses : unit -> int
 
@@ -121,7 +127,8 @@ val check_invariants : unit -> unit
     slot, bound count within cap, quarantine key never a slot.
     @raise Failure on violation. *)
 
-val reset : unit -> unit
-(** Test harness: free every hardware key back to {!Pkey}, drop all
-    vkeys, zero the counters, clear the calling thread's shadow, and
-    restore default cap and toggles. *)
+val bookkeeper_died : unit -> unit
+(** Model the bookkeeping process dying: its slot table is process
+    memory, so every vkey, slot, binding and counter is gone and the
+    hardware keys go back to the machine. Recovery rebuilds the vkeys
+    from the persisted registry through {!restore}. *)

@@ -31,8 +31,6 @@ exception Violation of string
 (* Unsealed: satisfies {!Sync_intf.S} structurally while also exposing
    [reset]/[violations] to the test harness. *)
 module Make (S : Sync_intf.S) = struct
-  let name = "lockdep:" ^ S.name
-
   let advance = S.advance
   let now_ns = S.now_ns
   let sleep_ns = S.sleep_ns

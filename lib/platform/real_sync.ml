@@ -3,8 +3,6 @@
     Used by the runnable examples and binaries. [advance] is a no-op:
     real work takes real time. *)
 
-let name = "real"
-
 let advance (_ns : int) = ()
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
@@ -13,7 +11,8 @@ let sleep_ns ns = if ns > 0 then Thread.delay (float_of_int ns /. 1e9)
 
 type thread = Thread.t
 
-let spawn ?name:_ f = Thread.create f ()
+(* The child runs under the spawner's machine, as a Vm thread does. *)
+let spawn ?name:_ f = Thread.create (Machine.carry f) ()
 
 let join = Thread.join
 

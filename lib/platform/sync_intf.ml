@@ -17,8 +17,6 @@
     throughput are computed from. *)
 
 module type S = sig
-  val name : string
-
   (** {1 Time and modeled cost} *)
 
   val advance : int -> unit

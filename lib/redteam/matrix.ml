@@ -22,6 +22,13 @@ let trace fmt =
         flush stderr))
     fmt
 
+(* Each run gets a machine of its own (keys, vkey slots, files,
+   listeners, the loader's records) and leaves this thread's pkru
+   clear, so no run sees what another left behind. *)
+let isolated f =
+  Machine.run (Machine.create ()) (fun () ->
+    Fun.protect ~finally:Pku.Pkru.reset_thread f)
+
 let collect () : row list =
   List.map
     (fun (s : Scenarios.t) ->
@@ -29,11 +36,11 @@ let collect () : row list =
       let unhardened () = s.Scenarios.run ~hardening:false in
       let unhardened =
         match s.Scenarios.toggle with
-        | Some d -> Defenses.with_off d unhardened
-        | None -> unhardened ()
+        | Some d -> isolated (fun () -> Defenses.with_off d unhardened)
+        | None -> isolated unhardened
       in
       trace "[matrix] %s: hardened..." s.Scenarios.sc_name;
-      let hardened = s.Scenarios.run ~hardening:true in
+      let hardened = isolated (fun () -> s.Scenarios.run ~hardening:true) in
       trace "[matrix] %s: done" s.Scenarios.sc_name;
       { scenario = s.Scenarios.sc_name;
         vector = s.Scenarios.vector;

@@ -39,30 +39,17 @@ let outcome_string = function
   | Blocked m -> "BLOCKED: " ^ m
   | Breached m -> "BREACHED: " ^ m
 
-(* Monotonic suffix for region/file names: scenarios run repeatedly
-   (both hardening modes, many seeds) and must never collide. *)
-let fresh =
-  let n = ref 0 in
-  fun () -> incr n; !n
-
-(* A fresh library, released (and this thread's pkru reset) however
-   [f] exits. *)
+(* A fresh library. Every run has a machine of its own
+   ({!Matrix.collect}; a sweep inside a run makes one per step), so
+   nothing needs releasing afterwards. *)
 let with_lib ?grace_ns ?(owner_uid = 1000) tag f =
-  let lib =
-    Library.create ?grace_ns
-      ~name:(Printf.sprintf "%s-%d" tag (fresh ()))
-      ~owner_uid ()
-  in
-  Fun.protect ~finally:(fun () ->
-    Library.release lib;
-    Pkru.reset_thread ())
-  @@ fun () -> f lib
+  f (Library.create ?grace_ns ~name:tag ~owner_uid ())
 
 (* A page under [lib]'s key, claimed by it, holding [secret]. *)
 let secret_region lib tag secret =
   let region =
     Region.create
-      ~name:(Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()))
+      ~name:("/shm/rt-" ^ tag)
       ~size:4096 ~pkey:(Library.pkey lib) ()
   in
   Library.protect_region lib region;
@@ -73,7 +60,7 @@ let secret_region lib tag secret =
 let vkey_region vk tag secret =
   let region =
     Region.create
-      ~name:(Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()))
+      ~name:("/shm/rt-" ^ tag)
       ~size:4096 ~pkey:Pkey.default ()
   in
   Region.kernel_mode (fun () -> Region.write_string region ~off:0 secret);
@@ -81,13 +68,6 @@ let vkey_region vk tag secret =
     Region.kernel_mode (fun () ->
       Region.tag_range region ~off:0 ~len:(Region.size region) ~pkey:hw));
   region
-
-(* The vkey table and this thread's pkru, reset however [f] exits. *)
-let with_clean_vkeys f =
-  Fun.protect ~finally:(fun () ->
-    Pku.Vpkey.reset ();
-    Pkru.reset_thread ())
-  f
 
 (* ---- 1+2: gadget bytes hidden in a data island ---------------------- *)
 
@@ -113,8 +93,6 @@ let gadget_island kind =
     toggle = Some Gadget_scan;
     run =
       (fun ~hardening:_ ->
-        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
-        Fun.protect ~finally:Pkru.reset_thread @@ fun () ->
         let island, delta =
           match kind with
           | `Wrpkru ->
@@ -126,7 +104,7 @@ let gadget_island kind =
         in
         let b =
           Insn.make
-            (Printf.sprintf "evil-app-%d" (fresh ()))
+            "evil-app"
             [| Insn.Compute 10; Insn.Data island; Insn.Ret |]
         in
         let dr = Pku.Debug_regs.create () in
@@ -157,13 +135,12 @@ let forged_trampoline_table =
     toggle = Some Gadget_scan;
     run =
       (fun ~hardening:_ ->
-        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
         with_lib "forge-victim" @@ fun lib ->
         let key = Library.pkey lib in
         let payload = Pkru.set_perm Pkru.init_value key Pkru.Enable in
         let b =
           Insn.make ~trampolines:[ 1 ]
-            (Printf.sprintf "forged-tramp-%d" (fresh ()))
+            "forged-tramp"
             [| Insn.Compute 5; Insn.Wrpkru payload; Insn.Ret |]
         in
         let dr = Pku.Debug_regs.create () in
@@ -190,11 +167,10 @@ let patched_binary =
     toggle = Some Gadget_scan;
     run =
       (fun ~hardening:_ ->
-        Fun.protect ~finally:Loader.forget_trampolines @@ fun () ->
         with_lib "patch-victim" @@ fun lib ->
         let key = Library.pkey lib in
         let legit_v = Pkru.set_perm Pkru.init_value key Pkru.Enable in
-        let bin_name = Printf.sprintf "app-bin-%d" (fresh ()) in
+        let bin_name = "app-bin" in
         let legit =
           Insn.make ~trampolines:[ 0 ] bin_name
             [| Insn.Wrpkru legit_v; Insn.Ret |]
@@ -350,13 +326,8 @@ let retag_race =
         let breaches = ref [] in
         List.iter
           (fun seed ->
-            let stolen_key = ref None in
+            Machine.run (Machine.create ()) @@ fun () ->
             with_lib (Printf.sprintf "race-lib-%d" seed) @@ fun lib ->
-            Fun.protect ~finally:(fun () ->
-              match !stolen_key with
-              | Some k -> (try Pkey.free k with _ -> ())
-              | None -> ())
-            @@ fun () ->
             let region =
               secret_region lib (Printf.sprintf "race-%d" seed) "RACE-SECRET"
             in
@@ -382,7 +353,6 @@ let retag_race =
                    try
                      Vm.Sync.advance 300;
                      let k = Pkey.alloc () in
-                     stolen_key := Some k;
                      Region.tag_range region ~off:0 ~len:(Region.size region)
                        ~pkey:k;
                      Pkru.wrpkru
@@ -435,7 +405,6 @@ let pkey_exhaustion =
     toggle = Some Vkey_eviction;
     run =
       (fun ~hardening:_ ->
-        with_clean_vkeys @@ fun () ->
         (* a small slot budget makes the pressure cheap to reach; the
            victim is the 65th principal wanting its capability bound *)
         Pku.Vpkey.set_hw_cap 4;
@@ -484,7 +453,6 @@ let cross_tenant_vkey_bind =
     toggle = Some Vkey_owner_checks;
     run =
       (fun ~hardening:_ ->
-        with_clean_vkeys @@ fun () ->
         let victim_vk = Pku.Vpkey.alloc ~owner:1000 () in
         let region = vkey_region victim_vk "vbind" "VKEY-SECRET" in
         (* the owner exercises its capability once: pages now live
@@ -524,7 +492,6 @@ let quarantine_evict_leak =
     toggle = Some Vkey_quarantine;
     run =
       (fun ~hardening:_ ->
-        with_clean_vkeys @@ fun () ->
         (* one slot: the attacker's bind must recycle the victim's *)
         Pku.Vpkey.set_hw_cap 1;
         let victim_vk = Pku.Vpkey.alloc ~owner:1000 () in
@@ -565,11 +532,7 @@ let pkey_hijack =
     toggle = Some Seccomp;
     run =
       (fun ~hardening:_ ->
-        let extra = ref [] in
         with_lib "hijack-lib" @@ fun lib ->
-        Fun.protect ~finally:(fun () ->
-          List.iter (fun k -> try Pkey.free k with _ -> ()) !extra)
-        @@ fun () ->
         let victim_key = Library.pkey lib in
         let region = secret_region lib "hijack" "HIJACK-SECRET" in
         let attacker = Process.make ~uid:6003 "key-thief" in
@@ -584,16 +547,10 @@ let pkey_hijack =
             if n > Pkey.count then None
             else
               let k = Pkey.alloc () in
-              if k = victim_key then Some k
-              else begin
-                extra := k :: !extra;
-                hunt (n + 1)
-              end
+              if k = victim_key then Some k else hunt (n + 1)
           in
           (match hunt 0 with
            | None ->
-             (* put the key back so release stays balanced *)
-             extra := [];
              Breached
                "victim's key freed by the attacker (recycled elsewhere): \
                 protection domain destroyed"
@@ -658,10 +615,11 @@ let crash_in_grace =
     run =
       (fun ~hardening ->
         let run_one ~at ~recover =
+          Machine.run (Machine.create ()) @@ fun () ->
           with_lib ~grace_ns:1000 "grace-lib" @@ fun lib ->
           let region =
             Region.create
-              ~name:(Printf.sprintf "/shm/rt-grace-%d" (fresh ()))
+              ~name:"/shm/rt-grace"
               ~size:4096 ~pkey:(Library.pkey lib) ()
           in
           Library.protect_region lib region;
@@ -759,11 +717,8 @@ let inlib_syscall_escape =
     toggle = Some Seccomp;
     run =
       (fun ~hardening:_ ->
-        let path = Printf.sprintf "/shm/rt-escape-%d" (fresh ()) in
+        let path = "/shm/rt-escape" in
         with_lib "escape-lib" @@ fun lib ->
-        Fun.protect ~finally:(fun () ->
-          try Simos.Sim_fs.unlink path with _ -> ())
-        @@ fun () ->
         let region =
           Region.create ~name:path ~size:4096 ~pkey:(Library.pkey lib) ()
         in
@@ -805,7 +760,7 @@ let inlib_syscall_escape =
 
 module RCl = Core.Client.Make (Platform.Real_sync)
 module RPlib = RCl.Plib
-module RT = Transport.Sock.Make (Platform.Real_sync)
+module RT = RCl.T
 
 let small_cfg =
   { Mc_core.Store.default_config with
@@ -813,13 +768,8 @@ let small_cfg =
 
 let with_rplib ~tag f =
   let owner = Process.make ~uid:1000 (tag ^ "-bk") in
-  let path = Printf.sprintf "/shm/rt-%s-%d" tag (fresh ()) in
-  let p = RPlib.create ~store_cfg:small_cfg ~path ~size:(4 lsl 20) ~owner () in
-  with_clean_vkeys @@ fun () ->
-  Fun.protect ~finally:(fun () ->
-    Simos.Sim_fs.unlink path;
-    Library.release (RPlib.library p))
-  @@ fun () -> f p
+  let path = "/shm/rt-" ^ tag in
+  f (RPlib.create ~store_cfg:small_cfg ~path ~size:(4 lsl 20) ~owner ())
 
 (* One ASCII worker over the small store. *)
 let small_server_cfg =
@@ -917,7 +867,7 @@ let cross_tenant_read =
         with_rplib ~tag:"nsp" @@ fun p ->
         ignore (RPlib.create_tenant p ~name:"ra" ~uid:3101 ());
         ignore (RPlib.create_tenant p ~name:"rb" ~uid:3102 ());
-        let sname = Printf.sprintf "rt-nsp-srv-%d" (fresh ()) in
+        let sname = "rt-nsp-srv" in
         let assign =
           let q = ref [ "ra"; "rb" ] in
           fun _cid ->
@@ -982,7 +932,7 @@ let hostile_ring_client =
     run =
       (fun ~hardening ->
         with_rplib ~tag:"hring" @@ fun p ->
-        let sname = Printf.sprintf "rt-hring-srv-%d" (fresh ()) in
+        let sname = "rt-hring-srv" in
         let srv =
           RPlib.serve_remote ~cfg:small_server_cfg
             ~rings:Mc_server.Server.default_ring_config p ~name:sname

@@ -68,12 +68,12 @@ let pkey_of_page t page = t.page_pkeys.(page)
 (* Retagging pages is pkey_mprotect(2): Linux allows it on any page
    mapped in the caller's address space — including a shared region —
    which is exactly why PKU sandboxes must seccomp-filter it (ERIM,
-   Garmr). [Pku.Pkey]'s syscall gate is installed by [Simos.Process];
+   Garmr). The machine's syscall gate is installed by [Simos.Process];
    kernel-mode (ring-0) paths like the loader's protect_region are
    exempt. *)
 let set_page_pkey t page pkey =
   if not (Pku.Pkey.is_valid pkey) then invalid_arg "Region.set_page_pkey";
-  if not (in_kernel_mode ()) then Pku.Pkey.gate `Mprotect;
+  if not (in_kernel_mode ()) then Machine.syscall_gate () `Mprotect;
   t.page_pkeys.(page) <- pkey
 
 let tag_range t ~off ~len ~pkey =

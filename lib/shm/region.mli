@@ -31,11 +31,9 @@ val pages : t -> int
 
 val pkey_of_page : t -> int -> Pku.Pkey.t
 
-val set_page_pkey : t -> int -> Pku.Pkey.t -> unit
-
 val tag_range : t -> off:int -> len:int -> pkey:Pku.Pkey.t -> unit
 (** Retag pages (pkey_mprotect(2) in miniature). Outside
-    {!kernel_mode}, the seccomp-style gate of {!Pku.Pkey.gate} is
+    {!kernel_mode}, the machine's seccomp-style syscall gate is
     consulted first — Linux lets any process pkey_mprotect pages
     mapped in its own address space, so the only thing standing
     between an attacker and retagging the shared heap to key 0 is the

@@ -126,10 +126,11 @@ let check_syscall sc =
   end
 
 (* Route the pkey-management "syscalls" of lib/pku and lib/shm through
-   the filter. A hook keeps the dependency arrows pointing simos -> pku
-   and simos -> shm. *)
+   the filter: the default machine's gate, which every machine created
+   later boots with. A hook keeps the dependency arrows pointing
+   simos -> pku and simos -> shm. *)
 let () =
-  Pku.Pkey.set_syscall_gate (function
+  Machine.set_syscall_gate (function
     | `Alloc -> check_syscall Sys_pkey_alloc
     | `Free -> check_syscall Sys_pkey_free
     | `Mprotect -> check_syscall Sys_pkey_mprotect)

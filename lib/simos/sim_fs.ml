@@ -7,7 +7,8 @@
     the library initialisation under that euid (see
     {!Hodor.Loader}), so clients can use the store without being able
     to open the file themselves. This module provides exactly that
-    checkable surface. *)
+    checkable surface. The file table is the current {!Machine}'s, so
+    two machines never see each other's paths. *)
 
 exception Eacces of string
 
@@ -20,38 +21,30 @@ type entry = {
   mutable region : Shm.Region.t option;
 }
 
-let table : (string, entry) Hashtbl.t = Hashtbl.create 16
+type fs = { table : (string, entry) Hashtbl.t; lock : Mutex.t }
 
-let lock = Mutex.create ()
+let fs_key =
+  Machine.new_key (fun () -> { table = Hashtbl.create 16; lock = Mutex.create () })
 
-let reset () =
-  Mutex.lock lock;
-  Hashtbl.reset table;
-  Mutex.unlock lock
+let with_fs f =
+  let { table; lock } = Machine.get fs_key in
+  Mutex.protect lock (fun () -> f table)
 
 let create_file ~path ~owner ~mode region =
   Process.check_syscall Process.Sys_open;
-  Mutex.lock lock;
-  Hashtbl.replace table path { path; owner; mode; region = Some region };
-  Mutex.unlock lock
+  with_fs (fun t ->
+    Hashtbl.replace t path { path; owner; mode; region = Some region })
 
 let lookup path =
-  Mutex.lock lock;
-  let e = Hashtbl.find_opt table path in
-  Mutex.unlock lock;
-  match e with Some e -> e | None -> raise (Enoent path)
+  match with_fs (fun t -> Hashtbl.find_opt t path) with
+  | Some e -> e
+  | None -> raise (Enoent path)
 
-let exists path =
-  Mutex.lock lock;
-  let r = Hashtbl.mem table path in
-  Mutex.unlock lock;
-  r
+let exists path = with_fs (fun t -> Hashtbl.mem t path)
 
 let unlink path =
   Process.check_syscall Process.Sys_unlink;
-  Mutex.lock lock;
-  Hashtbl.remove table path;
-  Mutex.unlock lock
+  with_fs (fun t -> Hashtbl.remove t path)
 
 (* Permission check with the caller's *effective* uid, as the kernel
    does. Root (euid 0) bypasses, owner uses the owner triad, everyone

@@ -2,7 +2,8 @@
     Unix-style owner and permission bits — the surface Hodor's
     file-permission story (§3.3) is checked against: the store file is
     owned by the bookkeeping uid with mode 0o600, and only the loader's
-    euid dance lets clients use it. *)
+    euid dance lets clients use it. Each {!Machine} has its own file
+    table. *)
 
 exception Eacces of string
 
@@ -22,6 +23,3 @@ val unlink : string -> unit
 val owner : string -> int
 
 val mode : string -> int
-
-val reset : unit -> unit
-(** Drop every entry (test isolation). *)

@@ -105,10 +105,6 @@ val recover : t -> unit
 
 val region : t -> Shm.Region.t
 
-val slot_hdr : int
-(** Bytes of per-slot header: [[seq:8][len:8][stamp:8]], payload
-    after. *)
-
 val slot_word : t -> int -> int
 (** Absolute region offset of slot [pos]'s header words. *)
 

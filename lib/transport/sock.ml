@@ -21,17 +21,6 @@
 module CM = Platform.Cost_model
 module C = Telemetry.Counters
 
-(* The listener namespace is process-global, like the filesystem
-   namespace Unix-domain sockets live in: every instantiation of
-   {!Make} over the same substrate shares it. Entries are segregated
-   by [S.name], so a real-thread listener can never be dialed from
-   inside the VM or vice versa; within one substrate the stored
-   listener always has that substrate's type, making the [Obj]
-   round-trip safe. *)
-let global_listeners : (string, Obj.t) Hashtbl.t = Hashtbl.create 8
-
-let global_lock = Mutex.create ()
-
 module Make (S : Platform.Sync_intf.S) = struct
   type message = {
     m_cid : int;
@@ -73,24 +62,26 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   (* --- listener registry (a simulated abstract-socket namespace) --- *)
 
-  let scoped name = S.name ^ ":" ^ name
+  (* The machine's socket namespace: two machines never see each
+     other's listeners. The key is this application's of {!Make}, so a
+     server and its clients share one ([Core.Client.Make]'s [T]). *)
+  type registry = { lock : Mutex.t; names : (string, listener) Hashtbl.t }
 
-  let reset () =
-    Mutex.lock global_lock;
-    Hashtbl.reset global_listeners;
-    Mutex.unlock global_lock
+  let registry_key =
+    Machine.new_key (fun () ->
+      { lock = Mutex.create (); names = Hashtbl.create 8 })
+
+  let with_registry f =
+    let { lock; names } = Machine.get registry_key in
+    Mutex.protect lock (fun () -> f names)
 
   let listen ~name =
     let l = { l_name = name; backlog = S.chan () } in
-    Mutex.lock global_lock;
-    Hashtbl.replace global_listeners (scoped name) (Obj.repr l);
-    Mutex.unlock global_lock;
+    with_registry (fun names -> Hashtbl.replace names name l);
     l
 
   let close_listener l =
-    Mutex.lock global_lock;
-    Hashtbl.remove global_listeners (scoped l.l_name);
-    Mutex.unlock global_lock;
+    with_registry (fun names -> Hashtbl.remove names l.l_name);
     S.close l.backlog
 
   let next_cid = Atomic.make 1
@@ -98,11 +89,8 @@ module Make (S : Platform.Sync_intf.S) = struct
   (* Client side: block until the server accepts and assigns a worker. *)
   let connect ~name =
     let l =
-      Mutex.lock global_lock;
-      let r = Hashtbl.find_opt global_listeners (scoped name) in
-      Mutex.unlock global_lock;
-      match r with
-      | Some l -> (Obj.obj l : listener)
+      match with_registry (fun names -> Hashtbl.find_opt names name) with
+      | Some l -> l
       | None -> failwith ("connect: no listener on " ^ name)
     in
     S.advance (2 * CM.current.syscall_send) (* socket() + connect() *);

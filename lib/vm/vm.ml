@@ -166,8 +166,6 @@ let set_crash_point t ?(filter = fun _ -> true) ~at ?on_crash () =
   t.crash_at <- Some at;
   t.on_crash <- on_crash
 
-let clear_crash_point t = t.crash_at <- None
-
 let sync_points_seen t = t.sync_points
 
 let crashed t = List.rev t.crashed
@@ -647,8 +645,6 @@ let run ?(raise_on_failure = true) t =
         | [] -> ())
 
 module Sync = struct
-  let name = "vm"
-
   let advance n = if n > 0 then Effect.perform (Advance n)
 
   let now_ns () = Effect.perform Now_eff

@@ -117,8 +117,6 @@ val set_crash_point :
     [on_crash name now] fires right after the kill (e.g. to mark the
     simulated process dead). *)
 
-val clear_crash_point : t -> unit
-
 val sync_points_seen : t -> int
 (** Number of filter-matching sync points indexed so far — after a
     count-only run, the exclusive upper bound for a sweep over [at]. *)

@@ -3,7 +3,7 @@
     interface, and the slim Direct API. *)
 
 module Cl = Core.Client.Make (Vm.Sync)
-module Srv = Mc_server.Server.Make (Vm.Sync)
+module Srv = Mc_server.Server.Make (Vm.Sync) (Cl.T)
 module Process = Simos.Process
 open Core.Errors
 
@@ -171,7 +171,7 @@ let test_socket_disconnect_raises () =
     (* the server is gone: the next op must fail loudly, not hang *)
     (match Cl.Sock.get c "k" with
      | _ -> Alcotest.fail "expected a connection failure"
-     | exception Cl.Sock.T.Connection_closed -> ()
+     | exception Cl.T.Connection_closed -> ()
      | exception Vm.Sync.Closed -> ())));
   Vm.run vm
 
@@ -180,7 +180,7 @@ let test_socket_disconnect_raises () =
    two receives (the second also carrying the fifth). Each await must
    return its own reply, whole and in submission order. *)
 let test_stream_reply_boundaries () =
-  let module T = Cl.Sock.T in
+  let module T = Cl.T in
   let module P = Mc_protocol.Types in
   List.iter
     (fun protocol ->

@@ -672,6 +672,7 @@ let cfg_d =
 let fresh_d = ref 0
 
 let run_d ?tally ~at () =
+  Machine.run (Machine.create ()) @@ fun () ->
   incr fresh_d;
   let path = Printf.sprintf "/shm/crash-d-%d" !fresh_d in
   let owner = Process.make ~uid:1000 "bk-crash-d" in
@@ -680,7 +681,6 @@ let run_d ?tally ~at () =
     ~finally:(fun () ->
       Simos.Sim_fs.unlink path;
       Hodor.Library.release (Plib.library p);
-      Pku.Vpkey.reset ();
       Pku.Pkru.reset_thread ())
     (fun () ->
       Telemetry.Span.reset ();
@@ -780,10 +780,10 @@ let run_d ?tally ~at () =
         (Vm.spawn vm2 ~name:"bookkeeper" (fun () ->
            Process.with_process owner (fun () ->
              if crashes <> [] then begin
-               (* The slot table is process-volatile: model the dead
-                  process by wiping it, so recovery must rebuild every
-                  vkey from the persisted registry. *)
-               Pku.Vpkey.reset ();
+               (* The slot table is process-volatile: the dead
+                  bookkeeper's table is gone, so recovery must rebuild
+                  every vkey from the persisted registry. *)
+               Pku.Vpkey.bookkeeper_died ();
                Plib.recover p
              end;
              Shm.Region.kernel_mode (fun () ->
@@ -987,7 +987,7 @@ let run_e ?tally ~at () =
                          | _ -> ());
                         if i mod 7 = 3 then ignore (VCl.Sock.get conn k)
                       done
-                    with VCl.Sock.T.Connection_closed -> ())
+                    with VCl.T.Connection_closed -> ())
                 with Process.Process_killed _ -> ());
                victim_done := true)
            in

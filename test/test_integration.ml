@@ -5,7 +5,7 @@
 
 module S = Vm.Sync
 module Cl = Core.Client.Make (Vm.Sync)
-module Srv = Mc_server.Server.Make (Vm.Sync)
+module Srv = Mc_server.Server.Make (Vm.Sync) (Cl.T)
 module Run = Ycsb.Runner.Make (Vm.Sync)
 module Process = Simos.Process
 

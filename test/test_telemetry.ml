@@ -409,7 +409,7 @@ let test_stats_replies_roundtrip () =
 (* ---- Live wire: the stats family over a running server -------------- *)
 
 module VCl = Core.Client.Make (Vm.Sync)
-module VSrv = Mc_server.Server.Make (Vm.Sync)
+module VSrv = Mc_server.Server.Make (Vm.Sync) (VCl.T)
 
 let in_vm f =
   let vm = Vm.create () in

@@ -9,7 +9,7 @@ module Process = Simos.Process
 module Store = Mc_core.Store
 module Tenant = Mc_core.Tenant
 module Region = Shm.Region
-module T = Transport.Sock.Make (Platform.Real_sync)
+module T = Cl.T
 module P = Mc_protocol.Types
 
 let small_cfg =
@@ -19,6 +19,7 @@ let small_cfg =
 let fresh_id = ref 0
 
 let with_plib f =
+  Machine.run (Machine.create ()) @@ fun () ->
   incr fresh_id;
   let owner = Process.make ~uid:1000 "tenant-bk" in
   let path = Printf.sprintf "/shm/tenant-test-%d" !fresh_id in
@@ -29,7 +30,6 @@ let with_plib f =
     ~finally:(fun () ->
       Simos.Sim_fs.unlink path;
       Hodor.Library.release (Plib.library p);
-      Pku.Vpkey.reset ();
       Pku.Pkru.reset_thread ())
     (fun () -> f p ~owner)
 
@@ -933,6 +933,7 @@ let iso_fresh = ref 0
    exactly in its own namespace, nothing migrated, usage equals a
    recomputation, and the vpkey table is consistent. *)
 let run_iso ~seed =
+  Machine.run (Machine.create ()) @@ fun () ->
   incr iso_fresh;
   let path = Printf.sprintf "/shm/iso-%d-%d" seed !iso_fresh in
   let owner = Process.make ~uid:1000 "iso-bk" in
@@ -941,7 +942,6 @@ let run_iso ~seed =
     ~finally:(fun () ->
       Simos.Sim_fs.unlink path;
       Hodor.Library.release (VPlib.library p);
-      Pku.Vpkey.reset ();
       Pku.Pkru.reset_thread ())
     (fun () ->
       let vm = Vm.create ~sched_seed:seed ~preempt_jitter:60 () in
@@ -1102,6 +1102,7 @@ let test_iso_sweep () =
    front end: the trampoline, or four tenant-bound socket connections
    served by four workers. *)
 let run_writers_race ~seed how =
+  Machine.run (Machine.create ()) @@ fun () ->
   incr iso_fresh;
   let path = Printf.sprintf "/shm/writers-%d-%d" seed !iso_fresh in
   let owner = Process.make ~uid:1000 "writers-bk" in
@@ -1110,7 +1111,6 @@ let run_writers_race ~seed how =
     ~finally:(fun () ->
       Simos.Sim_fs.unlink path;
       Hodor.Library.release (VPlib.library p);
-      Pku.Vpkey.reset ();
       Pku.Pkru.reset_thread ())
     (fun () ->
       let vm = Vm.create ~sched_seed:seed ~preempt_jitter:200 () in

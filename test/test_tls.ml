@@ -103,6 +103,25 @@ let test_tables_isolated () =
     Alcotest.(check string) "t1 kept its value" "one" (Tls.get key);
     Alcotest.(check int) "t1 far key kept" 1 (Tls.get far))
 
+(* A machine reaches every thread started under it, on either
+   substrate, and nothing outside it. *)
+let test_machine_carried () =
+  let key = Machine.new_key (fun () -> ref 0) in
+  let on_real = ref 0 and on_vm = ref 0 in
+  Machine.run (Machine.create ()) (fun () ->
+    Machine.get key := 7;
+    Thread.join
+      (Platform.Real_sync.spawn (fun () -> on_real := !(Machine.get key)));
+    let vm = Vm.create () in
+    ignore
+      (Vm.spawn vm (fun () ->
+         Vm.Sync.join
+           (Vm.Sync.spawn (fun () -> on_vm := !(Machine.get key)))));
+    Vm.run vm);
+  Alcotest.(check int) "real thread" 7 !on_real;
+  Alcotest.(check int) "vm thread spawned by a vm thread" 7 !on_vm;
+  Alcotest.(check int) "outside the run" 0 !(Machine.get key)
+
 let () =
   Alcotest.run "tls"
     [ ( "tls",
@@ -117,4 +136,6 @@ let () =
             test_keys_past_capacity;
           Alcotest.test_case "clear then fresh init" `Quick
             test_clear_then_fresh_init;
-          Alcotest.test_case "tables isolated" `Quick test_tables_isolated ] ) ]
+          Alcotest.test_case "tables isolated" `Quick test_tables_isolated;
+          Alcotest.test_case "machine carried to spawned threads" `Quick
+            test_machine_carried ] ) ]

@@ -2,8 +2,9 @@
     virtual-time machine. *)
 
 module S = Vm.Sync
-module T = Transport.Sock.Make (Vm.Sync)
-module Srv = Mc_server.Server.Make (Vm.Sync)
+module Cl = Core.Client.Make (Vm.Sync)
+module T = Cl.T
+module Srv = Mc_server.Server.Make (Vm.Sync) (T)
 module P = Mc_protocol.Types
 
 let in_vm f =
@@ -72,8 +73,6 @@ let with_server ?(cfg = { Mc_server.Server.default_config with workers = 2 })
     let r = f () in
     Srv.stop srv;
     r)
-
-module Cl = Core.Client.Make (Vm.Sync)
 
 let test_server_binary_ops () =
   ignore (with_server "srv-bin" (fun () ->
@@ -540,7 +539,7 @@ let with_plib_conns ?vm ~rings ~n f =
 let with_plib_server ?vm ~rings f =
   with_plib_conns ?vm ~rings ~n:1 (fun cs -> f (List.hd cs))
 
-let rings_of c = Option.get (CS.T.rings_of c.CS.conn)
+let rings_of c = Option.get (T.rings_of c.CS.conn)
 
 let idle () = S.sleep_ns 100_000
 
@@ -588,11 +587,11 @@ let test_ring_backlog_one_drain () =
        doorbell, so the parked worker sleeps on. The nth goes through
        the client, whose send finds the ring armed and rings it. *)
     let ra = rings_of c in
-    CS.T.ring_grant ra;
+    T.ring_grant ra;
     for _ = 1 to n - 1 do
-      Transport.Ring.produce ra.CS.T.ra_sub ~stamp:(S.now_ns ()) req
+      Transport.Ring.produce ra.T.ra_sub ~stamp:(S.now_ns ()) req
     done;
-    CS.T.client_send c.CS.conn req;
+    T.client_send c.CS.conn req;
     let st = CS.stream c in
     for i = 1 to n do
       check_hit (Printf.sprintf "reply %d" i) "v" (CS.await st cmd)
@@ -607,7 +606,7 @@ let test_ring_nap_then_park () =
     ignore (CS.set c "k" "v");
     idle ();
     let ra = rings_of c in
-    let armed () = Transport.Ring.consumer_armed ra.CS.T.ra_sub in
+    let armed () = Transport.Ring.consumer_armed ra.T.ra_sub in
     Alcotest.(check bool) "idle worker armed its ring" true (armed ());
     let st = CS.stream c in
     let cmd = P.Gets [ "k" ] in
@@ -618,7 +617,7 @@ let test_ring_nap_then_park () =
     (* Watch the completion ring instead of parking on it, so the
        reply is seen the moment the drain ends; the worker is then in
        its nap, not parked. *)
-    while Transport.Ring.is_empty ra.CS.T.ra_comp do
+    while Transport.Ring.is_empty ra.T.ra_comp do
       S.sleep_ns 100
     done;
     Alcotest.(check bool) "the worker naps before it arms" false (armed ());
@@ -809,13 +808,13 @@ let park_cost () =
    worker's idle window starts about now. The reply stays queued for
    [CS.await]. *)
 let reply_landed c st cmd =
-  let comp = (rings_of c).CS.T.ra_comp in
+  let comp = (rings_of c).T.ra_comp in
   CS.submit st cmd;
   while Transport.Ring.is_empty comp do
     S.sleep_ns 100
   done
 
-let sub_armed c = Transport.Ring.consumer_armed (rings_of c).CS.T.ra_sub
+let sub_armed c = Transport.Ring.consumer_armed (rings_of c).T.ra_sub
 
 let test_ring_worker_spin_drains () =
   with_plib_server ~rings:true (fun c ->
@@ -863,8 +862,8 @@ let test_ring_worker_parks_after_window () =
    validated peek fails and it bounces the connection. *)
 let forge_overfill c =
   let ra = rings_of c in
-  let sub = ra.CS.T.ra_sub in
-  CS.T.ring_grant ra;
+  let sub = ra.T.ra_sub in
+  T.ring_grant ra;
   Region.write_i64 (Transport.Ring.region sub) (Transport.Ring.tail_word sub)
     (Transport.Ring.head sub + 1_000)
 
@@ -894,7 +893,7 @@ let test_ring_worker_releases_while_spinning () =
           let rows = CS.stats ~arg:"rings" c2 in
           let listed c =
             List.mem_assoc
-              (Printf.sprintf "rings:conn%d:ops" c.CS.conn.CS.T.cid)
+              (Printf.sprintf "rings:conn%d:ops" c.CS.conn.T.cid)
               rows
           in
           (listed c1, listed c2, TC.read TC.Id.ring_kills - kills))
@@ -917,7 +916,7 @@ let test_request_then_garbage () =
       with_plib_server ~rings (fun c ->
         ignore (CS.set c "k" "v");
         let cmd = P.Gets [ "k" ] in
-        CS.T.client_send c.CS.conn
+        T.client_send c.CS.conn
           (Mc_protocol.Binary.encode_command cmd ^ String.make 24 '\000');
         let st = CS.stream c in
         check_hit (label ^ ": the request") "v" (CS.await st cmd);

@@ -7,14 +7,11 @@ module Pkey = Pku.Pkey
 module Pkru = Pku.Pkru
 module Region = Shm.Region
 
+(* Each case runs on a fresh machine, with this thread's pkru clear. *)
 let with_clean f =
-  Vpkey.reset ();
-  Pkru.reset_thread ();
-  Fun.protect
-    ~finally:(fun () ->
-      Vpkey.reset ();
-      Pkru.reset_thread ())
-    f
+  Machine.run (Machine.create ()) (fun () ->
+    Pkru.reset_thread ();
+    Fun.protect ~finally:Pkru.reset_thread f)
 
 (* A one-page region owned by a vkey: tagged to the vkey's current
    hardware mapping (quarantine while unbound) and re-tagged on every
@@ -169,6 +166,20 @@ let test_slot_reuse_never_leaks_rights () =
   Alcotest.(check bool) "thief lost the slot" true (Vpkey.hw_key thief = None);
   Vpkey.check_invariants ()
 
+(* A grant is on one machine's slot table: a thread that moves to a
+   fresh machine, where the same vkey id names someone else's memory,
+   holds nothing there until it enables that vkey itself. *)
+let test_grants_stay_with_their_machine () =
+  with_clean (fun () -> ignore (Vpkey.enable (Vpkey.alloc ())));
+  with_clean @@ fun () ->
+  let v = Vpkey.alloc () in
+  let r = attach_region v ~name:"vpk-other-machine" ~payload:"other" in
+  ignore (Region.kernel_mode (fun () -> Vpkey.bind v));
+  Vpkey.sync_thread ();
+  Alcotest.(check bool) "no grant carried over" false (readable r ~len:5);
+  ignore (Vpkey.enable v);
+  Alcotest.(check bool) "its own grant opens it" true (readable r ~len:5)
+
 (* ---- ownership -------------------------------------------------------- *)
 
 let test_owner_checks () =
@@ -282,6 +293,72 @@ let test_slot_miss_charges_retags () =
     "miss re-tags a's 2 ranges; miss evicts a (2) and re-tags b (1); hit"
     [ 2 * per; 3 * per; 0 ] (List.rev !costs)
 
+(* ---- deployments: one machine each ---------------------------------- *)
+
+module T = Transport.Sock.Make (Vm.Sync)
+
+(* Two machines in one Vm run, their threads interleaved bind by bind:
+   each fills its own 12 slots without an eviction and counts only its
+   own binds, and the same file path and listener name resolve to each
+   machine's own. *)
+let test_two_machines_one_run () =
+  let vm = Vm.create () in
+  let seen = Hashtbl.create 2 in
+  let deployment tag uid () =
+    let vks = List.init 12 (fun _ -> Vpkey.alloc ()) in
+    Region.kernel_mode (fun () ->
+      List.iter (fun vk -> ignore (Vpkey.bind vk); Vm.Sync.yield ()) vks);
+    let r =
+      Region.kernel_mode (fun () ->
+        Region.create ~name:"/shm/deploy" ~size:Region.page_size
+          ~pkey:Pkey.default ())
+    in
+    Simos.Sim_fs.create_file ~path:"/shm/deploy" ~owner:uid ~mode:0o600 r;
+    let l = T.listen ~name:"svc" in
+    let inbox = Vm.Sync.chan () in
+    let server =
+      Vm.Sync.spawn (fun () ->
+        let conn = T.accept l ~inbox in
+        ignore (T.worker_recv inbox);
+        T.server_send conn tag)
+    in
+    Vm.Sync.yield ();
+    let conn = T.connect ~name:"svc" in
+    T.client_send conn "hello";
+    let reply = T.client_recv conn in
+    Vm.Sync.join server;
+    Hashtbl.replace seen tag
+      ( Vpkey.binds (), Vpkey.evictions (), Vpkey.slots_in_use (),
+        Simos.Sim_fs.owner "/shm/deploy", reply )
+  in
+  List.iter
+    (fun (tag, uid) ->
+      Machine.run (Machine.create ()) (fun () ->
+        ignore (Vm.spawn vm ~name:tag (deployment tag uid))))
+    [ ("a", 1001); ("b", 1002) ];
+  Vm.run vm;
+  List.iter
+    (fun (tag, uid) ->
+      let binds, evictions, slots, owner, reply = Hashtbl.find seen tag in
+      Alcotest.(check int) (tag ^ ": own binds only") 12 binds;
+      Alcotest.(check int) (tag ^ ": no eviction") 0 evictions;
+      Alcotest.(check int) (tag ^ ": 12 slots") 12 slots;
+      Alcotest.(check int) (tag ^ ": own file") uid owner;
+      Alcotest.(check string) (tag ^ ": own listener") tag reply)
+    [ ("a", 1001); ("b", 1002) ]
+
+let test_fresh_machine_leaks_nothing () =
+  Machine.run (Machine.create ()) (fun () ->
+    let vks = List.init 20 (fun _ -> Vpkey.alloc ()) in
+    Region.kernel_mode (fun () ->
+      List.iter (fun vk -> ignore (Vpkey.bind vk)) vks);
+    Alcotest.(check int) "the filled machine's slots" 12
+      (Vpkey.slots_in_use ()));
+  Machine.run (Machine.create ()) (fun () ->
+    Alcotest.(check int) "no slot in use" 0 (Vpkey.slots_in_use ());
+    Alcotest.(check int) "no bind counted" 0 (Vpkey.binds ());
+    Alcotest.(check int) "first pkey" 1 (Region.kernel_mode Pkey.alloc))
+
 let () =
   Alcotest.run "vpkey"
     [ ( "allocation",
@@ -299,7 +376,9 @@ let () =
         [ Alcotest.test_case "sync_thread follows moves" `Quick
             test_sync_thread_follows_moves;
           Alcotest.test_case "slot reuse leaks nothing" `Quick
-            test_slot_reuse_never_leaks_rights ] );
+            test_slot_reuse_never_leaks_rights;
+          Alcotest.test_case "grants stay with their machine" `Quick
+            test_grants_stay_with_their_machine ] );
       ( "ownership",
         [ Alcotest.test_case "owner checks" `Quick test_owner_checks ] );
       ( "scale",
@@ -310,4 +389,9 @@ let () =
             test_counters_mirror_telemetry ] );
       ( "re-tag cost",
         [ Alcotest.test_case "slot miss charges pkey_mprotect" `Quick
-            test_slot_miss_charges_retags ] ) ]
+            test_slot_miss_charges_retags ] );
+      ( "machines",
+        [ Alcotest.test_case "two machines, one Vm run" `Quick
+            test_two_machines_one_run;
+          Alcotest.test_case "a fresh machine leaks nothing" `Quick
+            test_fresh_machine_leaks_nothing ] ) ]
