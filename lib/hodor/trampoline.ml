@@ -55,11 +55,6 @@ let cross ?batch (lib : Library.t) (f : unit -> 'a) : 'a =
   (* A thread of a dead process cannot start a new call; kills that
      land mid-call are handled on the way out. *)
   Process.check_alive ();
-  (* Reconcile this thread's virtual-pkey grants with the slot table
-     before reading pkru: a vkey evicted since our last crossing must
-     not leave standing rights on a slot that now backs someone else.
-     O(1) when the thread holds no vkey grants. *)
-  Pku.Vpkey.sync_thread ();
   let p = Process.current () in
   let depth = Tls.get depth_key in
   let saved_pkru = Pku.Pkru.read () in

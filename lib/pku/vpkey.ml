@@ -1,6 +1,6 @@
 (** Virtual pkeys: an unbounded key space multiplexed onto the 16
-    hardware slots with LRU eviction, quarantine re-tagging and lazy
-    sync — see vpkey.mli for the protocol and the trust model. *)
+    hardware slots with LRU eviction, quarantine re-tagging and grant
+    windows — see vpkey.mli for the protocol and the trust model. *)
 
 type t = int
 
@@ -8,12 +8,15 @@ exception Unknown_vkey of int
 
 exception Permission_denied of string
 
+exception All_slots_pinned
+
 type vk = {
   id : int;
   owner : int;
   mutable hw : Pkey.t option;  (* the slot currently backing us *)
   mutable last_use : int;      (* LRU stamp (bind ticks) *)
   mutable retags : (Pkey.t -> unit) list;
+  mutable pins : int;          (* open grant windows; never a victim *)
 }
 
 let default_hw_cap = 12
@@ -33,13 +36,14 @@ type state = {
   mutable n_binds : int;
   mutable n_misses : int;
   mutable n_evictions : int;
+  mutable n_pin_refusals : int;
 }
 
 let fresh () =
   { lock = Mutex.create (); table = Hashtbl.create 64;
     slots = Hashtbl.create 16; pool = []; quarantine = None;
     hw_cap = default_hw_cap; next_id = 1; clock = 0; n_binds = 0;
-    n_misses = 0; n_evictions = 0 }
+    n_misses = 0; n_evictions = 0; n_pin_refusals = 0 }
 
 let state_key = Machine.new_key fresh
 
@@ -79,20 +83,28 @@ let quarantine_locked st =
     st.quarantine <- Some k;
     k
 
-(* Pick the least-recently-bound vkey, quarantine its ranges, and hand
-   its slot to the caller. *)
+(* Pick the least-recently-bound unpinned vkey, quarantine its ranges,
+   and hand its slot to the caller. A pinned vkey has a grant window
+   open on some thread, whose pkru enables its slot: handing that slot
+   on would open the next vkey's memory to the window. *)
 let evict_one_locked st walked =
   if not (Defenses.on Vkey_eviction) then raise Pkey.Out_of_keys;
   let victim =
     Hashtbl.fold
       (fun _ vk best ->
         match best with
+        | _ when vk.pins > 0 -> best
         | Some b when b.last_use <= vk.last_use -> best
         | _ -> Some vk)
       st.slots None
   in
   match victim with
-  | None -> raise Pkey.Out_of_keys (* cap 0 and empty pool: impossible *)
+  | None when Hashtbl.length st.slots = 0 ->
+    raise Pkey.Out_of_keys (* the machine has no hw key left to give *)
+  | None ->
+    st.n_pin_refusals <- st.n_pin_refusals + 1;
+    Telemetry.Counters.incr Telemetry.Counters.Id.vpkey_pin_refusals;
+    raise All_slots_pinned
   | Some vk ->
     let k = match vk.hw with Some k -> k | None -> assert false in
     Hashtbl.remove st.slots k;
@@ -142,29 +154,33 @@ let alloc ?(owner = 0) () =
       let id = st.next_id in
       st.next_id <- id + 1;
       Hashtbl.replace st.table id
-        { id; owner; hw = None; last_use = 0; retags = [] };
+        { id; owner; hw = None; last_use = 0; retags = []; pins = 0 };
       id)
 
 let restore ~id ~owner =
   locked (fun st ->
       if not (Hashtbl.mem st.table id) then
         Hashtbl.replace st.table id
-          { id; owner; hw = None; last_use = 0; retags = [] };
+          { id; owner; hw = None; last_use = 0; retags = []; pins = 0 };
       if id >= st.next_id then st.next_id <- id + 1)
+
+(* A freed vkey's slot goes back to the pool once no window holds it. *)
+let release_locked st vk =
+  match vk.hw with
+  | Some k when vk.pins = 0 && not (Hashtbl.mem st.table vk.id) ->
+    Hashtbl.remove st.slots k;
+    vk.hw <- None;
+    st.pool <- k :: st.pool
+  | Some _ | None -> ()
 
 let free id =
   retagging (fun st walked ->
       let vk = find_locked st id in
-      (match vk.hw with
-       | Some k ->
-         Hashtbl.remove st.slots k;
-         vk.hw <- None;
-         st.pool <- k :: st.pool
-       | None -> ());
       (* the id is dead; its memory must not stay readable under a
          recycled slot *)
       if vk.retags <> [] then retag walked vk (quarantine_locked st);
-      Hashtbl.remove st.table id)
+      Hashtbl.remove st.table id;
+      release_locked st vk)
 
 let bind ?owner id =
   retagging (fun st walked ->
@@ -188,70 +204,51 @@ let attach_retag id f =
 
 let quarantine_key () = locked quarantine_locked
 
-(* ---- per-thread pkru shadow ----------------------------------------- *)
+(* ---- grant windows ------------------------------------------------- *)
 
-(* (vkey id, hw slot at grant time) for every vkey this thread has
-   enabled on the slot table [owner]. The slot table can move bindings
-   underneath us; crossings call [sync_thread] to reconcile. A thread
-   that meets another table (a fresh machine, or the table rebuilt
-   after {!bookkeeper_died}) starts with no grants there. *)
-type shadow = { mutable owner : state; mutable grants : (int * Pkey.t) list }
+(* The calling thread's open windows, innermost first. A thread killed
+   inside a window never runs its exit; {!thread_died} drops them. *)
+let windows_key : (state * vk) list ref Tls.key = Tls.new_key (fun () -> ref [])
 
-let shadow_key : shadow Tls.key =
-  Tls.new_key (fun () -> { owner = Machine.get state_key; grants = [] })
+let unpin st vk =
+  Mutex.lock st.lock;
+  vk.pins <- vk.pins - 1;
+  release_locked st vk;
+  Mutex.unlock st.lock
 
-let shadow () =
-  let s = Tls.get shadow_key and st = Machine.get state_key in
-  if s.owner != st then (s.owner <- st; s.grants <- []);
-  s
+(* The window's bind pins the vkey and records the window under the
+   same lock, so no other bind can take the slot before the wrpkru and
+   a kill during the re-tag charge still finds the pin. The exit
+   restores the pkru saved at entry, then unpins; a vkey freed inside
+   the window gives its slot back there. *)
+let with_grant ?owner id f =
+  let windows = Tls.get windows_key in
+  let st, vk, k =
+    retagging (fun st walked ->
+        let vk = find_locked st id in
+        check_owner vk owner;
+        let k = bind_locked st walked vk in
+        vk.pins <- vk.pins + 1;
+        windows := (st, vk) :: !windows;
+        (st, vk, k))
+  in
+  let saved = Pkru.read () in
+  let close () =
+    Pkru.wrpkru saved;
+    windows := List.tl !windows;
+    unpin st vk
+  in
+  match
+    Pkru.wrpkru (Pkru.set_perm saved k Pkru.Enable);
+    f k
+  with
+  | v -> close (); v
+  | exception e -> close (); raise e
 
-let enable ?owner id =
-  let k = bind ?owner id in
-  Pkru.wrpkru (Pkru.set_perm (Pkru.read ()) k Pkru.Enable);
-  let s = shadow () in
-  s.grants <- (id, k) :: List.remove_assoc id s.grants;
-  k
-
-let disable id =
-  let s = shadow () in
-  match List.assoc_opt id s.grants with
-  | None -> ()
-  | Some k ->
-    s.grants <- List.remove_assoc id s.grants;
-    if not (List.exists (fun (_, k') -> k' = k) s.grants) then
-      Pkru.wrpkru (Pkru.set_perm (Pkru.read ()) k Pkru.Access_disable)
-
-let sync_thread () =
-  match (Tls.get shadow_key).grants with
-  | [] -> ()
-  | _ ->
-    let s = shadow () in
-    let entries = s.grants in
-    (* Re-derive each grant from the slot table: dead vkeys drop, moved
-       vkeys re-bind (no ownership check — the thread held the grant). *)
-    let survivors =
-      retagging (fun st walked ->
-          List.filter_map
-            (fun (id, k) ->
-              match Hashtbl.find_opt st.table id with
-              | None -> None
-              | Some vk ->
-                (match vk.hw with
-                 | Some k' when k' = k -> Some (id, k)
-                 | _ -> Some (id, bind_locked st walked vk)))
-            entries)
-    in
-    let new_ks = List.map snd survivors in
-    let v =
-      List.fold_left
-        (fun v (_, k) ->
-          if List.mem k new_ks then v
-          else Pkru.set_perm v k Pkru.Access_disable)
-        (Pkru.read ()) entries
-    in
-    let v = List.fold_left (fun v k -> Pkru.set_perm v k Pkru.Enable) v new_ks in
-    if v <> Pkru.read () then Pkru.wrpkru v;
-    s.grants <- survivors
+let thread_died () =
+  let windows = Tls.get windows_key in
+  List.iter (fun (st, vk) -> unpin st vk) !windows;
+  windows := []
 
 (* ---- capacity / introspection --------------------------------------- *)
 
@@ -264,6 +261,7 @@ let live_vkeys () = locked (fun st -> Hashtbl.length st.table)
 let binds () = (Machine.get state_key).n_binds
 let slot_misses () = (Machine.get state_key).n_misses
 let evictions () = (Machine.get state_key).n_evictions
+let pin_refusals () = (Machine.get state_key).n_pin_refusals
 
 let check_invariants () =
   locked (fun st ->
@@ -282,7 +280,7 @@ let check_invariants () =
                   (match vk.hw with
                    | None -> "nothing"
                    | Some k' -> Printf.sprintf "slot %d" k')));
-          if not (Hashtbl.mem st.table vk.id) then
+          if vk.pins = 0 && not (Hashtbl.mem st.table vk.id) then
             failwith (Printf.sprintf "Vpkey: slot %d holds dead vkey%d" k vk.id);
           match st.quarantine with
           | Some q when q = k -> failwith "Vpkey: quarantine key used as a slot"

@@ -15,23 +15,22 @@
       unbound vkey's memory is unreadable by everyone. The ranges are
       lazily re-tagged to the new hardware key on the vkey's next
       bind ({!attach_retag} registers the re-tag callback).
-    - Each thread keeps a shadow of which vkeys it has enabled in its
-      pkru and on which hardware slot; {!sync_thread} — called by the
-      Hodor trampoline on every crossing — revokes rights on slots
-      whose binding moved and re-establishes them on the vkey's
-      current slot, so across a crossing slot reuse never leaks rights
-      across vkeys. Ring access windows do not hold this yet: a ring
-      client never crosses, so a grant it took at attach survives its
-      slot's eviction and opens whatever vkey lands in that slot next.
+    - A thread holds a vkey's rights only inside a grant window
+      ({!with_grant}), as libmpk's [mpk_begin]/[mpk_end] brackets a
+      domain: the window binds and pins the vkey, opens its hardware
+      key in pkru, and on exit restores the pkru it found. A pinned
+      vkey is never evicted, so no right outlives its window and slot
+      reuse never leaks rights across vkeys.
 
     Each {!Machine} has its own slot table (vkeys, slots, cap,
     counters); every call below acts on the calling thread's.
 
-    Binds, slot misses and evictions are counted in
+    Binds, slot misses, evictions and pin refusals are counted in
     [Telemetry.Counters] ([vpkey_binds] / [vpkey_slot_misses] /
-    [vpkey_evictions]). Every range a re-tag walks charges one
-    [pkey_mprotect] ({!Platform.Cost_model}) to the caller through
-    [Telemetry.Control.advance], after the slot table is unlocked.
+    [vpkey_evictions] / [vpkey_pin_refusals]). Every range a re-tag
+    walks charges one [pkey_mprotect] ({!Platform.Cost_model}) to the
+    caller through [Telemetry.Control.advance], after the slot table
+    is unlocked.
 
     Trust model: this module is kernel-side code (libmpk's kernel
     module). Re-tag callbacks run with whatever privilege the
@@ -44,8 +43,12 @@ type t = int
 exception Unknown_vkey of int
 
 exception Permission_denied of string
-(** Raised by {!bind}/{!enable} when [~owner] does not match the
+(** Raised by {!bind}/{!with_grant} when [~owner] does not match the
     vkey's owner (and [Defenses.Vkey_owner_checks] is on). *)
+
+exception All_slots_pinned
+(** A bind needed a slot and every slot backs an open window (a pin
+    refusal). Windows are short: wait and retry. *)
 
 (** {1 Allocation} *)
 
@@ -54,8 +57,8 @@ val alloc : ?owner:int -> unit -> t
     to bind it; uid 0 bypasses ownership checks. *)
 
 val free : t -> unit
-(** Quarantines the vkey's ranges, releases its slot, and retires the
-    id. @raise Unknown_vkey on double-free. *)
+(** Quarantines the vkey's ranges, retires the id, and releases its
+    slot once no window holds it. @raise Unknown_vkey on double-free. *)
 
 val restore : id:t -> owner:int -> unit
 (** Recovery path: re-create vkey [id] (unbound) if this process does
@@ -66,10 +69,11 @@ val restore : id:t -> owner:int -> unit
 
 val bind : ?owner:int -> t -> Pkey.t
 (** The hardware key backing the vkey, binding it to a slot first if
-    needed (evicting the LRU vkey when the table is full) and lazily
-    re-tagging its attached ranges. [owner] is the caller's uid for
-    the ownership check; omit it only from trusted kernel-side code.
+    needed (evicting the LRU unpinned vkey when the table is full) and
+    lazily re-tagging its attached ranges. [owner] is the caller's uid
+    for the ownership check; omit it only from trusted kernel-side code.
     @raise Permission_denied on an ownership mismatch.
+    @raise All_slots_pinned if every slot is pinned.
     @raise Pkey.Out_of_keys if the table is full and
     [Defenses.Vkey_eviction] is off. *)
 
@@ -87,22 +91,18 @@ val attach_retag : t -> (Pkey.t -> unit) -> unit
 val quarantine_key : unit -> Pkey.t
 (** The quarantine key (allocated on first use). Never enable it. *)
 
-(** {1 Per-thread pkru shadow} *)
+(** {1 Grant windows} *)
 
-val enable : ?owner:int -> t -> Pkey.t
-(** Bind the vkey and enable its hardware key in the calling thread's
-    pkru, recording the grant in the thread's shadow. *)
+val with_grant : ?owner:int -> t -> (Pkey.t -> 'a) -> 'a
+(** [with_grant vk f] binds and pins [vk] as {!bind} does (and raises
+    as it does), enables its hardware key in the calling thread's pkru
+    and runs [f] with that key. However [f] exits, the pkru saved at
+    entry is restored and the pin dropped. A window must end in bounded
+    time without help from another thread: it never parks, and never
+    opens a window on another vkey. *)
 
-val disable : t -> unit
-(** Drop the thread's grant and close the pkru bits (unless another
-    of the thread's grants shares the slot). *)
-
-val sync_thread : unit -> unit
-(** Reconcile the calling thread's pkru with the slot table: revoke
-    rights on slots whose vkey was evicted or moved, re-bind and
-    re-enable the vkeys this thread still holds. O(1) when the thread
-    holds no vkey grants; called by the Hodor trampoline on every
-    protected crossing. *)
+val thread_died : unit -> unit
+(** Run on a thread killed abruptly: drop its open windows' pins. *)
 
 (** {1 Capacity and introspection} *)
 
@@ -121,6 +121,8 @@ val binds : unit -> int
 val slot_misses : unit -> int
 
 val evictions : unit -> int
+
+val pin_refusals : unit -> int
 
 val check_invariants : unit -> unit
 (** Slot table consistency: every slot's occupant points back at the

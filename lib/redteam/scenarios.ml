@@ -460,11 +460,10 @@ let cross_tenant_vkey_bind =
         Region.kernel_mode (fun () ->
           ignore (Pku.Vpkey.bind ~owner:1000 victim_vk));
         match
-          Region.kernel_mode (fun () ->
-            Pku.Vpkey.enable ~owner:6007 victim_vk)
+          Pku.Vpkey.with_grant ~owner:6007 victim_vk (fun _ ->
+            Region.read_string region ~off:0 ~len:11)
         with
-        | _hw ->
-          let s = Region.read_string region ~off:0 ~len:11 in
+        | s ->
           Breached
             (Printf.sprintf
                "foreign bind granted the victim's key; read %S under the \
@@ -501,10 +500,7 @@ let quarantine_evict_leak =
             Pku.Vpkey.bind ~owner:1000 victim_vk)
         in
         let attacker_vk = Pku.Vpkey.alloc ~owner:6008 () in
-        let attacker_hw =
-          Region.kernel_mode (fun () ->
-            Pku.Vpkey.enable ~owner:6008 attacker_vk)
-        in
+        Pku.Vpkey.with_grant ~owner:6008 attacker_vk @@ fun attacker_hw ->
         if attacker_hw <> victim_hw then
           Blocked "slot was not recycled (attack fizzled)"
         else
@@ -957,9 +953,8 @@ let hostile_ring_client =
           match RT.rings_of c with
           | None -> failwith "hring scenario: server did not attach rings"
           | Some ra ->
-            RT.ring_grant ra;
             let sub = ra.RT.ra_sub in
-            poke (Ring.region sub) sub;
+            RT.ring_window ra (fun () -> poke (Ring.region sub) sub);
             (try
                RS.send c.RT.inbox
                  { RT.m_cid = c.RT.cid; m_payload = ""; m_at = RS.now_ns () }
@@ -968,10 +963,7 @@ let hostile_ring_client =
                the ring pages, so losing the ability to even read the
                dead flag is itself the bounce signal. *)
             within 500 (fun () ->
-              match
-                RT.ring_grant ra;
-                Ring.is_dead sub
-              with
+              match RT.ring_window ra (fun () -> Ring.is_dead sub) with
               | dead -> dead
               | exception _ -> true)
         in

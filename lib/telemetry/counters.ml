@@ -80,11 +80,13 @@ module Id = struct
   let loader_rejects = 34
 
   (* Virtual pkeys (libmpk-style slot table): binds served, binds that
-     missed the slot table (and had to re-tag lazily), and vkeys
-     evicted from a hardware slot to the quarantine key. *)
+     missed the slot table (and had to re-tag lazily), vkeys evicted
+     from a hardware slot to the quarantine key, and binds refused
+     because every slot backed an open grant window. *)
   let vpkey_binds = 35
   let vpkey_slot_misses = 36
   let vpkey_evictions = 37
+  let vpkey_pin_refusals = 38
 
   (* Shared-ring transport: submissions enqueued by clients, doorbell
      syscalls actually paid (the amortization win is submits far above
@@ -97,20 +99,20 @@ module Id = struct
      stamped them at (ring slots are host memory, so a consumer can see
      a publish from its producer's future; see EXPERIMENTS.md), and
      connections refused because the ring directory was full. *)
-  let ring_submits = 38
-  let ring_doorbells = 39
-  let ring_drains = 40
-  let ring_drain_ops = 41
-  let ring_completions = 42
-  let ring_full_waits = 43
-  let ring_kills = 44
-  let ring_wakes = 45
-  let ring_early_reads = 46
-  let ring_refused = 47
+  let ring_submits = 39
+  let ring_doorbells = 40
+  let ring_drains = 41
+  let ring_drain_ops = 42
+  let ring_completions = 43
+  let ring_full_waits = 44
+  let ring_kills = 45
+  let ring_wakes = 46
+  let ring_early_reads = 47
+  let ring_refused = 48
 
   (* Per-pkey fault counts occupy the tail: [pku_fault_pkey + k] for
      pkey k in [0, pkeys). *)
-  let pku_fault_pkey = 48
+  let pku_fault_pkey = 49
 
   let pkeys = 16
 
@@ -147,6 +149,7 @@ let names =
       (Id.vpkey_binds, "vpkey_binds");
       (Id.vpkey_slot_misses, "vpkey_slot_misses");
       (Id.vpkey_evictions, "vpkey_evictions");
+      (Id.vpkey_pin_refusals, "vpkey_pin_refusals");
       (Id.ring_submits, "ring_submits");
       (Id.ring_doorbells, "ring_doorbells");
       (Id.ring_drains, "ring_drains");
@@ -226,7 +229,8 @@ let boundary_ids =
     Id.hodor_kill_in_call; Id.hodor_poisoned; Id.pkru_writes;
     Id.pku_faults; Id.alloc_calls; Id.alloc_bytes; Id.free_calls;
     Id.recoveries; Id.hodor_batch_calls; Id.hodor_batch_ops;
-    Id.vpkey_binds; Id.vpkey_slot_misses; Id.vpkey_evictions ]
+    Id.vpkey_binds; Id.vpkey_slot_misses; Id.vpkey_evictions;
+    Id.vpkey_pin_refusals ]
 
 let kv id = (name id, string_of_int (read id))
 

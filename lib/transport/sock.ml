@@ -123,9 +123,17 @@ module Make (S : Platform.Sync_intf.S) = struct
 
   let rings_of conn = conn.rings
 
-  (* Grant this thread the connection's vkey: ring pages open, the rest
-     of the heap (and every other connection's rings) still sealed. *)
-  let ring_grant ra = ignore (Pku.Vpkey.enable ra.ra_vkey)
+  (* Run [f] inside a grant window on the connection's vkey: ring pages
+     open, the rest of the heap (and every other connection's rings)
+     still sealed, and nothing left open once [f] returns. Every window
+     ends in bounded virtual time, so a pin refusal waits one ring slot
+     and tries again. *)
+  let rec ring_window ra f =
+    match Pku.Vpkey.with_grant ra.ra_vkey (fun _ -> f ()) with
+    | v -> v
+    | exception Pku.Vpkey.All_slots_pinned ->
+      S.sleep_ns CM.current.ring_slot;
+      ring_window ra f
 
   (* A receive that actually blocked pays a context switch: a little
      CPU, and scheduling latency during which the thread is off-CPU. *)
@@ -166,28 +174,46 @@ module Make (S : Platform.Sync_intf.S) = struct
     match conn.rings with
     | None -> ()
     | Some ra ->
-      ring_grant ra;
-      Ring.mark_dead ra.ra_sub;
-      Ring.mark_dead ra.ra_comp;
+      ring_window ra (fun () ->
+        Ring.mark_dead ra.ra_sub;
+        Ring.mark_dead ra.ra_comp);
       C.incr C.Id.ring_kills;
       S.close conn.reply
 
-  (* Producer-side flow control: spin-sleep until the ring has room.
-     [bounded] callers (the server publishing completions) give up
-     after a while — the client stopped consuming, dead or hostile —
-     and bounce. *)
-  let ring_wait_room ?(max_tries = max_int) ring ~len =
-    let rec go tries =
-      if Ring.is_dead ring then raise Connection_closed;
-      if Ring.has_room ring ~len then true
-      else if tries >= max_tries then false
+  (* Publish [payload] into [ring] in chunks of at most one ring, and
+     answer whether the consumer is armed (wants a doorbell). A full
+     ring closes the window and sleeps for room, at most [max_tries]
+     times per chunk ([None]): the server gives up on a client that
+     stopped consuming, dead or hostile. *)
+  let ring_publish ?(max_tries = max_int) ra ring payload ~counter =
+    let maxm = Ring.max_msg ring and n = String.length payload in
+    let rec fill at =
+      if at >= n then `Sent (Ring.consumer_armed ring)
       else begin
-        C.incr C.Id.ring_full_waits;
-        S.sleep_ns 2_000;
-        go (tries + 1)
+        if Ring.is_dead ring then raise Connection_closed;
+        let len = min maxm (n - at) in
+        if not (Ring.has_room ring ~len) then `Full at
+        else begin
+          Ring.produce ring ~stamp:(S.now_ns ()) (String.sub payload at len);
+          S.advance (CM.current.ring_slot + CM.memcpy_cost len);
+          C.incr counter;
+          fill (at + len)
+        end
       end
     in
-    go 0
+    let rec go at tries =
+      match ring_window ra (fun () -> fill at) with
+      | `Sent armed -> Some armed
+      | `Full at' ->
+        let tries = if at' > at then 0 else tries in
+        if tries >= max_tries then None
+        else begin
+          C.incr C.Id.ring_full_waits;
+          S.sleep_ns 2_000;
+          go at' (tries + 1)
+        end
+    in
+    go 0 0
 
   (* --- data path --- *)
 
@@ -203,29 +229,16 @@ module Make (S : Platform.Sync_intf.S) = struct
      doorbell. Messages larger than the ring carry as several chunks
      (the byte stream is what matters, framing is the parser's). *)
   let ring_client_send conn ra payload =
-    let sub = ra.ra_sub in
-    ring_grant ra;
-    if Ring.is_dead sub then raise Connection_closed;
-    let maxm = Ring.max_msg sub in
-    let n = String.length payload in
-    let at = ref 0 in
-    while !at < n do
-      let len = min maxm (n - !at) in
-      let chunk = String.sub payload !at len in
-      if not (ring_wait_room sub ~len) then raise Connection_closed;
-      Ring.produce sub ~stamp:(S.now_ns ()) chunk;
-      S.advance (CM.current.ring_slot + CM.memcpy_cost len);
-      C.incr C.Id.ring_submits;
-      at := !at + len
-    done;
-    if Ring.consumer_armed sub then begin
+    match ring_publish ra ra.ra_sub payload ~counter:C.Id.ring_submits with
+    | Some true ->
       (* the worker is parked: one syscall to ring its doorbell *)
       S.advance CM.current.syscall_send;
       C.incr C.Id.ring_doorbells;
-      try
-        S.send conn.inbox { m_cid = conn.cid; m_payload = ""; m_at = S.now_ns () }
-      with S.Closed -> raise Connection_closed
-    end
+      (try
+         S.send conn.inbox
+           { m_cid = conn.cid; m_payload = ""; m_at = S.now_ns () }
+       with S.Closed -> raise Connection_closed)
+    | Some false | None -> ()
 
   let client_send conn payload =
     match conn.rings with
@@ -261,42 +274,45 @@ module Make (S : Platform.Sync_intf.S) = struct
      stands in for a futex wait. *)
   let ring_client_recv conn ra =
     let comp = ra.ra_comp in
-    ring_grant ra;
     let take (msg, stamp) =
       note_early_read stamp;
       S.advance (CM.current.ring_slot + CM.memcpy_cost (String.length msg));
       msg
     in
-    let rec await () =
-      if Ring.is_dead comp then raise Connection_closed;
-      match Ring.consume_one comp with
-      | Some m -> take m
-      | None ->
-        Ring.set_armed comp true;
-        (match Ring.consume_one comp with
-         | Some m ->
-           Ring.set_armed comp false;
-           take m
-         | None ->
-           S.advance CM.current.syscall_recv (* futex-style wait *);
-           (match S.recv conn.reply with
-            | _token ->
-              ctx_switch_penalty ();
-              Ring.set_armed comp false;
-              await ()
-            | exception S.Closed -> raise Connection_closed))
-    in
-    let rec spin waits =
+    (* One window per pass: the spin, then arm and re-check. The park
+       is outside any window; the wake-up disarms in the next one. *)
+    let rec poll waits =
       if Ring.is_dead comp then raise Connection_closed;
       match (Ring.consume_one comp, waits) with
-      | Some m, _ -> take m
-      | None, [] -> await ()
+      | Some m, _ -> Some (take m)
       | None, w :: rest ->
         S.advance CM.current.ring_slot;
         S.sleep_ns w;
-        spin rest
+        poll rest
+      | None, [] -> (
+        Ring.set_armed comp true;
+        match Ring.consume_one comp with
+        | Some m ->
+          Ring.set_armed comp false;
+          Some (take m)
+        | None -> None)
     in
-    spin (backoff_waits ~window:CM.current.ctx_switch)
+    let rec await ~disarm waits =
+      match
+        ring_window ra (fun () ->
+          if disarm then Ring.set_armed comp false;
+          poll waits)
+      with
+      | Some m -> m
+      | None -> (
+        S.advance CM.current.syscall_recv (* futex-style wait *);
+        match S.recv conn.reply with
+        | _token ->
+          ctx_switch_penalty ();
+          await ~disarm:true []
+        | exception S.Closed -> raise Connection_closed)
+    in
+    await ~disarm:false (backoff_waits ~window:CM.current.ctx_switch)
 
   let client_recv conn =
     match conn.rings with
@@ -365,30 +381,17 @@ module Make (S : Platform.Sync_intf.S) = struct
      client that stopped consuming (killed, or hostile) bounces after a
      bounded stall so one connection can never wedge its worker. *)
   let ring_server_send conn ra payload =
-    let comp = ra.ra_comp in
-    ring_grant ra;
-    let maxm = Ring.max_msg comp in
-    let n = String.length payload in
-    (try
-       let at = ref 0 in
-       while !at < n do
-         let len = min maxm (n - !at) in
-         let chunk = String.sub payload !at len in
-         if not (ring_wait_room ~max_tries:64 comp ~len) then begin
-           ring_bounce conn;
-           raise Connection_closed
-         end;
-         Ring.produce comp ~stamp:(S.now_ns ()) chunk;
-         S.advance (CM.current.ring_slot + CM.memcpy_cost len);
-         C.incr C.Id.ring_completions;
-         at := !at + len
-       done;
-       if Ring.consumer_armed comp then begin
-         S.advance (CM.current.syscall_send + CM.current.wakeup);
-         C.incr C.Id.ring_wakes;
-         try S.send conn.reply "" with S.Closed -> ()
-       end
-     with Connection_closed -> ())
+    match
+      ring_publish ~max_tries:64 ra ra.ra_comp payload
+        ~counter:C.Id.ring_completions
+    with
+    | Some true ->
+      S.advance (CM.current.syscall_send + CM.current.wakeup);
+      C.incr C.Id.ring_wakes;
+      (try S.send conn.reply "" with S.Closed -> ())
+    | Some false -> ()
+    | None -> ring_bounce conn
+    | exception Connection_closed -> ()
 
   let server_send conn payload =
     match conn.rings with
@@ -404,9 +407,9 @@ module Make (S : Platform.Sync_intf.S) = struct
     match conn.rings with
     | None -> Ok None
     | Some ra ->
-      ring_grant ra;
-      S.advance CM.current.ring_slot;
-      Ring.pending ra.ra_sub
+      ring_window ra (fun () ->
+        S.advance CM.current.ring_slot;
+        Ring.pending ra.ra_sub)
 
   (* Copy the whole published window in — run *inside* the library
      crossing, like the paper's copy_in: the bytes leave the
@@ -417,8 +420,7 @@ module Make (S : Platform.Sync_intf.S) = struct
     match conn.rings with
     | None -> Ok []
     | Some ra ->
-      ring_grant ra;
-      (match Ring.consume_all ra.ra_sub with
+      (match ring_window ra (fun () -> Ring.consume_all ra.ra_sub) with
        | Ok msgs ->
          List.iter (fun (_, stamp) -> note_early_read stamp) msgs;
          List.iter
@@ -436,16 +438,14 @@ module Make (S : Platform.Sync_intf.S) = struct
   let ring_arm conn v =
     match conn.rings with
     | None -> ()
-    | Some ra ->
-      ring_grant ra;
-      Ring.set_armed ra.ra_sub v
+    | Some ra -> ring_window ra (fun () -> Ring.set_armed ra.ra_sub v)
 
   let close_conn conn =
     (match conn.rings with
      | Some ra ->
-       ring_grant ra;
-       Ring.mark_dead ra.ra_sub;
-       Ring.mark_dead ra.ra_comp
+       ring_window ra (fun () ->
+         Ring.mark_dead ra.ra_sub;
+         Ring.mark_dead ra.ra_comp)
      | None -> ());
     S.close conn.reply
 

@@ -272,10 +272,11 @@ let finish t th err =
    happens — finalizers do not run and whatever shared state the thread
    was mutating stays exactly as it was, which is precisely the
    SIGKILL-mid-call behaviour the recovery machinery must cope with.
-   The only cleanup performed is robust-mutex handoff (a real OS does
-   the equivalent for robust futexes): vmutexes owned by the dead thread
-   are released, waking the next waiter, so surviving threads do not
-   hang on the scheduler-level lock itself — they instead observe the
+   The only cleanup performed is the kernel's: robust-mutex handoff (a
+   real OS does the equivalent for robust futexes), and the pins of its
+   open vkey grant windows. Vmutexes owned by the dead thread are
+   released, waking the next waiter, so surviving threads do not hang
+   on the scheduler-level lock itself — they instead observe the
    half-mutated state it protected. *)
 let crash_check t th =
   match t.crash_at with
@@ -302,6 +303,7 @@ let crash_check t th =
            flush whatever trace it was inside as aborted — the
            post-mortem view of where the kill landed. *)
         Telemetry.Span.flush_aborted ();
+        Pku.Vpkey.thread_died ();
         List.iter
           (fun m ->
             if m.owner = th.tid then begin

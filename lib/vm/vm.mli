@@ -100,7 +100,8 @@ val mean_runnable : t -> float
     without unwinding — no finalizers run, whatever it was mutating
     stays half-done. Scheduler-level mutexes it owned are
     robust-released (next waiter acquires), so survivors observe the
-    protected state mid-mutation rather than hanging. Sweeping [at] over
+    protected state mid-mutation rather than hanging; its open vkey
+    grant windows are unpinned. Sweeping [at] over
     [0 .. sync_points_seen] deterministically explores every kill
     site of a workload. *)
 

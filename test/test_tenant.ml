@@ -195,20 +195,20 @@ let test_vault_readable_only_under_owner_key () =
   let vk s =
     Region.kernel_mode (fun () -> Tenant.vkey_of (Plib.tenants p) s)
   in
-  (* enable tenant a's capability: its vault opens, b's stays sealed *)
-  ignore (Pku.Vpkey.enable ~owner:4201 (vk a));
-  Alcotest.(check string) "a's vault readable under a's key" "vault:va"
-    (Region.read_string va ~off:8 ~len:8);
-  (match Region.read_string vb ~off:8 ~len:8 with
-   | _ -> Alcotest.fail "b's vault must be sealed to a"
-   | exception Pku.Fault.Protection_fault _ -> ());
-  Pku.Vpkey.disable (vk a);
+  (* a window on tenant a's capability: its vault opens, b's stays
+     sealed *)
+  Pku.Vpkey.with_grant ~owner:4201 (vk a) (fun _ ->
+    Alcotest.(check string) "a's vault readable under a's key" "vault:va"
+      (Region.read_string va ~off:8 ~len:8);
+    match Region.read_string vb ~off:8 ~len:8 with
+    | _ -> Alcotest.fail "b's vault must be sealed to a"
+    | exception Pku.Fault.Protection_fault _ -> ());
   (match Region.read_string va ~off:8 ~len:8 with
-   | _ -> Alcotest.fail "vault must seal on disable"
+   | _ -> Alcotest.fail "vault must seal when the window closes"
    | exception Pku.Fault.Protection_fault _ -> ());
-  (* a cannot enable b's capability *)
-  match Pku.Vpkey.enable ~owner:4201 (vk b) with
-  | _ -> Alcotest.fail "cross-tenant enable must be denied"
+  (* a cannot open a window on b's capability *)
+  match Pku.Vpkey.with_grant ~owner:4201 (vk b) ignore with
+  | () -> Alcotest.fail "cross-tenant window must be denied"
   | exception Pku.Vpkey.Permission_denied _ -> ()
 
 let test_quota_eviction_is_tenant_local () =

@@ -587,10 +587,10 @@ let test_ring_backlog_one_drain () =
        doorbell, so the parked worker sleeps on. The nth goes through
        the client, whose send finds the ring armed and rings it. *)
     let ra = rings_of c in
-    T.ring_grant ra;
-    for _ = 1 to n - 1 do
-      Transport.Ring.produce ra.T.ra_sub ~stamp:(S.now_ns ()) req
-    done;
+    T.ring_window ra (fun () ->
+      for _ = 1 to n - 1 do
+        Transport.Ring.produce ra.T.ra_sub ~stamp:(S.now_ns ()) req
+      done);
     T.client_send c.CS.conn req;
     let st = CS.stream c in
     for i = 1 to n do
@@ -606,7 +606,9 @@ let test_ring_nap_then_park () =
     ignore (CS.set c "k" "v");
     idle ();
     let ra = rings_of c in
-    let armed () = Transport.Ring.consumer_armed ra.T.ra_sub in
+    let armed () =
+      T.ring_window ra (fun () -> Transport.Ring.consumer_armed ra.T.ra_sub)
+    in
     Alcotest.(check bool) "idle worker armed its ring" true (armed ());
     let st = CS.stream c in
     let cmd = P.Gets [ "k" ] in
@@ -617,7 +619,7 @@ let test_ring_nap_then_park () =
     (* Watch the completion ring instead of parking on it, so the
        reply is seen the moment the drain ends; the worker is then in
        its nap, not parked. *)
-    while Transport.Ring.is_empty ra.T.ra_comp do
+    while T.ring_window ra (fun () -> Transport.Ring.is_empty ra.T.ra_comp) do
       S.sleep_ns 100
     done;
     Alcotest.(check bool) "the worker naps before it arms" false (armed ());
@@ -808,13 +810,15 @@ let park_cost () =
    worker's idle window starts about now. The reply stays queued for
    [CS.await]. *)
 let reply_landed c st cmd =
-  let comp = (rings_of c).T.ra_comp in
+  let ra = rings_of c in
   CS.submit st cmd;
-  while Transport.Ring.is_empty comp do
+  while T.ring_window ra (fun () -> Transport.Ring.is_empty ra.T.ra_comp) do
     S.sleep_ns 100
   done
 
-let sub_armed c = Transport.Ring.consumer_armed (rings_of c).T.ra_sub
+let sub_armed c =
+  let ra = rings_of c in
+  T.ring_window ra (fun () -> Transport.Ring.consumer_armed ra.T.ra_sub)
 
 let test_ring_worker_spin_drains () =
   with_plib_server ~rings:true (fun c ->
@@ -863,9 +867,9 @@ let test_ring_worker_parks_after_window () =
 let forge_overfill c =
   let ra = rings_of c in
   let sub = ra.T.ra_sub in
-  T.ring_grant ra;
-  Region.write_i64 (Transport.Ring.region sub) (Transport.Ring.tail_word sub)
-    (Transport.Ring.head sub + 1_000)
+  T.ring_window ra (fun () ->
+    Region.write_i64 (Transport.Ring.region sub) (Transport.Ring.tail_word sub)
+      (Transport.Ring.head sub + 1_000))
 
 let test_ring_worker_releases_while_spinning () =
   List.iter
@@ -958,6 +962,114 @@ let test_ring_directory_full () =
     | _ -> ()
     | exception Failure m -> Alcotest.fail ("a freed row was not reused: " ^ m))
 
+(* ---- Vkey slots under ring connections ---------------------------------
+   Each connection seals its rings under a vkey of its own, and a
+   machine has 12 hardware slots to back them: past 12 connections the
+   worker's binds move slots from vkey to vkey. A client holds its
+   connection's rights only inside a window. *)
+
+let test_ring_64_conns_one_worker () =
+  let ev0 = Pku.Vpkey.evictions () in
+  let ok =
+    with_plib_srv ~rings:true (fun plib name ->
+      let g0 = TC.read TC.Id.gate_violations in
+      let conns = List.init 64 (fun _ -> CS.connect ~name ()) in
+      let ok = Array.make 64 false in
+      List.mapi
+        (fun i c ->
+          S.spawn (fun () ->
+            let key = Printf.sprintf "conn-%02d" i in
+            let value = Printf.sprintf "value-%02d" i in
+            ok.(i) <-
+              CS.set c key value = Mc_core.Store.Stored
+              && Option.map (fun r -> r.Mc_core.Store.value) (CS.get c key)
+                 = Some value))
+        conns
+      |> List.iter S.join;
+      Alcotest.(check int) "no gate violation" g0
+        (TC.read TC.Id.gate_violations);
+      Alcotest.(check bool) "library healthy" true
+        (Hodor.Library.health (Cl.Plib.library plib) = Hodor.Library.Healthy);
+      Pku.Vpkey.check_invariants ();
+      ok)
+  in
+  Array.iteri
+    (fun i ok ->
+      Alcotest.(check bool) (Printf.sprintf "connection %d round trip" i) true
+        ok)
+    ok;
+  Alcotest.(check bool) "slots moved between vkeys" true
+    (Pku.Vpkey.evictions () > ev0)
+
+(* The attack on a grant that outlives its window: client 1 stores its
+   key and closes its window; the other twelve connections' binds then
+   move the slots, so whatever slot client 1 once held now backs some
+   other connection's rings. Client 1's thread reads every
+   connection's submission ring header and forges a request into each
+   ring, connection 11's among them. *)
+let test_ring_stale_grant_faults () =
+  let ev0 = Pku.Vpkey.evictions () in
+  with_plib_srv ~rings:true (fun _ name ->
+    let conns = Array.init 13 (fun _ -> CS.connect ~name ()) in
+    let key i = Printf.sprintf "conn-%02d" i in
+    let value i = Printf.sprintf "value-%02d" i in
+    let others_done = ref 0 and attempts = ref [] in
+    let faults f =
+      match f () with
+      | _ -> false
+      | exception Pku.Fault.Protection_fault _ -> true
+    in
+    let forged =
+      Mc_protocol.Binary.encode_command
+        (P.Set
+           { P.key = key 10; flags = 0; exptime = 0; data = "forged";
+             noreply = false })
+    in
+    let client1 =
+      S.spawn (fun () ->
+        Alcotest.(check bool) "client 1 stores" true
+          (CS.set conns.(0) (key 0) (value 0) = Mc_core.Store.Stored);
+        let deadline = S.now_ns () + 10_000_000 in
+        while !others_done < 12 && S.now_ns () < deadline do
+          S.sleep_ns 1_000
+        done;
+        attempts :=
+          Array.to_list conns
+          |> List.mapi (fun j c ->
+            let sub = (rings_of c).T.ra_sub in
+            ( j + 1,
+              faults (fun () -> Transport.Ring.tail sub),
+              faults (fun () ->
+                Transport.Ring.produce sub ~stamp:(S.now_ns ()) forged) )))
+    in
+    Array.to_list conns
+    |> List.tl
+    |> List.mapi (fun i c ->
+      S.spawn (fun () ->
+        let i = i + 1 in
+        Alcotest.(check bool) (Printf.sprintf "client %d stores" (i + 1)) true
+          (CS.set c (key i) (value i) = Mc_core.Store.Stored);
+        incr others_done))
+    |> List.iter S.join;
+    S.join client1;
+    Alcotest.(check bool) "the binds moved slots" true
+      (Pku.Vpkey.evictions () > ev0);
+    Alcotest.(check int) "every ring touched" 13 (List.length !attempts);
+    List.iter
+      (fun (j, read, forge) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "client 1 reading ring %d faults" j) true read;
+        Alcotest.(check bool)
+          (Printf.sprintf "client 1 forging into ring %d faults" j) true forge)
+      !attempts;
+    Array.iteri
+      (fun i c ->
+        Alcotest.(check (option string))
+          (Printf.sprintf "connection %d keeps its own value" (i + 1))
+          (Some (value i))
+          (Option.map (fun r -> r.Mc_core.Store.value) (CS.get c (key i))))
+      conns)
+
 let ring_server_tests =
   [ Alcotest.test_case "lone request drains at once" `Quick
       test_ring_lone_request_no_wait;
@@ -981,7 +1093,11 @@ let ring_server_tests =
     Alcotest.test_case "request then garbage in one send" `Quick
       test_request_then_garbage;
     Alcotest.test_case "a full ring directory refuses cleanly" `Quick
-      test_ring_directory_full ]
+      test_ring_directory_full;
+    Alcotest.test_case "64 conns on one worker" `Quick
+      test_ring_64_conns_one_worker;
+    Alcotest.test_case "stale grant faults" `Quick
+      test_ring_stale_grant_faults ]
 
 let () =
   Alcotest.run "transport"

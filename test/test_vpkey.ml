@@ -1,6 +1,6 @@
 (** Virtual pkey layer: unbounded vkeys multiplexed onto the 16
     hardware slots — slot LRU eviction, quarantine re-tag, lazy
-    re-bind, per-thread pkru shadow, ownership checks. *)
+    re-bind, grant windows, ownership checks. *)
 
 module Vpkey = Pku.Vpkey
 module Pkey = Pku.Pkey
@@ -105,80 +105,133 @@ let test_quarantine_and_lazy_rebind () =
   let ra = attach_region a ~name:"vpk-lazy-a" ~payload:"payload-A" in
   let _rb = attach_region b ~name:"vpk-lazy-b" ~payload:"payload-B" in
   let _rc = attach_region c ~name:"vpk-lazy-c" ~payload:"payload-C" in
-  let hwa = Vpkey.enable a in
-  Alcotest.(check bool) "a readable while bound" true (readable ra ~len:9);
+  let hwa = Vpkey.with_grant a (fun hwa ->
+    Alcotest.(check bool) "a readable while bound" true (readable ra ~len:9);
+    hwa)
+  in
   (* bind b then c: the 2-slot table evicts a *)
   ignore (Region.kernel_mode (fun () -> Vpkey.bind b));
   ignore (Region.kernel_mode (fun () -> Vpkey.bind c));
   Alcotest.(check bool) "a evicted" true (Vpkey.hw_key a = None);
-  (* a's page is quarantined: even with a's old slot still open in
+  (* a's page is quarantined: even with a's old slot forced open in
      this thread's pkru, the read faults *)
+  Pkru.wrpkru (Pkru.set_perm (Pkru.read ()) hwa Pkru.Enable);
   Alcotest.(check bool) "old grant useless post-evict" false
     (readable ra ~len:9);
+  Pkru.reset_thread ();
   Alcotest.(check bool) "page quarantine-tagged" true
     (Region.pkey_of_page ra 0 = Vpkey.quarantine_key ());
-  ignore hwa;
-  (* next enable lazily re-tags to the fresh slot and reopens access *)
-  let hwa' = Vpkey.enable a in
-  Alcotest.(check bool) "rebind re-tags" true
-    (Region.pkey_of_page ra 0 = hwa');
-  Alcotest.(check string) "payload intact" "payload-A"
-    (Region.read_string ra ~off:0 ~len:9);
+  (* the next window lazily re-tags to the fresh slot and reopens
+     access *)
+  Vpkey.with_grant a (fun hwa' ->
+    Alcotest.(check bool) "rebind re-tags" true
+      (Region.pkey_of_page ra 0 = hwa');
+    Alcotest.(check string) "payload intact" "payload-A"
+      (Region.read_string ra ~off:0 ~len:9));
   Vpkey.check_invariants ()
 
-(* ---- per-thread pkru shadow ------------------------------------------- *)
+(* ---- grant windows ---------------------------------------------------- *)
 
-let test_sync_thread_follows_moves () =
+(* A window opens the vkey's slot for its body only: on return, and on
+   a raise, pkru is exactly what it was before. *)
+let test_window_restores_pkru () =
   with_clean @@ fun () ->
-  Vpkey.set_hw_cap 2;
   let v = Vpkey.alloc () in
-  let rv = attach_region v ~name:"vpk-sync-v" ~payload:"sync-payload" in
-  ignore (Vpkey.enable v);
-  Alcotest.(check bool) "readable after enable" true (readable rv ~len:12);
-  (* churn the table until v is evicted *)
-  let churn = List.init 4 (fun _ -> Vpkey.alloc ()) in
-  Region.kernel_mode (fun () ->
-    List.iter (fun vk -> ignore (Vpkey.bind vk)) churn);
-  Alcotest.(check bool) "v evicted by churn" true (Vpkey.hw_key v = None);
-  Alcotest.(check bool) "stale grant faults" false (readable rv ~len:12);
-  (* what the Hodor trampoline does on every crossing *)
-  Vpkey.sync_thread ();
-  Alcotest.(check bool) "sync re-binds the held vkey" true
-    (Vpkey.hw_key v <> None);
-  Alcotest.(check bool) "readable again after sync" true (readable rv ~len:12);
-  Vpkey.disable v;
-  Alcotest.(check bool) "disable closes access" false (readable rv ~len:12);
+  let rv = attach_region v ~name:"vpk-win-v" ~payload:"win-payload" in
+  let before = Pkru.read () in
+  Vpkey.with_grant v (fun _ ->
+    Alcotest.(check bool) "readable inside" true (readable rv ~len:11));
+  Alcotest.(check int) "pkru restored on return" before (Pkru.read ());
+  Alcotest.(check bool) "sealed after" false (readable rv ~len:11);
+  (match Vpkey.with_grant v (fun _ -> failwith "body raised") with
+   | () -> Alcotest.fail "the body's raise must propagate"
+   | exception Failure _ -> ());
+  Alcotest.(check int) "pkru restored on a raise" before (Pkru.read ());
   Vpkey.check_invariants ()
 
-let test_slot_reuse_never_leaks_rights () =
+(* On one slot, a bind made while a window is open cannot take the
+   slot: it refuses and is counted, and the window's vkey stays bound
+   and readable. Once the window closes the slot moves, and the old
+   vkey's pages are quarantined. *)
+let test_pin_survives_churn () =
   with_clean @@ fun () ->
+  Telemetry.Counters.reset ();
   Vpkey.set_hw_cap 1;
-  let victim = Vpkey.alloc () in
-  let rv = attach_region victim ~name:"vpk-reuse-v" ~payload:"victim-bytes" in
-  ignore (Vpkey.enable victim);
-  let thief = Vpkey.alloc () in
-  ignore (Region.kernel_mode (fun () -> Vpkey.bind thief));
-  (* thief inherited the only slot; sync revokes this thread's stale
-     right on it, then re-binds victim (evicting thief back out) *)
-  Vpkey.sync_thread ();
-  Alcotest.(check bool) "victim readable via its new binding" true
-    (readable rv ~len:12);
-  Alcotest.(check bool) "thief lost the slot" true (Vpkey.hw_key thief = None);
+  let v = Vpkey.alloc () and churn = Vpkey.alloc () in
+  let rv = attach_region v ~name:"vpk-pin-v" ~payload:"pinned-bytes" in
+  let hw =
+    Vpkey.with_grant v (fun hw ->
+      Alcotest.check_raises "churn bind refused" Vpkey.All_slots_pinned
+        (fun () -> ignore (Region.kernel_mode (fun () -> Vpkey.bind churn)));
+      Alcotest.(check bool) "v still bound" true (Vpkey.hw_key v = Some hw);
+      Alcotest.(check bool) "v still readable" true (readable rv ~len:12);
+      hw)
+  in
+  Alcotest.(check int) "refusal counted" 1 (Vpkey.pin_refusals ());
+  Alcotest.(check int) "telemetry refusals" 1
+    (Telemetry.Counters.read Telemetry.Counters.Id.vpkey_pin_refusals);
+  Alcotest.(check int) "no eviction while pinned" 0 (Vpkey.evictions ());
+  let churn_hw = Region.kernel_mode (fun () -> Vpkey.bind churn) in
+  Alcotest.(check int) "unpinned, the slot moves" hw churn_hw;
+  Vpkey.with_grant churn (fun _ ->
+    Alcotest.(check bool) "the slot's new window reads no old bytes" false
+      (readable rv ~len:12));
+  (* a vkey freed inside its window keeps the slot until the window
+     closes, then hands it back without an eviction *)
+  let evictions = Vpkey.evictions () in
+  Vpkey.with_grant churn (fun _ ->
+    Vpkey.free churn;
+    Alcotest.check_raises "freed but still held" Vpkey.All_slots_pinned
+      (fun () -> ignore (Region.kernel_mode (fun () -> Vpkey.bind v)));
+    Vpkey.check_invariants ());
+  Alcotest.(check int) "the slot comes back free" hw
+    (Region.kernel_mode (fun () -> Vpkey.bind v));
+  Alcotest.(check int) "no eviction for it" evictions (Vpkey.evictions ());
   Vpkey.check_invariants ()
 
-(* A grant is on one machine's slot table: a thread that moves to a
-   fresh machine, where the same vkey id names someone else's memory,
-   holds nothing there until it enables that vkey itself. *)
-let test_grants_stay_with_their_machine () =
-  with_clean (fun () -> ignore (Vpkey.enable (Vpkey.alloc ())));
+(* The exit gate compares pkru with what the trampoline wrote on entry:
+   a window inside the call restores exactly that, so the gate stays
+   quiet and the caller leaves with the pkru it came in with. *)
+let test_window_in_crossing_keeps_gate_quiet () =
   with_clean @@ fun () ->
+  let lib =
+    Hodor.Library.create ~name:"vpk-gate" ~owner_uid:1000 ()
+  in
+  Fun.protect ~finally:(fun () -> Hodor.Library.release lib) @@ fun () ->
   let v = Vpkey.alloc () in
-  let r = attach_region v ~name:"vpk-other-machine" ~payload:"other" in
-  ignore (Region.kernel_mode (fun () -> Vpkey.bind v));
-  Vpkey.sync_thread ();
-  Alcotest.(check bool) "no grant carried over" false (readable r ~len:5);
-  ignore (Vpkey.enable v);
-  Alcotest.(check bool) "its own grant opens it" true (readable r ~len:5)
+  let rv = attach_region v ~name:"vpk-gate-v" ~payload:"in-the-call" in
+  let violations () =
+    Telemetry.Counters.read Telemetry.Counters.Id.gate_violations
+  in
+  let g0 = violations () and before = Pkru.read () in
+  let read =
+    Hodor.Trampoline.call lib (fun () ->
+      Vpkey.with_grant v (fun _ -> Region.read_string rv ~off:0 ~len:11))
+  in
+  Alcotest.(check string) "read inside the call" "in-the-call" read;
+  Alcotest.(check int) "no gate violation" g0 (violations ());
+  Alcotest.(check bool) "library healthy" true
+    (Hodor.Library.health lib = Hodor.Library.Healthy);
+  Alcotest.(check int) "caller's pkru unchanged" before (Pkru.read ())
+
+(* Rights stay with a window, not with a machine or a thread: a fresh
+   machine, where the same vkey id names someone else's memory, opens
+   nothing until a window of its own. *)
+let test_fresh_machine_sees_no_rights () =
+  Pkru.reset_thread ();
+  Machine.run (Machine.create ()) (fun () ->
+    let v = Vpkey.alloc () in
+    let r = attach_region v ~name:"vpk-first-machine" ~payload:"first" in
+    Vpkey.with_grant v (fun _ ->
+      Alcotest.(check bool) "its window opens it" true (readable r ~len:5)));
+  Machine.run (Machine.create ()) (fun () ->
+    let v = Vpkey.alloc () in
+    let r = attach_region v ~name:"vpk-other-machine" ~payload:"other" in
+    ignore (Region.kernel_mode (fun () -> Vpkey.bind v));
+    Alcotest.(check bool) "no right carried over" false (readable r ~len:5);
+    Vpkey.with_grant v (fun _ ->
+      Alcotest.(check bool) "its own window opens it" true
+        (readable r ~len:5)))
 
 (* ---- ownership -------------------------------------------------------- *)
 
@@ -228,19 +281,18 @@ let test_sixty_four_tenants_isolated () =
      shut, then drop the grant *)
   Array.iteri
     (fun i (vk, uid, r) ->
-      ignore (Vpkey.enable ~owner:uid vk);
-      Alcotest.(check string)
-        (Printf.sprintf "tenant %d reads its own region" i)
-        (Printf.sprintf "tenant-%02d-secret" i)
-        (Region.read_string r ~off:0 ~len:16);
-      let j = (i + 1) mod n in
-      let _, _, rj = tenants.(j) in
+      Vpkey.with_grant ~owner:uid vk (fun _ ->
+        Alcotest.(check string)
+          (Printf.sprintf "tenant %d reads its own region" i)
+          (Printf.sprintf "tenant-%02d-secret" i)
+          (Region.read_string r ~off:0 ~len:16);
+        let j = (i + 1) mod n in
+        let _, _, rj = tenants.(j) in
+        Alcotest.(check bool)
+          (Printf.sprintf "tenant %d cannot read tenant %d" i j)
+          false (readable rj ~len:16));
       Alcotest.(check bool)
-        (Printf.sprintf "tenant %d cannot read tenant %d" i j)
-        false (readable rj ~len:16);
-      Vpkey.disable vk;
-      Alcotest.(check bool)
-        (Printf.sprintf "tenant %d loses access on disable" i)
+        (Printf.sprintf "tenant %d loses access when its window closes" i)
         false (readable r ~len:16))
     tenants;
   Vpkey.check_invariants ()
@@ -372,13 +424,15 @@ let () =
             test_exhaustion_without_eviction;
           Alcotest.test_case "quarantine + lazy rebind" `Quick
             test_quarantine_and_lazy_rebind ] );
-      ( "pkru shadow",
-        [ Alcotest.test_case "sync_thread follows moves" `Quick
-            test_sync_thread_follows_moves;
-          Alcotest.test_case "slot reuse leaks nothing" `Quick
-            test_slot_reuse_never_leaks_rights;
-          Alcotest.test_case "grants stay with their machine" `Quick
-            test_grants_stay_with_their_machine ] );
+      ( "grant windows",
+        [ Alcotest.test_case "pkru restored on exit" `Quick
+            test_window_restores_pkru;
+          Alcotest.test_case "a pin survives churn" `Quick
+            test_pin_survives_churn;
+          Alcotest.test_case "quiet gate in a crossing" `Quick
+            test_window_in_crossing_keeps_gate_quiet;
+          Alcotest.test_case "fresh machine, no rights" `Quick
+            test_fresh_machine_sees_no_rights ] );
       ( "ownership",
         [ Alcotest.test_case "owner checks" `Quick test_owner_checks ] );
       ( "scale",
